@@ -363,17 +363,21 @@ def _load_config(path):
     return cfg
 
 
-def _setting(args, cfg, dest, cast, default):
+def _setting(args, cfg, dest, cast, default, minimum=None):
+    """Flag, else config value, else default; below minimum is a usage error."""
     v = getattr(args, dest, None)
-    if v is not None:
-        return v
-    if dest in cfg:
+    if v is None and dest in cfg:
         try:
-            return cast(cfg[dest])
+            v = cast(cfg[dest])
         except ValueError:
             raise MapParseError(
                 f"bad config value for {dest}: {cfg[dest]!r}") from None
-    return default
+    if v is None:
+        v = default
+    if minimum is not None and v < minimum:
+        raise MapParseError(
+            f"--{dest.replace('_', '-')} must be >= {minimum}, got {v}")
+    return v
 
 
 def _threads(args, cfg):
@@ -398,7 +402,7 @@ def _threads(args, cfg):
 def _cmd_info(args, cfg):
     R, label = resolve_map(args.map)
     seed = _setting(args, cfg, "seed", int, 0)
-    count = _setting(args, cfg, "count", int, 8000)
+    count = _setting(args, cfg, "count", int, 8000, minimum=1)
     print(f"map: {label}")
     print(f"degree: {R.degree}")
     cds = critical_points(R)
@@ -422,9 +426,7 @@ def _cmd_info(args, cfg):
 def _cmd_preimage(args, cfg):
     R, _ = resolve_map(args.map)
     y = _parse_point(args.point)
-    depth = _setting(args, cfg, "depth", int, 1)
-    if depth < 1:
-        raise MapParseError("depth must be >= 1")
+    depth = _setting(args, cfg, "depth", int, 1, minimum=1)
     fib = preimages(R, y) if depth == 1 else preimage_tree(R, y, depth)
     lines = ["x_re,x_im,is_infinity,index"]
     for p, e in fib.entries:
@@ -449,8 +451,8 @@ def _cmd_julia(args, cfg):
     if not args.out and not args.render:
         raise MapParseError("julia needs --out and/or --render")
     seed = _setting(args, cfg, "seed", int, 0)
-    depth = _setting(args, cfg, "depth", int, 60)
-    count = _setting(args, cfg, "count", int, 2000)
+    depth = _setting(args, cfg, "depth", int, 60, minimum=0)
+    count = _setting(args, cfg, "count", int, 2000, minimum=1)
     start = _parse_point(args.start) if args.start else _render_start(R)
     if args.out:
         cloud = sample_inverse_iteration(R, start, depth=depth, count=count,
@@ -460,8 +462,8 @@ def _cmd_julia(args, cfg):
     if args.render:
         window = _parse_window(_setting(args, cfg, "window", str,
                                         "-2,2,-2,2"))
-        res = _setting(args, cfg, "res", int, 512)
-        samples = _setting(args, cfg, "samples", int, 40000)
+        res = _setting(args, cfg, "res", int, 512, minimum=1)
+        samples = _setting(args, cfg, "samples", int, 40000, minimum=1)
         max_iter = _setting(args, cfg, "max_iter", int, 96)
         img = render(R, window, res, mode=args.mode, max_iter=max_iter,
                      samples=samples, depth=depth, seed=seed)
@@ -473,12 +475,12 @@ def _cmd_julia(args, cfg):
 def _cmd_measure(args, cfg):
     R, _ = resolve_map(args.map)
     seed = _setting(args, cfg, "seed", int, 0)
-    depth = _setting(args, cfg, "depth", int, 8)
+    depth = _setting(args, cfg, "depth", int, 8, minimum=0)
     y = _parse_point(args.point) if args.point else SpherePoint.finite(1.0)
     if args.method == "exact":
         cloud = lyubich_exact(R, y, depth)
     else:
-        samples = _setting(args, cfg, "samples", int, 4096)
+        samples = _setting(args, cfg, "samples", int, 4096, minimum=1)
         cloud = lyubich_mc(R, y, depth=max(depth, 60), samples=samples,
                            seed=seed)
     write_weighted_csv(args.out, cloud)
@@ -490,8 +492,8 @@ def _cmd_kms(args, cfg):
     R, _ = resolve_map(args.map)
     a = parse_test_function(args.test)
     seed = _setting(args, cfg, "seed", int, 0)
-    levels = _setting(args, cfg, "levels", int, 10)
-    nprobe = _setting(args, cfg, "probes", int, 8)
+    levels = _setting(args, cfg, "levels", int, 10, minimum=0)
+    nprobe = _setting(args, cfg, "probes", int, 8, minimum=1)
     cloud = sample_inverse_iteration(R, _render_start(R),
                                      count=max(256, nprobe), seed=seed)
     step = max(1, len(cloud.points) // nprobe)
@@ -517,8 +519,8 @@ def _cmd_witness(args, cfg):
     R, _ = resolve_map(args.map)
     a = parse_test_function(args.a)
     seed = _setting(args, cfg, "seed", int, 0)
-    count = _setting(args, cfg, "count", int, 4000)
-    nprobe = _setting(args, cfg, "probes", int, 64)
+    count = _setting(args, cfg, "count", int, 4000, minimum=1)
+    nprobe = _setting(args, cfg, "probes", int, 64, minimum=1)
     cloud = sample_inverse_iteration(R, _render_start(R), count=count,
                                      seed=seed)
     step = max(1, count // nprobe)

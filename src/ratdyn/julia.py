@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded
-from .numkernel import SpherePoint, _as_pair, sphere_embed, _raw_roots
-from .ratmap import _DROP_TOL, _fiber_core, evaluate
+from .numkernel import SpherePoint, _as_pair, _row_roots, sphere_embed
+from .ratmap import _chunks, _expand_level, _fiber_rows, evaluate
 
 BURN_IN = 20
 
@@ -54,51 +54,15 @@ class JuliaCloud:
 # batched backward walk
 # ---------------------------------------------------------------------------
 
-def _batched_quadratic(f):
-    # rows of f are [c0, c1, c2]; stable q-form, both roots returned
-    c0, c1, c2 = f[:, 0], f[:, 1], f[:, 2]
-    s = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    flip = (c1.real * s.real + c1.imag * s.imag) < 0.0
-    s = np.where(flip, -s, s)
-    q = -0.5 * (c1 + s)
-    qz = q == 0
-    qsafe = np.where(qz, 1.0, q)
-    r1 = q / c2
-    r2 = np.where(qz, 0.0, c0 / qsafe)
-    return np.stack([r1, r2], axis=1)
-
-
-def _batched_companion_roots(f):
-    d = f.shape[1] - 1
-    monic = f / f[:, -1:]
-    comp = np.zeros((f.shape[0], d, d), dtype=complex)
-    idx = np.arange(d - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, -1] = -monic[:, :-1]
-    return np.linalg.eigvals(comp)
-
-
-def _scalar_backstep(R, z, isinf, rng):
-    # fallback covering degree drops and walkers sitting at infinity
-    centers, counts, infcount = _fiber_core(R, z, isinf)
-    total = int(np.sum(counts)) + infcount
-    pick = int(rng.integers(total))
-    if pick >= total - infcount:
-        return 0j, True
-    acc = 0
-    for t in range(centers.size):
-        acc += int(counts[t])
-        if pick < acc:
-            return complex(centers[t]), False
-    return complex(centers[-1]), False
-
-
 def backward_walk(R, start, steps, walkers, rng):
     """Lockstep backward chains: returns (steps, walkers) complex points.
 
     Each chain independently picks one of the d preimages of its current
     point uniformly with multiplicity, i.e. x with probability e(x)/d.
-    Also returns the matching is-infinity flags.
+    Also returns the matching is-infinity flags. Each step solves every
+    walker's fiber with the batched solver in ratmap: most walkers pick a
+    raw root in solver order, repeated roots repeated; walkers at infinity
+    or over a degree drop pick by the branch counts of their fiber.
     """
     d = R.degree
     zv, zinf = _as_pair(start)
@@ -106,35 +70,22 @@ def backward_walk(R, start, steps, walkers, rng):
     isinf = np.full(walkers, zinf, dtype=bool)
     out = np.empty((steps, walkers), dtype=complex)
     out_inf = np.empty((steps, walkers), dtype=bool)
-    p_pad, q_pad = R._p_pad, R._q_pad
-    ap, aq = np.abs(p_pad), np.abs(q_pad)
     for k in range(steps):
         pick = rng.integers(0, d, size=walkers)
-        big = np.abs(z) > 1.0
-        w = np.where(isinf | big, 0j, z)
-        iw = np.where(big & ~isinf, 1.0 / np.where(z == 0, 1.0, z), 1.0)
-        # fiber polynomial per walker, scaled for conditioning when |z| > 1
-        f = np.where(big[:, None],
-                     iw[:, None] * p_pad[None, :] - q_pad[None, :],
-                     p_pad[None, :] - w[:, None] * q_pad[None, :])
-        s = np.where(big[:, None],
-                     np.abs(iw)[:, None] * ap[None, :] + aq[None, :],
-                     ap[None, :] + np.abs(w)[:, None] * aq[None, :])
-        slow = isinf | (np.abs(f[:, -1]) <= _DROP_TOL * (s[:, -1] + 1e-300))
-        fast = ~slow
-        if np.any(fast):
-            ff = f[fast]
-            if d == 1:
-                roots = (-ff[:, :1] / ff[:, 1:])
-            elif d == 2:
-                roots = _batched_quadratic(ff)
-            else:
-                roots = _batched_companion_roots(ff)
-            z[fast] = roots[np.arange(roots.shape[0]), pick[fast]]
-            isinf[fast] = False
-        if np.any(slow):
-            for j in np.nonzero(slow)[0]:
-                z[j], isinf[j] = _scalar_backstep(R, z[j], isinf[j], rng)
+        f, slow = _fiber_rows(R, z, isinf)
+        fast = np.flatnonzero(~slow)
+        for sl in _chunks(fast.size, d):
+            rows = fast[sl]
+            z[rows] = _row_roots(f[rows])[np.arange(rows.size), pick[rows]]
+        isinf[fast] = False
+        rows = np.flatnonzero(slow)
+        if rows.size:
+            # each fiber's counts sum to d, so parent j owns [j d, (j + 1) d)
+            # of the running count total
+            cp, cn, cc, _ = _expand_level(R, z[rows], isinf[rows])
+            draw = np.arange(rows.size) * d + rng.integers(d, size=rows.size)
+            t = np.searchsorted(np.cumsum(cc), draw, side="right")
+            z[rows], isinf[rows] = cp[t], cn[t]
         out[k] = z
         out_inf[k] = isinf
     return out, out_inf

@@ -7,6 +7,7 @@ invariance defects, and convergence diagnostics.
 """
 
 import json
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -31,7 +32,13 @@ class WeightedCloud:
     denominator: int = None
 
     def __post_init__(self):
-        total = sum(w for _, w in self.atoms)
+        if self.int_weights is not None:
+            total = sum(self.int_weights)
+            if total != self.denominator:
+                raise ValueError(f"integer weights sum to {total}, "
+                                 f"not {self.denominator}")
+            return
+        total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
 

@@ -4,11 +4,16 @@ Points live on the Riemann sphere: a finite complex value or the point at
 infinity. All distances are chordal, so infinity is an ordinary point at
 distance <= 2 from everything else. Polynomial coefficients are stored in
 ascending order (constant term first).
+
+Besides the one-polynomial finder, `_row_roots` solves a stack of
+polynomials of one degree at once, and `_cluster_rows` groups each row's
+roots into multiplicity clusters, for the one-polynomial finder too.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -364,39 +369,98 @@ def _raw_roots(c, budget=ROOT_BUDGET):
     return np.concatenate([zeros, rest])
 
 
-def _cluster_points(pts, factor=CLUSTER_FACTOR):
-    """Single-linkage clustering with radius factor * (1 + |z|).
+@functools.lru_cache(maxsize=None)
+def _pairs(d):
+    """Index pairs i < j of d roots, cached per degree."""
+    return np.triu_indices(d, 1)
 
-    Returns (centers, counts) sorted by (re, im) of the centers.
+
+def _near(roots, factor=CLUSTER_FACTOR):
+    """Which pairs of roots of each row lie within the clustering radius.
+
+    Returns (near, i, j): near[r, t] says roots i[t] < j[t] of row r lie
+    within factor * (1 + (|x| + |y|) / 2) of each other.
     """
-    m = pts.size
-    parent = list(range(m))
+    i, j = _pairs(roots.shape[1])
+    a = np.abs(roots)
+    near = (np.abs(roots[:, i] - roots[:, j])
+            <= factor * (1.0 + 0.5 * (a[:, i] + a[:, j])))
+    return near, i, j
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            r = factor * (1.0 + 0.5 * (abs(pts[i]) + abs(pts[j])))
-            if abs(pts[i] - pts[j]) <= r:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    centers = []
-    counts = []
-    for idx in groups.values():
-        sel = pts[idx]
-        centers.append(complex(np.mean(sel)))
-        counts.append(len(idx))
-    order = sorted(range(len(centers)), key=lambda t: (centers[t].real, centers[t].imag))
-    return (np.array([centers[t] for t in order]),
-            np.array([counts[t] for t in order], dtype=int))
+def _row_roots(f):
+    """The d roots of every row of f in solver order, a multiple root repeated.
+
+    d <= 2 uses the stable closed form. d >= 3 takes the eigenvalues of the
+    companion matrices, then one Newton step on each simple root (one near
+    no other root of its row).
+    """
+    m, d = f.shape[0], f.shape[1] - 1
+    if d == 1:
+        return -f[:, :1] / f[:, 1:]
+    if d == 2:
+        # q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the sign that avoids
+        # cancellation; the roots are q / c2 and c0 / q
+        c0, c1, c2 = f[:, 0], f[:, 1], f[:, 2]
+        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
+        q = -0.5 * (c1 + sq)
+        qz = q == 0  # double root at the origin
+        return np.stack([q / c2, np.where(qz, 0j, c0 / np.where(qz, 1.0, q))],
+                        axis=1)
+    monic = f / f[:, -1:]
+    comp = np.zeros((m, d, d), dtype=complex)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, -1] = -monic[:, :-1]
+    roots = np.linalg.eigvals(comp)
+    # Horner for the monic row and its derivative at every root
+    val = np.ones_like(roots)
+    der = np.zeros_like(roots)
+    for k in range(d - 1, -1, -1):
+        der = der * roots + val
+        val = val * roots + monic[:, k, None]
+    near, i, j = _near(roots)
+    ends = (np.arange(d) == i[:, None]) | (np.arange(d) == j[:, None])
+    ok = ~(near @ ends) & (der != 0)  # simple roots
+    step = val / np.where(ok, der, 1.0)
+    return np.where(ok & np.isfinite(step), roots - step, roots)
+
+
+def _cluster_rows(roots, factor=CLUSTER_FACTOR):
+    """Single-linkage clusters of each row's roots, linked by `_near`.
+
+    Returns (centers, counts, row): one entry per cluster, its centre the
+    mean of its roots, sorted by row and then by (re, im).
+    """
+    m, d = roots.shape
+    centers, counts = roots, np.ones((m, d), dtype=np.int64)
+    near, i, j = _near(roots, factor)
+    tied = np.flatnonzero(near.any(axis=1))
+    if tied.size:
+        # cluster slot k of a row collects the roots whose smallest linked
+        # index is k; slots left empty sort last and are dropped
+        link = np.broadcast_to(np.eye(d, dtype=bool), (tied.size, d, d)).copy()
+        link[:, i, j] = link[:, j, i] = near[tied]
+        label = np.broadcast_to(np.arange(d), (tied.size, d))
+        while True:
+            nxt = np.where(link, label[:, None, :], d).min(axis=2)
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+        member = label[:, None, :] == np.arange(d)[None, :, None]
+        n = member.sum(axis=2)
+        sums = np.where(member, roots[tied][:, None, :], 0j).sum(axis=2)
+        centers = roots.copy()
+        centers[tied] = np.where(n > 0, sums / np.maximum(n, 1), np.inf)
+        counts[tied] = n
+    flat = (np.lexsort((centers.imag, centers.real), axis=1)
+            + d * np.arange(m)[:, None]).ravel()
+    centers, counts = centers.ravel()[flat], counts.ravel()[flat]
+    row = flat // max(d, 1)
+    if not tied.size:
+        return centers, counts, row
+    keep = counts > 0
+    return centers[keep], counts[keep], row[keep]
 
 
 def _newton_steps(c, c1, x, m, steps=3):
@@ -490,8 +554,8 @@ def roots_with_multiplicity(poly, cluster_radius=CLUSTER_FACTOR, budget=ROOT_BUD
     c = poly_trim(c)
     if c.size <= 1:
         return RootSet((), 0.0)
-    raw = _raw_roots(c, budget)
-    centers, counts = _cluster_points(raw, cluster_radius)
+    centers, counts, _ = _cluster_rows(_raw_roots(c, budget)[None, :],
+                                       cluster_radius)
     c_monic = c / c[-1]
     c1 = poly_derivative(c_monic)
     centers = np.array([

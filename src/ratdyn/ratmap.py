@@ -5,6 +5,14 @@ w has exactly d preimages counted with branch indices: the index e(x) is the
 local multiplicity of R at x, equal to 1 + (order of x as a zero of the
 derivative numerator W = P'Q - PQ'). Work near infinity happens in the
 reciprocal chart w = 1/z throughout.
+
+`preimages` solves one fiber with the full multiplicity machinery of
+numkernel. Preimage trees, backward walks and expansion times use the
+batched fiber solver `_expand_level` instead: one closed form (d <= 2) or
+one stack of companion-matrix eigenvalues (d >= 3) for a whole batch of
+bases, then per-row clustering (numkernel's `_row_roots` and
+`_cluster_rows`). Only bases at infinity and degree-drop bases go through
+the scalar `_fiber_core`.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, CoprimalityError
 from .numkernel import (
-    CLUSTER_FACTOR,
     Polynomial,
     RootSet,
     SpherePoint,
@@ -27,8 +34,9 @@ from .numkernel import (
     poly_mul,
     poly_trim,
     roots_with_multiplicity,
-    _cluster_points,
+    _cluster_rows,
     _raw_roots,
+    _row_roots,
 )
 
 # budget for polynomial degrees produced by composition
@@ -248,13 +256,15 @@ def critical_points(R):
 # fibers
 # ---------------------------------------------------------------------------
 
-def _fiber_poly(R, w):
-    """Coefficients whose roots are the finite preimages of finite w.
+def _fiber_poly(R, w, isinf=False):
+    """Coefficients whose roots are the finite preimages of w.
 
-    Returns (coeffs, inf_index): leading coefficients that cancel against w
-    drop the degree, and each dropped level adds one to the index carried by
-    the preimage at infinity.
+    Returns (coeffs, inf_index): over infinity, the poles and deg P - deg Q
+    when positive; over finite w, leading coefficients that cancel against
+    w drop the degree, and each dropped level adds one to inf_index.
     """
+    if isinf:
+        return R._q, max(R._p.size - R._q.size, 0)
     if abs(w) <= 1.0:
         f = R._p_pad - w * R._q_pad
         s = np.abs(R._p_pad) + abs(w) * np.abs(R._q_pad)
@@ -269,26 +279,18 @@ def _fiber_poly(R, w):
 
 
 def _fiber_core(R, z, isinf):
-    """Lean fiber solve: (finite points, counts, infinity index).
+    """Scalar fiber solve: (points, isinf, counts), infinity last.
 
     Multiplicities come from single-linkage clustering of the raw roots;
-    points are sorted by (re, im).
+    finite points are sorted by (re, im).
     """
-    if isinf:
-        drop = (R._p.size - 1) - (R._q.size - 1)
-        if R._q.size > 1:
-            pts = _raw_roots(R._q / np.max(np.abs(R._q)))
-            centers, counts = _cluster_points(pts)
-        else:
-            centers = np.zeros(0, dtype=complex)
-            counts = np.zeros(0, dtype=int)
-        return centers, counts, max(drop, 0)
-    f, drop = _fiber_poly(R, z)
-    if f.size <= 1:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int), drop
-    pts = _raw_roots(f / np.max(np.abs(f)))
-    centers, counts = _cluster_points(pts)
-    return centers, counts, drop
+    f, drop = _fiber_poly(R, z, isinf)
+    raw = _raw_roots(f / np.max(np.abs(f)))
+    centers, counts, _ = _cluster_rows(raw[None, :])
+    if not drop:
+        return centers, np.zeros(centers.size, dtype=bool), counts
+    at_inf = np.arange(centers.size + 1) == centers.size
+    return np.append(centers, 0j), at_inf, np.append(counts, drop)
 
 
 def preimages(R, w):
@@ -300,107 +302,74 @@ def preimages(R, w):
     with their orders.
     """
     wv, isinf = _as_pair(w)
-    entries = []
-    if isinf:
-        drop = (R._p.size - 1) - (R._q.size - 1)
-        if R._q.size > 1:
-            rs = roots_with_multiplicity(R._q)
-            entries.extend((pt, m) for pt, m in rs.entries)
-        if drop > 0:
-            entries.append((SpherePoint.infinity(), drop))
-    else:
-        f, drop = _fiber_poly(R, wv)
-        if f.size > 1:
-            rs = roots_with_multiplicity(f)
-            entries.extend((pt, m) for pt, m in rs.entries)
-        if drop > 0:
-            entries.append((SpherePoint.infinity(), drop))
-    entries.sort(key=lambda e: e[0].sort_key())
+    f, drop = _fiber_poly(R, wv, isinf)
+    entries = list(roots_with_multiplicity(f).entries)
+    if drop:
+        entries.append((SpherePoint.infinity(), drop))
     return Fiber(SpherePoint.from_value(w), 1, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
-# preimage trees
+# preimage trees: the batched fiber solver
 # ---------------------------------------------------------------------------
 
-def _expand_level_d2(R, pts):
-    """Batched one-step fibers for a degree-2 map over finite parents.
+# cap on the entries of one chunk's (rows, d, d) work arrays
+_WORK_ENTRIES = 1 << 18
 
-    Returns (points, isinf, counts, parent) or None when some fiber drops
-    degree; callers fall back to the scalar path for that level. Children of
-    a parent are contiguous and sorted by (re, im).
+
+def _chunks(m, d):
+    """Row slices that keep a chunk's (rows, d, d) arrays within the cap."""
+    step = max(1, _WORK_ENTRIES // (d * d))
+    return [slice(lo, lo + step) for lo in range(0, max(m, 1), step)]
+
+
+def _fiber_rows(R, pts, inf):
+    """Fiber polynomials of a batch of bases, one row of d+1 coefficients each.
+
+    Row j is P - w Q for |w| <= 1 and P/w - Q otherwise (w = pts[j]), the
+    scaling `_fiber_poly` uses. slow marks the rows the batched solver leaves
+    to `_fiber_core`: bases at infinity, and bases whose fiber polynomial
+    loses degree (w = R(infinity)).
     """
-    if pts.size == 0:
-        return (np.zeros(0, dtype=complex), np.zeros(0, dtype=bool),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    w = pts
-    aw = np.abs(w)
-    small = aw <= 1.0
-    iw = np.where(small, 1.0 + 0j, 1.0 / np.where(small, 1.0 + 0j, w))
-    p = R._p_pad[None, :]
-    q = R._q_pad[None, :]
-    f = np.where(small[:, None], p - w[:, None] * q, iw[:, None] * p - q)
-    s = np.where(small[:, None],
-                 np.abs(p) + aw[:, None] * np.abs(q),
-                 np.abs(iw)[:, None] * np.abs(p) + np.abs(q))
-    if np.any(np.abs(f[:, 2]) <= _DROP_TOL * s[:, 2]):
-        return None
-    c0 = f[:, 0] / f[:, 2]
-    c1 = f[:, 1] / f[:, 2]
-    disc = c1 * c1 - 4.0 * c0
-    sq = np.sqrt(disc)
-    sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
-    qq = -0.5 * (c1 + sq)
-    degen = qq == 0  # double root at the origin
-    r1 = np.where(degen, 0j, qq)
-    r2 = np.where(degen, 0j, c0 / np.where(degen, 1.0 + 0j, qq))
-    swap = (r2.real < r1.real) | ((r2.real == r1.real) & (r2.imag < r1.imag))
-    a = np.where(swap, r2, r1)
-    b = np.where(swap, r1, r2)
-    merged = (np.abs(a - b)
-              <= CLUSTER_FACTOR * (1.0 + 0.5 * (np.abs(a) + np.abs(b))))
-    k = np.where(merged, 1, 2).astype(np.int64)
-    off = np.concatenate(([0], np.cumsum(k)[:-1]))
-    tot = int(k.sum())
-    cp = np.empty(tot, dtype=complex)
-    cc = np.empty(tot, dtype=np.int64)
-    par = np.empty(tot, dtype=np.int64)
-    cp[off] = np.where(merged, 0.5 * (a + b), a)
-    cc[off] = np.where(merged, 2, 1)
-    par[off] = np.arange(pts.size)
-    sec = off[~merged] + 1
-    cp[sec] = b[~merged]
-    cc[sec] = 1
-    par[sec] = np.flatnonzero(~merged)
-    return cp, np.zeros(tot, dtype=bool), cc, par
+    small = (np.abs(pts) <= 1.0) | inf
+    a = 1.0 / np.where(small, 1.0 + 0j, pts)   # 1, or 1/w
+    b = np.where(small, pts, 1.0 + 0j)         # w, or 1
+    f = a[:, None] * R._p_pad - b[:, None] * R._q_pad
+    s = np.abs(a) * abs(R._p_pad[-1]) + np.abs(b) * abs(R._q_pad[-1])
+    return f, inf | (np.abs(f[:, -1]) <= _DROP_TOL * s)
 
 
 def _expand_level(R, pts, inf):
-    """One backward step for a batch of points.
+    """One backward step for a batch of points: the batched fiber solver.
 
     Returns (points, isinf, counts, parent): the children of every input
     point with their local branch counts and parent positions. Children of
-    one parent are contiguous, sorted by (re, im), infinity last.
+    one parent are contiguous, sorted by (re, im), infinity last. All rows
+    are solved together by `_row_roots` and clustered by `_cluster_rows`,
+    in chunks of bounded size; only bases at infinity and degree-drop bases
+    take the scalar `_fiber_core`.
     """
-    if R.degree == 2 and not inf.any():
-        out = _expand_level_d2(R, pts)
-        if out is not None:
-            return out
-    cp, cn, cc, par = [], [], [], []
-    for j in range(pts.size):
-        centers, counts, infcount = _fiber_core(R, pts[j], inf[j])
-        for t in range(centers.size):
-            cp.append(centers[t])
-            cn.append(False)
-            cc.append(counts[t])
-            par.append(j)
-        if infcount:
-            cp.append(0j)
-            cn.append(True)
-            cc.append(infcount)
-            par.append(j)
-    return (np.array(cp, dtype=complex), np.array(cn, dtype=bool),
-            np.array(cc, dtype=np.int64), np.array(par, dtype=np.int64))
+    f, slow = _fiber_rows(R, pts, inf)
+    fast = np.flatnonzero(~slow)
+    parts = []
+    for sl in _chunks(fast.size, R.degree):
+        rows = fast[sl]
+        centers, counts, row = _cluster_rows(_row_roots(f[rows]))
+        parts.append((centers, np.zeros(centers.size, dtype=bool), counts,
+                      rows[row]))
+    if not slow.any():
+        return parts[0] if len(parts) == 1 else tuple(
+            np.concatenate(a) for a in zip(*parts))
+    # bases at infinity share one scalar solve; degree-drop bases get one each
+    drops = np.flatnonzero(slow & ~inf)
+    for rows in [np.flatnonzero(inf)] + [[j] for j in drops]:
+        if len(rows):
+            kids = _fiber_core(R, pts[rows[0]], inf[rows[0]])
+            parts.append(tuple(np.tile(k, len(rows)) for k in kids)
+                         + (np.repeat(rows, kids[0].size),))
+    cp, cn, cc, par = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(par, kind="stable")
+    return cp[order], cn[order], cc[order], par[order]
 
 
 def tree_levels(R, y, n, node_budget=NODE_BUDGET):

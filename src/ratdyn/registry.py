@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import RatdynError, UnknownExample
+from .errors import UnknownExample
 from .numkernel import SpherePoint, sphere_embed
 from .ratmap import RationalMap, critical_points, evaluate, preimages
 from .julia import (critical_points_in_julia, render,
@@ -394,8 +394,8 @@ def verify(name, param=None, seed=0, threads=None):
     def run_one(cname):
         try:
             out = _CHECKS[cname](rec, R, seed)
-        except RatdynError as exc:
-            out = {"passed": False, "error": str(exc)}
+        except Exception as exc:  # a crashed check is a failed check
+            out = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         out["check"] = cname
         return out
 

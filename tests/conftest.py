@@ -1,10 +1,19 @@
 """Shared fixtures. Clouds are expensive, so they are session scoped."""
 
+import os
+
 import numpy as np
 import pytest
 
+import ratdyn
 from ratdyn.ratmap import RationalMap
 from ratdyn.julia import sample_inverse_iteration
+
+# CLI tests start `python -m ratdyn.cli`: let those processes import the
+# same ratdyn as this one, installed or run from a checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [os.path.dirname(os.path.dirname(ratdyn.__file__))]
+    + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
 
 @pytest.fixture(scope="session")

@@ -150,6 +150,22 @@ def test_witness_bad_eps_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("kms", "z^2", "--probes", "0"),
+    ("witness", "z^2", "--a", "2 + 0.25*z + 0.25*conj(z)", "--eps", "0.2",
+     "--probes", "0"),
+    ("kms", "z^2", "--levels", "-1"),
+    ("julia", "z^2", "--count", "-5", "--out", "{tmp}"),
+], ids=["kms-probes", "witness-probes", "kms-levels", "julia-count"])
+def test_bad_counts_exit_2(args, tmp_path):
+    out = tmp_path / "out.csv"
+    r = run(*(a.replace("{tmp}", str(out)) for a in args))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_verify_single():
     r = run("verify", "z2_minus_2")
     assert r.returncode == 0

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from ratdyn.numkernel import SpherePoint, chordal_distance
+from ratdyn.ratmap import RationalMap, evaluate
+
 from ratdyn.julia import (
+    backward_walk,
     circle_neighbor_stats,
     critical_points_in_julia,
     escape_membership,
@@ -42,6 +46,49 @@ def test_interval_oracle(cloud_zm2):
     assert np.max(zs.real) < 2.0 + 1e-9
     # both halves of the interval get visited
     assert np.min(zs.real) < -1.5 and np.max(zs.real) > 1.5
+
+
+def _assert_steps_invert(R, start, z, isinf, tol=1e-9):
+    # every step is a preimage of the step before: R(x_{k+1}) = x_k
+    prev = [SpherePoint.from_value(start)] * z.shape[1]
+    for k in range(z.shape[0]):
+        cur = [SpherePoint.infinity() if f else SpherePoint.finite(x)
+               for x, f in zip(z[k], isinf[k])]
+        for x, y in zip(cur, prev):
+            assert chordal_distance(evaluate(R, x), y) <= tol
+        prev = cur
+
+
+def test_backward_walk_degree_3(t3):
+    rng = np.random.default_rng(3)
+    z, isinf = backward_walk(t3, 0.3 + 0.2j, 30, 64, rng)
+    assert not isinf.any()
+    _assert_steps_invert(t3, 0.3 + 0.2j, z, isinf)
+    # J(T3) = [-1, 1]: late steps sit on the interval
+    assert np.max(np.abs(z[-1].imag)) < 1e-9
+    assert np.max(np.abs(z[-1].real)) < 1.0 + 1e-9
+
+
+def test_backward_walk_from_infinity(t3, lattes):
+    # T3 is a polynomial: infinity is its own only preimage
+    z, isinf = backward_walk(t3, SpherePoint.infinity(), 5, 16,
+                             np.random.default_rng(0))
+    assert isinf.all()
+    # the Lattes map sends the poles 0, 1, -1 and infinity to infinity
+    start = SpherePoint.infinity()
+    z, isinf = backward_walk(lattes, start, 12, 64, np.random.default_rng(1))
+    first = [("inf" if f else round(v.real)) for v, f in zip(z[0], isinf[0])]
+    assert set(first) == {"inf", -1, 0, 1}
+    _assert_steps_invert(lattes, start, z, isinf)
+
+
+def test_backward_walk_mixed_scalar_rows():
+    # R = z / (z^2 + 1) sends 0 and infinity to 0: walkers at 0 (a degree
+    # drop, fiber {0, inf}) and at infinity (fiber {i, -i}) share steps
+    R = RationalMap([0, 1], [1, 0, 1])
+    z, isinf = backward_walk(R, 0.0, 8, 64, np.random.default_rng(2))
+    assert isinf[0].any() and not isinf[0].all()
+    _assert_steps_invert(R, 0.0, z, isinf)
 
 
 def test_escape_membership(z2):

@@ -39,6 +39,25 @@ def test_weight_validation():
         WeightedCloud(((SpherePoint.finite(0j), 0.5),), ("file", "x"))
 
 
+def test_large_exact_tree_validates_by_integers():
+    # 5^7 = 78125 atoms: their float weights sum to 1 + 1e-12, which a
+    # naive float check rejected; the integer weights sum exactly
+    from ratdyn.registry import get
+    t5 = get("tchebychev_n").build(5)
+    mu = lyubich_exact(t5, 0.1, 7)
+    assert len(mu) == 5 ** 7 and mu.denominator == 5 ** 7
+    assert sum(mu.int_weights) == mu.denominator
+    with pytest.raises(ValueError):
+        WeightedCloud(mu.atoms[1:], mu.provenance, mu.int_weights[1:],
+                      mu.denominator)
+
+
+def test_large_mc_cloud_validates(zm2):
+    mu = lyubich_mc(zm2, 1.0, depth=60, samples=40000, seed=40000)
+    assert len(mu) == 40000
+    assert math.fsum(mu.weights()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_arcsine_moments_chebyshev(t3):
     # the invariant measure of T_n on [-1, 1] is dx / (pi sqrt(1 - x^2));
     # theta substitution gives moment k as C(k, k/2) / 2^k for even k

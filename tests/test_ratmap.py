@@ -104,36 +104,124 @@ def test_preimage_tree_weights(zm2):
                for _, e in fib.entries)
 
 
+def _scalar_levels(R, y, n):
+    """Replay a depth-n expansion one node at a time through _fiber_core."""
+    y = SpherePoint.from_value(y)
+    nodes = [(y.z, y.is_infinity, 1)]
+    for _ in range(n):
+        nxt = []
+        for z, at_inf, w in nodes:
+            kids = _fiber_core(R, z, at_inf)
+            nxt.extend((x, bool(i), w * int(c)) for x, i, c in zip(*kids))
+        nodes = nxt
+        yield nodes
+
+
+def _assert_same_nodes(pts, isinf, idx, nodes, tol=1e-9):
+    # node for node: each batched node's nearest scalar node is a distinct
+    # node with the same index and infinity flag, within tol; equal indices
+    # everywhere mean every cluster merge was decided the same way
+    assert len(nodes) == pts.size
+    wz = np.array([z for z, _, _ in nodes], dtype=complex)
+    wi = np.array([i for _, i, _ in nodes], dtype=bool)
+    ww = np.array([w for _, _, w in nodes], dtype=np.int64)
+    gap = np.abs(pts[:, None] - wz[None, :])
+    gap[isinf[:, None] != wi[None, :]] = np.inf
+    gap[isinf[:, None] & wi[None, :]] = 0.0
+    near = np.argmin(gap, axis=1)
+    assert np.unique(near).size == near.size
+    assert np.array_equal(idx, ww[near])
+    assert np.max(gap[np.arange(near.size), near], initial=0.0) < tol
+
+
+T3 = RationalMap([0, -3, 0, 4], [1])
+T5 = RationalMap([0, 5, 0, -20, 0, 16], [1])
+DROP = RationalMap([1, 0, 0, 1], [0, -1, 0, 2])   # R(infinity) = 1/2
+INF = SpherePoint.infinity()
+
+# (map, depth, bases beyond the random ones): the degree-2 closed form, the
+# degree-3/4/5 companion path, T3 at and just off its critical values +-1,
+# and bases whose levels mix in rows at infinity and degree-drop rows
+TREE_MAPS = [
+    (RationalMap([0, 0, 1], [1]), 6, ()),
+    (RationalMap([-2, 0, 1], [1]), 6, ()),
+    (RationalMap([0.2, 0, 1], [1]), 6, ()),
+    (RationalMap([-1, 0, 2], [0, 1]), 6, (INF,)),          # full_shift
+    (T3, 6, (1.0, -1.0, 1.0 + 1e-9)),
+    (RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4]), 4, ()),  # Lattes
+    (RationalMap([-16 / 27, 0, 0, 1], [0, 1]), 5, ()),     # Ushiki
+    (T5, 4, ()),
+    (DROP, 4, (0.5,)),
+]
+
+
 def test_tree_levels_match_scalar_route(rng):
-    # the batched degree-2 expansion must agree exactly with the scalar
-    # fiber route, including merge decisions at critical values
-    maps = [RationalMap([0, 0, 1], [1]),
-            RationalMap([-2, 0, 1], [1]),
-            RationalMap([0.2, 0, 1], [1]),
-            RationalMap([-1, 0, 2], [0, 1])]
-    for R in maps:
-        for _ in range(4):
-            y = complex(rng.standard_normal(), rng.standard_normal())
-            for pts, isinf, idx in tree_levels(R, y, 6):
-                pass
-            # replay the same expansion one node at a time
-            nodes = [(complex(y), False, 1)]
-            for _ in range(6):
-                nxt = []
-                for z, at_inf, w in nodes:
-                    centers, counts, infcount = _fiber_core(R, z, at_inf)
-                    nxt.extend((centers[t], False, w * int(counts[t]))
-                               for t in range(centers.size))
-                    if infcount:
-                        nxt.append((0j, True, w * infcount))
-                nodes = nxt
-            assert len(nodes) == pts.size
-            got = sorted(zip(pts, isinf, idx),
-                         key=lambda t: (t[1], t[0].real, t[0].imag))
-            want = sorted(nodes, key=lambda t: (t[1], t[0].real, t[0].imag))
-            for (gz, gi, gw), (wz, wi, ww) in zip(got, want):
-                assert gw == ww and bool(gi) == wi
-                assert gi or abs(gz - wz) < 1e-9
+    # the batched fiber solver must agree with the scalar fiber route node
+    # for node at every level, indices exactly
+    for R, n, extra in TREE_MAPS:
+        randoms = [complex(*rng.standard_normal(2)) for _ in range(4)]
+        for y in randoms + list(extra):
+            for (pts, isinf, idx), nodes in zip(tree_levels(R, y, n),
+                                                _scalar_levels(R, y, n)):
+                _assert_same_nodes(pts, isinf, idx, nodes)
+            assert idx.sum() == R.degree ** n
+
+
+def test_merge_decisions_near_critical_values():
+    # 1 is a critical value of T3 (a double preimage at -1/2); 1e-9 off it
+    # the two preimages sit 3e-5 apart and must stay separate
+    assert sorted(next(tree_levels(T3, 1.0, 1))[2].tolist()) == [1, 2]
+    assert next(tree_levels(T3, 1.0 + 1e-9, 1))[2].tolist() == [1, 1, 1]
+
+
+def test_expand_level_with_scalar_rows(full_shift):
+    # a batch mixing batched rows, rows at infinity and degree-drop rows:
+    # parents in order, each parent's children sorted by (re, im) with
+    # infinity last, equal to the scalar route's fiber
+    for R, bases in ((full_shift, [0.3 + 0.1j, None, -0.7j, None, 2.5]),
+                     (DROP, [0.5, None, 0.2 + 0.3j, 0.5, -1.5 + 2j, None])):
+        inf = np.array([b is None for b in bases])
+        pts = np.array([0j if b is None else b for b in bases], dtype=complex)
+        cp, cn, cc, par = _expand_level(R, pts, inf)
+        assert np.array_equal(par, np.sort(par))
+        for j in range(pts.size):
+            kids = par == j
+            z, at_inf = cp[kids], cn[kids]
+            fin = z[~at_inf]
+            assert np.array_equal(np.lexsort((fin.imag, fin.real)),
+                                  np.arange(fin.size))
+            want, want_inf, counts = _fiber_core(R, pts[j], inf[j])
+            assert np.array_equal(at_inf, want_inf)
+            assert np.allclose(z, want, rtol=0, atol=1e-12)
+            assert cc[kids].tolist() == counts.tolist()
+    # over R(infinity) = 1/2 the fiber is -2 and infinity with index 2
+    cp, cn, cc, _ = _expand_level(DROP, np.array([0.5 + 0j]),
+                                  np.array([False]))
+    assert cn.tolist() == [False, True] and cc.tolist() == [1, 2]
+
+
+def test_batched_fibers_against_mpmath(rng, lattes):
+    # fibers of the batched solver against 50-digit roots of P - w Q; the
+    # near-critical fiber of T3 o T3 needs the Newton step on simple roots
+    # (raw companion eigenvalues miss there by 6e-10)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    cases = [(T3, 1.0, 1e-12), (T3, 1.0 + 1e-9, 5e-12),
+             (lattes, 0.4 - 2.5j, 1e-12), (T5, -1.0, 1e-12),
+             (iterate_map(T3, 2), 1.0 + 1e-9, 2e-10)]
+    cases += [(R, complex(*rng.standard_normal(2)), 1e-12)
+              for R in (T3, lattes, T5)]
+    for R, w, tol in cases:
+        cp, cn, cc, _ = _expand_level(R, np.array([w]), np.array([False]))
+        assert not cn.any() and cc.sum() == R.degree
+        f = [mpmath.mpc(p) - mpmath.mpc(w) * mpmath.mpc(q)
+             for p, q in zip(R._p_pad, R._q_pad)]
+        exact = np.array([complex(r) for r in mpmath.polyroots(
+            f[::-1], maxsteps=400, extraprec=400)])
+        for x, m in zip(cp, cc):
+            gap = np.abs(exact - x)
+            assert np.count_nonzero(gap < 1e-7) == m
+            assert np.min(gap) < (tol if m == 1 else 1e-9)
 
 
 def test_tree_node_budget(z2):

@@ -77,3 +77,19 @@ def test_verify_all_shapes():
     assert out["passed"] is True
     assert [r["name"] for r in out["reports"]] == EXPECTED
     assert all(r["passed"] for r in out["reports"])
+
+
+def test_verify_reports_a_crashed_check(monkeypatch):
+    from ratdyn import registry
+
+    def boom(rec, R, seed):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(registry._CHECKS, "riemann_hurwitz", boom)
+    rep = verify("full_shift_example")
+    assert rep["passed"] is False
+    by_name = {c["check"]: c for c in rep["checks"]}
+    assert by_name["riemann_hurwitz"] == {
+        "passed": False, "error": "ValueError: boom",
+        "check": "riemann_hurwitz"}
+    assert by_name["degree_and_fiber_sums"]["passed"] is True
