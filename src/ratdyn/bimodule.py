@@ -13,11 +13,12 @@ import json
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.spatial import cKDTree
 
 from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
-from .numkernel import SpherePoint, _as_pair, chordal_distance, sphere_embed
+from .julia import critical_points_in_julia
+from .numkernel import (SpherePoint, _as_pair, chordal_distance, embed_points,
+                        sphere_embed, sphere_nearest)
 from .ratmap import (NODE_BUDGET, _expand_level, evaluate, preimages,
                      preimage_tree)
 
@@ -46,12 +47,6 @@ def _points(sample):
         zv, isinf = _as_pair(p)
         pts.append(SpherePoint(zv, isinf))
     return tuple(pts)
-
-
-def _embed(points):
-    zs = np.array([p.z for p in points], dtype=complex)
-    isinf = np.array([p.is_infinity for p in points], dtype=bool)
-    return sphere_embed(zs, isinf)
 
 
 def inner_product(R, n, f, g, y):
@@ -134,8 +129,6 @@ def build_frame(R, julia_sample, cover_spec=None):
     Requires a Julia set free of critical points; refuses with
     CoverTooCoarse when one arc support holds two points of a fiber.
     """
-    from .julia import critical_points_in_julia
-
     spec = {"arcs": 8, "overlap": 0.5}
     if cover_spec:
         spec.update(cover_spec)
@@ -147,14 +140,7 @@ def build_frame(R, julia_sample, cover_spec=None):
     if any(p.is_infinity for p in pts):
         raise FrameUnavailable("arc frames need a bounded Julia sample")
 
-    class _CloudView:
-        def __len__(self):
-            return len(pts)
-
-        def embedded(self):
-            return _embed(pts)
-
-    crit = critical_points_in_julia(R, _CloudView())
+    crit = critical_points_in_julia(R, pts)
     if crit:
         where = ", ".join(repr(c.point) for c in crit)
         raise FrameUnavailable(
@@ -241,18 +227,7 @@ def ix_distance(R, a, julia_sample, tol=1e-3):
     vanishing on C intersect J; the number of such critical points is the
     codimension datum the registry records.
     """
-    from .julia import critical_points_in_julia
-
-    pts = _points(julia_sample)
-
-    class _CloudView:
-        def __len__(self):
-            return len(pts)
-
-        def embedded(self):
-            return _embed(pts)
-
-    hits = critical_points_in_julia(R, _CloudView(), tol=tol)
+    hits = critical_points_in_julia(R, julia_sample, tol=tol)
     if not hits:
         return 0.0
     return max(abs(complex(a(c.point))) for c in hits)
@@ -271,9 +246,8 @@ def expansion_time(R, V, julia_sample, net_tol, budget=EXPANSION_BUDGET,
     """
     center, radius = V
     pts = _points(julia_sample)
-    cv, cinf = _as_pair(center)
-    cemb = sphere_embed(np.array([cv]), np.array([cinf]))[0]
-    emb = _embed(pts)
+    cemb = embed_points([center])[0]
+    emb = embed_points(pts)
     gap = np.linalg.norm(emb - cemb[None, :], axis=1)
     if not np.any(gap <= radius):
         raise ValueError("V does not intersect the Julia sample")
@@ -333,10 +307,7 @@ def _forward_n(R, p, n):
 
 
 def _sample_mesh(points):
-    emb = _embed(points)
-    tree = cKDTree(emb)
-    d, _ = tree.query(emb, k=2)
-    return float(np.max(d[:, 1]))
+    return float(np.max(sphere_nearest(embed_points(points))[0]))
 
 
 def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,

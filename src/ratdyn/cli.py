@@ -10,7 +10,6 @@ runs are byte-identical.
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -349,7 +348,7 @@ def _parse_window(text):
     return lo, hi, blo, bhi
 
 
-def _load_config(path):
+def _load_config(path, keys):
     cfg = {}
     with open(path, "r", encoding="ascii") as fh:
         for raw in fh:
@@ -359,8 +358,17 @@ def _load_config(path):
             if "=" not in line:
                 raise MapParseError(f"config line without '=': {raw.strip()!r}")
             key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise MapParseError(f"unknown config key: {key!r}")
+            cfg[key] = val.strip()
     return cfg
+
+
+def _flag_keys(parser):
+    """Destinations of every subcommand's flags: the valid config keys."""
+    subs = parser._subparsers._group_actions[0].choices.values()
+    return {a.dest for p in subs for a in p._actions if a.option_strings}
 
 
 def _setting(args, cfg, dest, cast, default, minimum=None):
@@ -377,21 +385,6 @@ def _setting(args, cfg, dest, cast, default, minimum=None):
     if minimum is not None and v < minimum:
         raise MapParseError(
             f"--{dest.replace('_', '-')} must be >= {minimum}, got {v}")
-    return v
-
-
-def _threads(args, cfg):
-    v = _setting(args, cfg, "threads", int, None)
-    if v is None:
-        env = os.environ.get("RATDYN_THREADS", "").strip()
-        if env:
-            try:
-                v = int(env)
-            except ValueError:
-                raise MapParseError(
-                    f"RATDYN_THREADS is not an integer: {env!r}") from None
-    if v is not None and v < 1:
-        raise MapParseError("thread count must be positive")
     return v
 
 
@@ -544,14 +537,12 @@ def _cmd_witness(args, cfg):
 
 def _cmd_verify(args, cfg):
     seed = _setting(args, cfg, "seed", int, 0)
-    threads = _threads(args, cfg)
     if args.all:
-        rep = registry.verify_all(seed=seed, threads=threads)
+        rep = registry.verify_all(seed=seed)
         reports = rep["reports"]
     elif args.example:
         param = _param_value(args.param) if args.param else None
-        rep = registry.verify(args.example, param=param, seed=seed,
-                              threads=threads)
+        rep = registry.verify(args.example, param=param, seed=seed)
         reports = [rep]
     else:
         raise MapParseError("verify needs an example name or --all")
@@ -585,19 +576,15 @@ def _build_parser():
     top.add_argument("--config", help="key = value file mirroring flags")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *names):
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (default 0)")
-        if "threads" in names:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker cap; RATDYN_THREADS as fallback")
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default 0)")
 
     p = sub.add_parser("info", help="degree, critical data, basic checks")
     p.add_argument("map")
     p.add_argument("--count", type=int, default=None,
                    help="Julia sample size for the critical check")
-    common(p, "seed")
+    seeded(p)
     p.set_defaults(fn=_cmd_info)
 
     p = sub.add_parser("preimage", help="fiber table with branch indices")
@@ -621,7 +608,7 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--start", help="backward-walk start point")
-    common(p, "seed")
+    seeded(p)
     p.set_defaults(fn=_cmd_julia)
 
     p = sub.add_parser("measure", help="balanced-measure cloud to CSV")
@@ -631,7 +618,7 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--point", help="tree base point (default 1)")
     p.add_argument("--out", required=True)
-    common(p, "seed")
+    seeded(p)
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("kms", help="transfer-iteration trace at beta=log d")
@@ -640,7 +627,7 @@ def _build_parser():
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--probes", type=int, default=None)
     p.add_argument("--out", help="trace CSV path")
-    common(p, "seed")
+    seeded(p)
     p.set_defaults(fn=_cmd_kms)
 
     p = sub.add_parser("witness", help="simplicity witness report")
@@ -650,7 +637,7 @@ def _build_parser():
     p.add_argument("--probes", type=int, default=None)
     p.add_argument("--count", type=int, default=None, help="cloud size")
     p.add_argument("--out", help="report JSON path")
-    common(p, "seed")
+    seeded(p)
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("verify", help="run registry example checks")
@@ -658,7 +645,7 @@ def _build_parser():
     p.add_argument("--all", action="store_true")
     p.add_argument("--param", help="family parameter value")
     p.add_argument("--out", help="report JSON path")
-    common(p, "seed", "threads")
+    seeded(p)
     p.set_defaults(fn=_cmd_verify)
 
     return top
@@ -668,8 +655,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config) if args.config else {}
-    except OSError as exc:
+        cfg = _load_config(args.config, _flag_keys(parser)) if args.config else {}
+    except (OSError, MapParseError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

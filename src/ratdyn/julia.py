@@ -10,13 +10,17 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded
-from .numkernel import SpherePoint, _as_pair, _row_roots, sphere_embed
-from .ratmap import _chunks, _expand_level, _fiber_rows, evaluate
+from .numkernel import (SpherePoint, _as_pair, _cluster_rows, _near,
+                        _row_roots, embed_points, sphere_nearest)
+from .ratmap import (_chunks, _expand_level, _fiber_rows, critical_points,
+                     evaluate)
 
 BURN_IN = 20
+
+# cap on steps * walkers of one backward walk (its output cells)
+WALK_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,6 @@ class JuliaCloud:
         return np.array([p.z for p in self.points if not p.is_infinity],
                         dtype=complex)
 
-    def embedded(self):
-        """All points embedded on the unit sphere in R^3."""
-        zs = np.array([p.z for p in self.points], dtype=complex)
-        isinf = np.array([p.is_infinity for p in self.points], dtype=bool)
-        return sphere_embed(zs, isinf)
-
 
 # ---------------------------------------------------------------------------
 # batched backward walk
@@ -60,10 +58,16 @@ def backward_walk(R, start, steps, walkers, rng):
     Each chain independently picks one of the d preimages of its current
     point uniformly with multiplicity, i.e. x with probability e(x)/d.
     Also returns the matching is-infinity flags. Each step solves every
-    walker's fiber with the batched solver in ratmap: most walkers pick a
-    raw root in solver order, repeated roots repeated; walkers at infinity
-    or over a degree drop pick by the branch counts of their fiber.
+    walker's fiber with the batched solver in ratmap: walkers with d
+    distinct roots pick a raw root in solver order; walkers with tied roots
+    (over a critical value) pick a cluster mean, and walkers at infinity or
+    over a degree drop a fiber point, by the counts. Raises BudgetExceeded
+    before allocating when steps * walkers exceeds WALK_BUDGET.
     """
+    if steps * walkers > WALK_BUDGET:
+        raise BudgetExceeded(
+            f"{steps} steps x {walkers} walkers exceeds the walk budget "
+            f"of {WALK_BUDGET} cells")
     d = R.degree
     zv, zinf = _as_pair(start)
     z = np.full(walkers, zv, dtype=complex)
@@ -76,19 +80,28 @@ def backward_walk(R, start, steps, walkers, rng):
         fast = np.flatnonzero(~slow)
         for sl in _chunks(fast.size, d):
             rows = fast[sl]
-            z[rows] = _row_roots(f[rows])[np.arange(rows.size), pick[rows]]
+            roots = _row_roots(f[rows])
+            tied = _near(roots)[0].any(axis=1)
+            z[rows] = roots[np.arange(rows.size), pick[rows]]
+            if tied.any():
+                cz, cc, _ = _cluster_rows(roots[tied])
+                z[rows[tied]] = cz[_by_counts(cc, pick[rows[tied]], d)]
         isinf[fast] = False
         rows = np.flatnonzero(slow)
         if rows.size:
-            # each fiber's counts sum to d, so parent j owns [j d, (j + 1) d)
-            # of the running count total
             cp, cn, cc, _ = _expand_level(R, z[rows], isinf[rows])
-            draw = np.arange(rows.size) * d + rng.integers(d, size=rows.size)
-            t = np.searchsorted(np.cumsum(cc), draw, side="right")
+            t = _by_counts(cc, rng.integers(d, size=rows.size), d)
             z[rows], isinf[rows] = cp[t], cn[t]
         out[k] = z
         out_inf[k] = isinf
     return out, out_inf
+
+
+def _by_counts(counts, pick, d):
+    # fiber j's counts sum to d, so it owns [j d, (j + 1) d) of the running
+    # count total: draw pick[j] in [0, d) takes entry x for e(x) of d draws
+    draw = np.arange(pick.size) * d + pick
+    return np.searchsorted(np.cumsum(counts), draw, side="right")
 
 
 def sample_inverse_iteration(R, start, depth=60, count=2000, seed=0,
@@ -161,20 +174,18 @@ def mandelbrot_member(c, max_iter=256):
     return True
 
 
-def critical_points_in_julia(R, cloud, tol=1e-3):
-    """Critical points whose chordal distance to the cloud is below tol."""
-    from .ratmap import critical_points
-    if len(cloud) == 0:
+def critical_points_in_julia(R, points, tol=1e-3):
+    """Critical points whose chordal distance to the sample is below tol.
+
+    points is any sequence of sample points: a JuliaCloud, SpherePoints or
+    complex numbers.
+    """
+    if len(points) == 0:
         raise ValueError("need a nonempty Julia sample")
-    tree = cKDTree(cloud.embedded())
-    hits = []
-    for cd in critical_points(R):
-        v = sphere_embed(np.array([cd.point.z]),
-                         np.array([cd.point.is_infinity]))
-        dist, _ = tree.query(v[0])
-        if dist < tol:
-            hits.append(cd)
-    return tuple(hits)
+    crit = critical_points(R)
+    dist, _ = sphere_nearest(embed_points(points),
+                             embed_points(cd.point for cd in crit))
+    return tuple(cd for cd, dv in zip(crit, dist) if dv < tol)
 
 
 # ---------------------------------------------------------------------------

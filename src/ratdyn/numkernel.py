@@ -150,6 +150,60 @@ def sphere_embed(zs, isinf=None):
     return out
 
 
+def embed_points(points):
+    """`sphere_embed` of a sequence of SpherePoints or complex numbers."""
+    pairs = [_as_pair(p) for p in points]
+    return sphere_embed(np.array([z for z, _ in pairs], dtype=complex),
+                        np.array([f for _, f in pairs], dtype=bool))
+
+
+# cap on the (queries, points) block of one brute-force chunk
+_NEAREST_BLOCK = 1 << 18
+
+
+def _sq_dist(a, b):
+    d = a - b
+    return (d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2
+
+
+def sphere_nearest(cloud, queries=None):
+    """Chordal distance to, and index of, the nearest point of a cloud.
+
+    cloud and queries are (n, 3) arrays from `sphere_embed`. Queries are
+    matched against every cloud point. Without queries each cloud point gets
+    its nearest other point (inf and -1 when alone), by a sweep sorted on
+    the widest coordinate.
+    """
+    n = len(cloud)
+    m = n if queries is None else len(queries)
+    dist, idx = np.full(m, np.inf), np.full(m, -1)
+    if queries is not None:
+        step = max(1, _NEAREST_BLOCK // max(n, 1))
+        for lo in range(0, len(queries) if n else 0, step):
+            d2 = _sq_dist(queries[lo:lo + step, None], cloud[None])
+            idx[lo:lo + step] = k = np.argmin(d2, axis=1)
+            dist[lo:lo + step] = np.sqrt(d2[np.arange(k.size), k])
+        return dist, idx
+    if n < 2:
+        return dist, idx
+    x = cloud[:, np.argmax(np.ptp(cloud, axis=0))]
+    order = np.argsort(x, kind="stable")
+    s, x = cloud[order], x[order]
+    for k in range(1, n):
+        # sorted neighbours k apart; dist >= gap, so a pair whose gap
+        # reaches both current bests cannot improve either, and neither
+        # can any pair further apart
+        i = np.flatnonzero(x[k:] - x[:-k] < np.maximum(dist[:-k], dist[k:]))
+        if not i.size:
+            break
+        d = np.sqrt(_sq_dist(s[i], s[i + k]))
+        for a, b in ((i, i + k), (i + k, i)):
+            better = d < dist[a]
+            dist[a[better]], idx[a[better]] = d[better], b[better]
+    back = np.argsort(order)
+    return dist[back], order[idx[back]]
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

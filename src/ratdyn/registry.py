@@ -8,14 +8,12 @@ fiber sums, Riemann-Hurwitz totals, conjugacy defects, measure moments.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import UnknownExample
-from .numkernel import SpherePoint, sphere_embed
+from .numkernel import SpherePoint, embed_points, sphere_nearest
 from .ratmap import RationalMap, critical_points, evaluate, preimages
 from .julia import (critical_points_in_julia, render,
                     sample_inverse_iteration, mandelbrot_member)
@@ -344,14 +342,12 @@ def _check_sphere_coverage(rec, R, seed):
             pts.append(SpherePoint.finite(complex(x, y) / (1.0 - w)))
     for _ in range(3):
         pts = [evaluate(R, p) for p in pts]
-    emb = sphere_embed(np.array([p.z for p in pts]),
-                       np.array([p.is_infinity for p in pts]))
     k = np.arange(200)
     ga = np.pi * (3.0 - np.sqrt(5.0))
     wp = 1.0 - 2.0 * (k + 0.5) / 200.0
     r = np.sqrt(1.0 - wp * wp)
     grid = np.stack([r * np.cos(ga * k), r * np.sin(ga * k), wp], axis=1)
-    d, _ = cKDTree(emb).query(grid)
+    d, _ = sphere_nearest(embed_points(pts), grid)
     gap = float(np.max(d))
     return {"passed": gap <= 0.2, "max_gap_after_3_steps": gap}
 
@@ -382,25 +378,22 @@ _CHECKS = {
 }
 
 
-def verify(name, param=None, seed=0, threads=None):
+def verify(name, param=None, seed=0):
     """Run every verifiable check of one example.
 
-    Checks run concurrently; the report lists them in catalog order with
-    measured values. A crashed check is reported failed, not raised.
+    The report lists the checks in catalog order with measured values. A
+    crashed check is reported failed, not raised.
     """
     rec = get(name)
     R = rec.build(param if param is not None else rec.default_param)
-
-    def run_one(cname):
+    results = []
+    for cname in rec.verifiable_checks:
         try:
             out = _CHECKS[cname](rec, R, seed)
         except Exception as exc:  # a crashed check is a failed check
             out = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         out["check"] = cname
-        return out
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_one, rec.verifiable_checks))
+        results.append(out)
     return {
         "schema": 1,
         "name": rec.name,
@@ -410,9 +403,8 @@ def verify(name, param=None, seed=0, threads=None):
     }
 
 
-def verify_all(seed=0, threads=None):
+def verify_all(seed=0):
     """Verify the whole catalog; reports in catalog order."""
-    reports = [verify(n, seed=seed, threads=threads)
-               for n in list_examples()]
+    reports = [verify(n, seed=seed) for n in list_examples()]
     return {"schema": 1, "reports": reports,
             "passed": all(r["passed"] for r in reports)}

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EvaluationAtInfinity, TabulationMiss
-from .numkernel import SpherePoint, _as_pair, sphere_embed
+from .julia import critical_points_in_julia
+from .numkernel import SpherePoint, _as_pair, embed_points, sphere_nearest
 from .measure import integrate, lyubich_exact
-from .ratmap import critical_points, evaluate, preimages, tree_levels
+from .ratmap import evaluate, preimages, tree_levels
 
 
 class TestFunction:
@@ -29,13 +29,13 @@ class TestFunction:
     """
 
     __test__ = False     # keep pytest from collecting this as a test class
-    __slots__ = ("kind", "coeffs", "_tree", "_values", "radius", "label")
+    __slots__ = ("kind", "coeffs", "_atoms", "_values", "radius", "label")
 
-    def __init__(self, kind, coeffs=None, tree=None, values=None,
+    def __init__(self, kind, coeffs=None, atoms=None, values=None,
                  radius=None, label=""):
         self.kind = kind
         self.coeffs = coeffs
-        self._tree = tree
+        self._atoms = atoms
         self._values = values
         self.radius = radius
         self.label = label
@@ -71,11 +71,7 @@ class TestFunction:
 
     @classmethod
     def tabulated(cls, points, values, radius, label="tabulated"):
-        pts = [_as_pair(p) for p in points]
-        zs = np.array([z for z, _ in pts], dtype=complex)
-        isinf = np.array([f for _, f in pts], dtype=bool)
-        tree = cKDTree(sphere_embed(zs, isinf))
-        return cls("tabulated", tree=tree,
+        return cls("tabulated", atoms=embed_points(points),
                    values=np.asarray(values, dtype=complex),
                    radius=float(radius), label=label)
 
@@ -104,12 +100,11 @@ class TestFunction:
             jp = zv ** np.arange(self.coeffs.shape[0])
             kp = zb ** np.arange(self.coeffs.shape[1])
             return complex(jp @ self.coeffs @ kp)
-        v = sphere_embed(np.array([zv]), np.array([isinf]))
-        dist, idx = self._tree.query(v[0])
-        if dist > self.radius:
+        dist, idx = sphere_nearest(self._atoms, embed_points([x]))
+        if dist[0] > self.radius:
             raise TabulationMiss(
                 f"no tabulated atom within {self.radius} of the query")
-        return complex(self._values[idx])
+        return complex(self._values[idx[0]])
 
     def __repr__(self):
         return f"TestFunction({self.label!r})"
@@ -210,22 +205,6 @@ def _variation(vals):
     return max(max(re) - min(re), max(im) - min(im))
 
 
-def _hypothesis_tag(R, sample_points, tol=0.05):
-    # the fixed-point theorem assumes no critical points on the Julia set;
-    # flag runs where a critical point sits near the sampled probes
-    pts = [_as_pair(p) for p in sample_points]
-    zs = np.array([z for z, _ in pts], dtype=complex)
-    isinf = np.array([f for _, f in pts], dtype=bool)
-    tree = cKDTree(sphere_embed(zs, isinf))
-    for cd in critical_points(R):
-        v = sphere_embed(np.array([cd.point.z]),
-                         np.array([cd.point.is_infinity]))
-        dist, _ = tree.query(v[0])
-        if dist < tol:
-            return "outside theorem hypothesis"
-    return "within theorem hypothesis"
-
-
 def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     """Traces of (e^{-beta} h)^k (a) on the probes, beta = log(deg R).
 
@@ -255,8 +234,12 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
     mu = lyubich_exact(R, probes[0], depth)
     lyu = integrate(mu, a)
-    tag = _hypothesis_tag(R, julia_sample if julia_sample is not None
-                          else probe_set)
+    # the fixed-point theorem assumes no critical points on the Julia set;
+    # flag runs where a critical point sits near the sample
+    sample = list(julia_sample if julia_sample is not None else probe_set)
+    tag = ("outside theorem hypothesis"
+           if sample and critical_points_in_julia(R, sample, tol=0.05)
+           else "within theorem hypothesis")
     return KmsRun(traces, beta, tag, final_constant, lyu,
                   abs(final_constant - lyu))
 

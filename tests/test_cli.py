@@ -10,12 +10,9 @@ import pytest
 CMD = [sys.executable, "-m", "ratdyn.cli"]
 
 
-def run(*args, env=None):
-    e = dict(os.environ)
-    if env:
-        e.update(env)
+def run(*args):
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          timeout=300, env=e)
+                          timeout=300, env=dict(os.environ))
 
 
 def test_info_polynomial():
@@ -175,11 +172,27 @@ def test_verify_single():
 
 def test_verify_report_json(tmp_path):
     rep = tmp_path / "verify.json"
-    r = run("verify", "power_map_n", "--param", "2", "--out", str(rep),
-            env={"RATDYN_THREADS": "2"})
+    r = run("verify", "power_map_n", "--param", "2", "--out", str(rep))
     assert r.returncode == 0
     data = json.loads(rep.read_text())
     assert data["passed"] is True
+
+
+def test_verify_has_no_threads_flag():
+    r = run("verify", "power_map_n", "--threads", "2")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --threads" in r.stderr
+
+
+def test_walk_budget_exits_1(tmp_path):
+    # 60 steps x 2e8 walkers is refused before anything is allocated
+    out = tmp_path / "mu.csv"
+    r = run("measure", "z^2 - 2", "--method", "mc", "--samples", "200000000",
+            "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("computation failed: ")
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -196,3 +209,18 @@ def test_config_file_supplies_defaults(tmp_path):
     run("--config", str(cfg), "julia", "z^2 - 2", "--out", str(c),
         "--count", "200")
     assert len(c.read_text().strip().splitlines()) == 201
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    # a misspelt key, the retired thread count, or a line without '=' is a
+    # usage error
+    out = tmp_path / "a.csv"
+    for line, msg in (("cuont = 5", "unknown config key"),
+                      ("threads = 2", "unknown config key"),
+                      ("count 5", "config line without '='")):
+        cfg = tmp_path / "ratdyn.cfg"
+        cfg.write_text(f"count = 400\n{line}\n")
+        r = run("--config", str(cfg), "julia", "z^2", "--out", str(out))
+        assert r.returncode == 2
+        assert msg in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ratdyn.errors import BudgetExceeded
 from ratdyn.numkernel import SpherePoint, chordal_distance
 from ratdyn.ratmap import RationalMap, evaluate
 
@@ -89,6 +90,34 @@ def test_backward_walk_mixed_scalar_rows():
     z, isinf = backward_walk(R, 0.0, 8, 64, np.random.default_rng(2))
     assert isinf[0].any() and not isinf[0].all()
     _assert_steps_invert(R, 0.0, z, isinf)
+
+
+def test_walk_over_critical_value_lands_on_preimage(lattes):
+    # the Lattes map's critical values 0, 1, -1 have only double preimages,
+    # +-i, 1 +- sqrt 2 and -1 +- sqrt 2: raw eigenvalues sit ~1e-8 off
+    # them, the cluster means within eps
+    z, isinf = backward_walk(lattes, 0j, 1, 64, np.random.default_rng(0))
+    assert not isinf.any()
+    gap = np.minimum(np.abs(z - 1j), np.abs(z + 1j))
+    assert np.max(gap) < 1e-12
+    assert {round(v.imag) for v in z[0]} == {-1, 1}
+    # from infinity the first step reaches 0, 1, -1 and infinity, so the
+    # second mixes tied rows over three different critical values
+    z, isinf = backward_walk(lattes, SpherePoint.infinity(), 2, 256,
+                             np.random.default_rng(1))
+    exact = np.array([1j, -1j, 1 + 2 ** 0.5, 1 - 2 ** 0.5, -1 + 2 ** 0.5,
+                      -1 - 2 ** 0.5])
+    over = ~isinf[0]
+    assert {round(v.real) for v in z[0][over]} == {-1, 0, 1}
+    gap = np.min(np.abs(z[1][over][:, None] - exact[None, :]), axis=1)
+    assert np.max(gap) < 1e-12
+    _assert_steps_invert(lattes, SpherePoint.infinity(), z, isinf)
+
+
+def test_backward_walk_budget(z2):
+    # refused before the (steps, walkers) output is allocated
+    with pytest.raises(BudgetExceeded):
+        backward_walk(z2, 0.5, 60, 2 ** 30, np.random.default_rng(0))
 
 
 def test_escape_membership(z2):

@@ -17,6 +17,7 @@ from ratdyn.numkernel import (
     poly_trim,
     roots_with_multiplicity,
     sphere_embed,
+    sphere_nearest,
 )
 
 
@@ -122,3 +123,46 @@ def test_local_multiplicity():
 def test_root_budget_raises():
     with pytest.raises(NonConvergence):
         roots_with_multiplicity([1.0, 0, 0, 0, 1.0], budget=1)
+
+
+def _pairwise(a, b):
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def test_sphere_nearest_against_all_pairs(rng):
+    # random clouds with repeated points and the point at infinity, against
+    # all-pairs distances: queries to the cloud, and each point to its
+    # nearest other point
+    for n in (2, 3, 17, 200):
+        zs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 2.0
+        isinf = rng.random(n) < 0.1
+        zs[n // 2:n // 2 + n // 4] = zs[:n // 4]        # duplicates
+        isinf[n // 2:n // 2 + n // 4] = isinf[:n // 4]
+        cloud = sphere_embed(zs, isinf)
+        queries = sphere_embed(
+            np.append(rng.standard_normal(30) * 3.0 + 0j, zs[:5]),
+            np.append(np.arange(30) == 0, isinf[:5]))
+        full = _pairwise(queries, cloud)
+        dist, idx = sphere_nearest(cloud, queries)
+        assert np.allclose(dist, full.min(axis=1), rtol=0, atol=1e-15)
+        assert np.allclose(full[np.arange(idx.size), idx], dist, rtol=0,
+                           atol=1e-15)
+        full = _pairwise(cloud, cloud)
+        np.fill_diagonal(full, np.inf)
+        dist, idx = sphere_nearest(cloud)
+        assert np.allclose(dist, full.min(axis=1), rtol=0, atol=1e-15)
+        assert np.all(idx != np.arange(n))
+        assert np.allclose(full[np.arange(n), idx], dist, rtol=0, atol=1e-15)
+        if n >= 4:
+            assert dist[n // 2] == 0.0     # a duplicated point
+
+
+def test_sphere_nearest_lone_point():
+    one = sphere_embed(np.array([0.3 + 0.1j]))
+    dist, idx = sphere_nearest(one)
+    assert dist.tolist() == [math.inf] and idx.tolist() == [-1]
+    pole = sphere_embed(np.array([0j]), np.array([True]))
+    dist, idx = sphere_nearest(one, pole)
+    assert idx.tolist() == [0]
+    assert dist[0] == pytest.approx(chordal_distance(0.3 + 0.1j,
+                                                     SpherePoint.infinity()))

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ratdyn.errors import BudgetExceeded, CoprimalityError
+from ratdyn.julia import backward_walk
 from ratdyn.numkernel import SpherePoint, chordal_distance
 from ratdyn.ratmap import (
     RationalMap,
     _expand_level,
     _fiber_core,
+    _fiber_poly,
     branch_index,
     compose,
     critical_points,
@@ -222,6 +224,90 @@ def test_batched_fibers_against_mpmath(rng, lattes):
             gap = np.abs(exact - x)
             assert np.count_nonzero(gap < 1e-7) == m
             assert np.min(gap) < (tol if m == 1 else 1e-9)
+
+
+DPOLE = RationalMap([1, 0, 0, 1], [0, 0, 1])   # (z^3 + 1) / z^2
+
+
+def _mp_wronskian(p, q):
+    # ascending coefficients of P'Q - PQ': p_i q_j adds (i - j) z^(i+j-1)
+    w = [0] * (len(p) + len(q) - 2)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            if i != j:
+                w[i + j - 1] += (i - j) * pi * qj
+    return w
+
+
+def _mp_order(w, rel=1e-30):
+    big = max(abs(c) for c in w)
+    return next(k for k, c in enumerate(w) if abs(c) > rel * big)
+
+
+def test_critical_points_against_mpmath():
+    # finite critical points are the roots of W = P'Q - PQ' at 50 digits,
+    # of index 1 + their order; the index at infinity is 1 + the order at 0
+    # of W for the reversed pair; values are P/Q, infinity at the poles.
+    # Covers every registry map (the Lattes map has poles 0, +-1), z^3, T5,
+    # and a double pole that is itself critical
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    from ratdyn.registry import get, list_examples
+    maps = [get(n).map for n in list_examples()]
+    maps += [get("power_map_n").build(3), T5, DPOLE]
+    for R in maps:
+        p = [mpmath.mpc(c) for c in R._p_pad]
+        q = [mpmath.mpc(c) for c in R._q_pad]
+        w = _mp_wronskian(p, q)
+        w = w[:len(w) - _mp_order(w[::-1])]
+        want = []   # [point, index, value]
+        for r in (mpmath.polyroots(w[::-1], maxsteps=400, extraprec=400)
+                  if len(w) > 1 else []):
+            for entry in want:
+                if abs(entry[0] - r) < 1e-12:
+                    entry[1] += 1
+                    break
+            else:
+                want.append([r, 2, None])
+        for entry in want:
+            r = entry[0]
+            pv, qv = mpmath.polyval(p[::-1], r), mpmath.polyval(q[::-1], r)
+            entry[0] = SpherePoint.finite(complex(r))
+            entry[2] = (INF if abs(qv) < 1e-30 * max(1, abs(pv))
+                        else SpherePoint.finite(complex(pv / qv)))
+        k = _mp_order(_mp_wronskian(p[::-1], q[::-1]))
+        if k:
+            want.append([INF, k + 1, INF if q[-1] == 0 else
+                         SpherePoint.finite(complex(p[-1] / q[-1]))])
+        got = critical_points(R)
+        assert sum(e for _, e, _ in want) - len(want) == 2 * R.degree - 2
+        assert len(got) == len(want), R
+        for cd in got:
+            gap = [chordal_distance(cd.point, x) for x, _, _ in want]
+            x, e, v = want[int(np.argmin(gap))]
+            assert min(gap) < 1e-12
+            assert cd.index == e
+            assert chordal_distance(cd.value, v) < 1e-12
+
+
+def test_far_roots_need_the_degree_gap():
+    # a tiny leading coefficient alone puts no root near infinity, so a
+    # degree drop must weigh it against the degree gap: (z^2/4)^(o8) - 1
+    # leads with 4^-255 = 3e-154, yet its 256 roots lie on |z| = 4^(255/256),
+    # and (z^2 + 30)^(o8), with a constant term near 1e191, keeps its full
+    # degree over 0
+    R = iterate_map(RationalMap([0, 0, 0.25]), 8)
+    fib = preimages(R, 1)
+    assert len(fib.entries) == 256
+    assert all(m == 1 and not p.is_infinity for p, m in fib.entries)
+    assert np.allclose([abs(p.z) for p, _ in fib.entries], 4 ** (255 / 256),
+                       rtol=1e-12)
+    S = iterate_map(RationalMap([30, 0, 1]), 8)
+    f, drop = _fiber_poly(S, 0)
+    assert drop == 0 and f.size == 257
+    pts, isinf, counts, _ = _expand_level(R, np.array([1 + 0j]),
+                                          np.array([False]))
+    assert pts.size == 256 and not isinf.any() and np.all(counts == 1)
 
 
 def test_tree_node_budget(z2):

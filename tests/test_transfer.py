@@ -98,6 +98,10 @@ def test_kms_hypothesis_tag(z2, zm2, cloud_z2, cloud_zm2):
     bad = kms_iterate(zm2, TestFunction.constant(1.0), 2,
                       cloud_zm2.points[::800], julia_sample=cloud_zm2)
     assert "outside theorem hypothesis" in bad.hypothesis
+    # an empty sample flags no critical point
+    empty = kms_iterate(zm2, TestFunction.constant(1.0), 2,
+                        cloud_zm2.points[::800], julia_sample=())
+    assert empty.hypothesis == "within theorem hypothesis"
 
 
 def test_kms_defect_pinned_and_falsified(t2):
