@@ -300,26 +300,49 @@ def _smooth_bump(t, inner, outer):
     return 1.0 - s * s * (3.0 - 2.0 * s)
 
 
-def _forward_n(R, p, n):
-    for _ in range(n):
-        p = evaluate(R, p)
-    return p
-
-
 def _sample_mesh(points):
     return float(np.max(sphere_nearest(embed_points(points))[0]))
 
 
-def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
-                       budget=EXPANSION_BUDGET):
-    """Witness pair (n, f) with (f|f) = 1 and |a|-eps <= (f|af) <= |a|.
+def _values(fn, fib):
+    """Real parts of fn at the points of a fiber, in fiber order."""
+    return np.array([complex(fn(q)).real for q, _ in fib.entries])
 
-    Follows the bump construction: a disc U around the maximizer of a on
-    which a stays above |a| - 0.9 eps, nested K = U/3 and V = U/9, n the
-    expansion time of V, g a smoothstep bump that is 1 on K and 0 outside
-    U, b = (g|g) >= 1, and f = g b^{-1/2}. The report re-verifies the
-    inequalities on the probe set; norm_a is refined over every point the
-    verification touches, so the upper bound is sound on the sample.
+
+def _total(terms):
+    """Left-to-right sum in fiber order, as a scalar loop over the fiber adds.
+
+    numpy's pairwise sum would differ in the last bits.
+    """
+    return float(np.cumsum(terms)[-1])
+
+
+def _normalized(R, n, g, weight, label):
+    """x -> g(x) / sqrt(sum of e g^2 weight over R^{-n}(R^n x)).
+
+    weight None counts 1. Every call walks the depth-n fiber through x.
+    """
+    def body(x):
+        p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
+        y = p
+        for _ in range(n):
+            y = evaluate(R, y)
+        fib = preimage_tree(R, y, n)
+        gv = _values(g, fib)
+        w = np.array(fib.indices(), dtype=float) * (gv * gv)
+        if weight is not None:
+            w = w * _values(weight, fib)
+        return complex(g(p)) / math.sqrt(_total(w))
+
+    return GraphFunction(n, body, label=label)
+
+
+def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
+    """The bump construction both witnesses share.
+
+    Returns (n, g, report, table). The table holds one (e, g, a) triple of
+    arrays per probe, over the probe's depth-n fiber: each fiber is walked
+    once, and g and a are evaluated once per point.
     """
     pts = _points(julia_sample)
     avals = np.array([complex(a(p)).real for p in pts])
@@ -349,8 +372,7 @@ def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
     if net_tol is None:
         net_tol = max(2.0 * _sample_mesh(pts), 1e-2)
     if probe_ys is None:
-        step = max(1, len(pts) // 64)
-        probe_ys = pts[::step]
+        probe_ys = pts[::max(1, len(pts) // 64)]
     probes = _points(probe_ys)
 
     # slack capped at delta_v: a hit in the widened disc stays inside K,
@@ -365,53 +387,26 @@ def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
                     x if isinstance(x, SpherePoint)
                     else SpherePoint.from_value(x), _x0), _i, _o)),
             label="bump")
-        bcache = {}
-        seen_a = [norm_a]
-
-        def b_of(y, _g=g, _cache=bcache):
-            key = (y.is_infinity, round(y.z.real, 10), round(y.z.imag, 10))
-            if key not in _cache:
-                _cache[key] = inner_product(R, n, _g, _g, y).real
-            return _cache[key]
-
-        bmin = min(b_of(y) for y in probes)
-        if bmin >= 1.0 - 1e-9:
+        fibers = [preimage_tree(R, y, n) for y in probes]
+        es = [np.array(fib.indices(), dtype=float) for fib in fibers]
+        gs = [_values(g, fib) for fib in fibers]
+        ws = [e * (gv * gv) for e, gv in zip(es, gs)]
+        bs = [_total(w) for w in ws]  # b(y) = (g|g)(y)
+        if min(bs) >= 1.0 - 1e-9:
             break
         n += 1  # net was marginal: one more expansion level fills the gaps
     else:
         raise WitnessFailed(
-            f"(g|g) dropped to {bmin:.6f} < 1 despite deeper expansion")
+            f"(g|g) dropped to {min(bs):.6f} < 1 despite deeper expansion")
 
-    def f_body(x, _g=g, _n=n):
-        p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
-        y = _forward_n(R, p, _n)
-        return complex(_g(p)) / math.sqrt(b_of(y))
-
-    f = GraphFunction(n, f_body, label="witness f")
-
-    ff_lo, ff_hi = math.inf, -math.inf
-    faf_lo, faf_hi = math.inf, -math.inf
-    for y in probes:
-        fib = preimage_tree(R, y, n)
-        by = b_of(y)
-        ffv = 0.0
-        fafv = 0.0
-        for q, e in fib.entries:
-            gq = complex(g(q)).real
-            if gq != 0.0:
-                aq = complex(a(q)).real
-                seen_a.append(aq)
-                ffv += e * gq * gq / by
-                fafv += e * gq * gq * aq / by
-            else:
-                seen_a.append(complex(a(q)).real)
-        ff_lo, ff_hi = min(ff_lo, ffv), max(ff_hi, ffv)
-        faf_lo, faf_hi = min(faf_lo, fafv), max(faf_hi, fafv)
-
-    norm_a_refined = float(max(seen_a))
-    passed = (abs(ff_lo - 1.0) <= 1e-8 and abs(ff_hi - 1.0) <= 1e-8
-              and faf_lo >= norm_a_refined - eps - 1e-8
-              and faf_hi <= norm_a_refined + 1e-8)
+    avs = [_values(a, fib) for fib in fibers]
+    ff = [_total(w / b) for w, b in zip(ws, bs)]
+    faf = [_total(w * av / b) for w, av, b in zip(ws, avs, bs)]
+    # norm_a is refined over every point the verification touches
+    norm_a_refined = max(norm_a, *(float(np.max(av)) for av in avs))
+    passed = (abs(min(ff) - 1.0) <= 1e-8 and abs(max(ff) - 1.0) <= 1e-8
+              and min(faf) >= norm_a_refined - eps - 1e-8
+              and max(faf) <= norm_a_refined + 1e-8)
     report = {
         "schema": 1,
         "a": getattr(a, "label", "a"),
@@ -421,70 +416,62 @@ def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
         "x0": [x0.z.real, x0.z.imag],
         "delta_u": float(delta_u),
         "probe_count": len(probes),
-        "ff_min": ff_lo, "ff_max": ff_hi,
-        "faf_min": faf_lo, "faf_max": faf_hi,
+        "ff_min": min(ff), "ff_max": max(ff),
+        "faf_min": min(faf), "faf_max": max(faf),
         "passed": bool(passed),
     }
     if not passed:
         raise WitnessFailed(f"witness verification missed tolerance: {report}")
-    return n, f, report
+    return n, g, report, list(zip(es, gs, avs))
+
+
+def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
+                       budget=EXPANSION_BUDGET):
+    """Witness pair (n, f) with (f|f) = 1 and |a|-eps <= (f|af) <= |a|.
+
+    Follows the bump construction: a disc U around the maximizer of a on
+    which a stays above |a| - 0.9 eps, nested K = U/3 and V = U/9, n the
+    expansion time of V, g a smoothstep bump that is 1 on K and 0 outside
+    U, b = (g|g) >= 1, and f = g b^{-1/2}. The report re-verifies the
+    inequalities on the probe set; norm_a is refined over every point the
+    verification touches, so the upper bound is sound on the sample.
+
+    f is exact on the whole sphere and caches nothing: each call f(x) sums
+    e g^2 over the depth-n fiber R^{-n}(R^n x).
+    """
+    n, g, report, _ = _witness(R, a, eps, julia_sample, probe_ys, net_tol,
+                               budget)
+    return n, _normalized(R, n, g, None, "witness f"), report
 
 
 def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
                        budget=EXPANSION_BUDGET):
-    """Witness u with (u|au) = 1 and |u|_2 <= (|a| - eps)^{-1/2}."""
-    n, f, rep = simplicity_witness(R, a, eps, julia_sample, probe_ys,
-                                   net_tol, budget)
-    pts = _points(julia_sample)
-    if probe_ys is None:
-        step = max(1, len(pts) // 64)
-        probe_ys = pts[::step]
-    probes = _points(probe_ys)
+    """Witness u with (u|au) = 1 and |u|_2 <= (|a| - eps)^{-1/2}.
 
-    ccache = {}
-
-    def c_of(y):
-        key = (y.is_infinity, round(y.z.real, 10), round(y.z.imag, 10))
-        if key not in ccache:
-            af = ProductOnGraph(a, f)
-            ccache[key] = inner_product(R, n, f, af, y).real
-        return ccache[key]
-
-    def u_body(x, _f=f, _n=n):
-        p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
-        y = _forward_n(R, p, _n)
-        return complex(_f(p)) / math.sqrt(c_of(y))
-
-    u = GraphFunction(n, u_body, label="witness u")
-
-    # verification resums raw fibers: u on the fiber of y is f/sqrt(c(y))
-    # with c(y) computed by an independent tree walk through c_of
-    uau_lo, uau_hi = math.inf, -math.inf
-    ntwo = 0.0
-    for y in probes:
-        cy = c_of(y)
-        fib = preimage_tree(R, y, n)
-        s_uu = 0.0
-        s_uau = 0.0
-        for q, e in fib.entries:
-            fq = abs(complex(f(q))) ** 2
-            if fq != 0.0:
-                s_uu += e * fq
-                s_uau += e * fq * complex(a(q)).real
-        uau = s_uau / cy
-        uu = s_uu / cy
-        uau_lo, uau_hi = min(uau_lo, uau), max(uau_hi, uau)
-        ntwo = max(ntwo, math.sqrt(max(uu, 0.0)))
+    u = g (g|ag)^{-1/2} for the bump g of simplicity_witness. Its checks
+    resum per-point values of u over the fibers the construction walked.
+    u is exact on the whole sphere and caches nothing: each call u(x) sums
+    e g^2 a over the depth-n fiber R^{-n}(R^n x).
+    """
+    n, g, rep, table = _witness(R, a, eps, julia_sample, probe_ys, net_tol,
+                                budget)
+    uau, uu = [], []
+    for e, gv, av in table:
+        uv = gv / math.sqrt(_total(e * (gv * gv) * av))  # u on the fiber
+        e_uu = e * (uv * uv)
+        uau.append(_total(e_uu * av))
+        uu.append(_total(e_uu))
+    ntwo = math.sqrt(max(max(uu), 0.0))
     bound = (rep["norm_a"] - eps) ** -0.5
-    passed = (abs(uau_lo - 1.0) <= 1e-8 and abs(uau_hi - 1.0) <= 1e-8
+    passed = (abs(min(uau) - 1.0) <= 1e-8 and abs(max(uau) - 1.0) <= 1e-8
               and ntwo <= bound + 1e-8)
     report = dict(rep)
-    report.update({"uau_min": uau_lo, "uau_max": uau_hi,
+    report.update({"uau_min": min(uau), "uau_max": max(uau),
                    "norm_two_u": ntwo, "norm_two_bound": bound,
                    "passed": bool(passed)})
     if not passed:
         raise WitnessFailed(f"normalized witness missed tolerance: {report}")
-    return u, report
+    return _normalized(R, n, g, a, "witness u"), report
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,24 @@ class _ExprParser:
             raise MapParseError("exponent exceeds 64")
         return k
 
+    def _coefficient(self, t):
+        """Value of the number token t, just taken, with any / NUM after it.
+
+        A rational coefficient NUM / NUM binds tighter than the
+        numerator/denominator split.
+        """
+        val = _numval(t[1])
+        if self.peek() == "/" and self.pos + 1 < len(self.toks) \
+                and self._is_num(self.toks[self.pos + 1]):
+            self.take()
+            den = _numval(self.take()[1])
+            if den == 0:
+                raise MapParseError("zero denominator in coefficient")
+            val = Fraction(val) / Fraction(den) \
+                if not isinstance(val, float) and not isinstance(den, float) \
+                else float(val) / float(den)
+        return val
+
     def factor(self):
         t = self.peek()
         if t == "-":
@@ -137,19 +155,7 @@ class _ExprParser:
             return self.factor()
         if self._is_num(t):
             self.take()
-            val = _numval(t[1])
-            # rational coefficient: NUM / NUM binds tighter than the
-            # numerator/denominator split
-            if self.peek() == "/" and self.pos + 1 < len(self.toks) \
-                    and self._is_num(self.toks[self.pos + 1]):
-                self.take()
-                den = _numval(self.take()[1])
-                if den == 0:
-                    raise MapParseError("zero denominator in coefficient")
-                val = Fraction(val) / Fraction(den) \
-                    if not isinstance(val, float) and not isinstance(den, float) \
-                    else float(val) / float(den)
-            base = _Poly(np.array([complex(float(val))]))
+            base = _Poly(np.array([complex(float(self._coefficient(t)))]))
         elif t == "z":
             self.take()
             base = _Poly(np.array([0j, 1.0 + 0j]))
@@ -209,69 +215,47 @@ def parse_map_expression(text):
 
 
 def parse_test_function(text):
-    """Sums of real-coefficient monomials z^j conj(z)^k."""
+    """Sums of real-coefficient monomials z^j conj(z)^k.
+
+    Coefficients and exponents follow the map grammar: NUM/NUM is one
+    coefficient with a nonzero denominator, and an exponent is an integer
+    from 0 to 64.
+    """
     toks = _tokenize(text)
     if not toks:
         raise MapParseError("empty test-function expression")
+    ps = _ExprParser(toks)
     table = {}
-    pos = 0
     sign = 1.0
-
-    def is_num(t):
-        return isinstance(t, tuple) and t[0] == "num"
-
-    while pos < len(toks):
+    while ps.peek() is not None:
         coeff = sign
-        sign = 1.0
         j = k = 0
         saw = False
-        while pos < len(toks) and toks[pos] not in ("+", "-"):
-            t = toks[pos]
+        while ps.peek() not in (None, "+", "-"):
+            t = ps.take()
             if t == "*":
-                pos += 1
                 continue
-            if is_num(t):
-                val = float(Fraction(t[1]) if "." not in t[1]
-                            and "e" not in t[1] else float(t[1]))
-                pos += 1
-                if pos + 1 < len(toks) and toks[pos] == "/" \
-                        and is_num(toks[pos + 1]):
-                    pos += 1
-                    val /= float(Fraction(toks[pos][1]))
-                    pos += 1
-                coeff *= val
-                saw = True
-                continue
-            if t == "z":
-                pos += 1
-                e = 1
-                if pos < len(toks) and toks[pos] == "^":
-                    pos += 1
-                    e = int(toks[pos][1])
-                    pos += 1
-                j += e
-                saw = True
-                continue
-            if t == "conj":
-                pos += 1
-                if toks[pos:pos + 3] != ["(", "z", ")"]:
+            if ps._is_num(t):
+                coeff *= float(ps._coefficient(t))
+            elif t in ("z", "conj"):
+                if t == "conj" and \
+                        [ps.take() for _ in range(3)] != ["(", "z", ")"]:
                     raise MapParseError("conj takes the bare variable: conj(z)")
-                pos += 3
                 e = 1
-                if pos < len(toks) and toks[pos] == "^":
-                    pos += 1
-                    e = int(toks[pos][1])
-                    pos += 1
-                k += e
-                saw = True
-                continue
-            raise MapParseError(f"unexpected token {t!r} in test function")
+                if ps.peek() == "^":
+                    ps.take()
+                    e = ps._int_exponent()
+                if t == "z":
+                    j += e
+                else:
+                    k += e
+            else:
+                raise MapParseError(f"unexpected token {t!r} in test function")
+            saw = True
         if not saw:
             raise MapParseError("empty term in test function")
         table[(j, k)] = table.get((j, k), 0.0) + coeff
-        if pos < len(toks):
-            sign = -1.0 if toks[pos] == "-" else 1.0
-            pos += 1
+        sign = -1.0 if ps.take() == "-" else 1.0
     fn = TestFunction.from_table(table)
     fn.label = text.strip()
     return fn

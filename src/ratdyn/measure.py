@@ -105,11 +105,12 @@ def invariance_defect(R, cloud, test_functions):
 
 
 def _level_integral(a, pts, isinf, idx, scale):
+    """scale * sum of index * a(x) over one tree level, as a complex."""
     total = 0j
     for i in range(pts.size):
         p = SpherePoint.infinity() if isinf[i] else SpherePoint.finite(pts[i])
         total += idx[i] * complex(a(p))
-    return total * scale
+    return complex(total * scale)
 
 
 def _test_label(a, i):
@@ -125,22 +126,20 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     """
     d = R.degree
     labels = [_test_label(a, i) for i, a in enumerate(test_functions)]
-    vals = {lab: [complex(a(SpherePoint.from_value(y)))]
-            for lab, a in zip(labels, test_functions)}
-    for k, (pts, isinf, idx) in enumerate(tree_levels(R, y, n), start=1):
-        scale = 1.0 / d ** k
-        for lab, a in zip(labels, test_functions):
-            vals[lab].append(_level_integral(a, pts, isinf, idx, scale))
+    # one sequence per test, by position: two tests may share a label
+    vals = [[complex(a(SpherePoint.from_value(y)))] for a in test_functions]
+    for k, level in enumerate(tree_levels(R, y, n), start=1):
+        for seq, a in zip(vals, test_functions):
+            seq.append(_level_integral(a, *level, 1.0 / d ** k))
     records = []
-    for lab in labels:
-        seq = vals[lab]
+    for lab, seq in zip(labels, vals):
         for k in range(n):
             records.append(
                 {"k": k, "test": lab, "gap": abs(seq[k + 1] - seq[k])})
     if y2 is not None:
         other = lyubich_exact(R, y2, n)
-        for lab, a in zip(labels, test_functions):
-            gap = abs(vals[lab][n] - integrate(other, a))
+        for lab, a, seq in zip(labels, test_functions, vals):
+            gap = abs(seq[n] - integrate(other, a))
             records.append(
                 {"k": n, "test": lab + " cross-basepoint", "gap": gap})
     return records

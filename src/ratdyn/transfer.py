@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import critical_points_in_julia
 from .numkernel import SpherePoint, _as_pair, embed_points, sphere_nearest
-from .measure import integrate, lyubich_exact
+from .measure import _level_integral, integrate
 from .ratmap import evaluate, preimages, tree_levels
 
 
@@ -210,30 +210,26 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
 
     Each probe's values come from one depth-n preimage tree: level k sums
     index * a(x) over the depth-k fiber, scaled d^{-k}. The final level's
-    mean is compared against the balanced-measure integral of a.
+    mean is compared against the balanced-measure integral of a, the same
+    level sum over the deepest fiber of probes[0] within lyubich_budget
+    points.
     """
     d = R.degree
     beta = math.log(d)
     probes = [SpherePoint.from_value(y) for y in probe_set]
-    per_level = [[complex(a(p)) for p in probes]]
-    for k in range(1, n + 1):
-        per_level.append([])
+    per_level = [[complex(a(p)) for p in probes]] + [[] for _ in range(n)]
     for p in probes:
-        for k, (pts, isinf, idx) in enumerate(tree_levels(R, p, n), start=1):
-            total = 0j
-            for i in range(pts.size):
-                q = (SpherePoint.infinity() if isinf[i]
-                     else SpherePoint.finite(pts[i]))
-                total += idx[i] * complex(a(q))
-            per_level[k].append(total / d ** k)
+        for k, level in enumerate(tree_levels(R, p, n), start=1):
+            per_level[k].append(_level_integral(a, *level, 1.0 / d ** k))
     traces = tuple(
         IterationTrace(k, tuple(vals), _variation(vals))
         for k, vals in enumerate(per_level))
     final_vals = per_level[n]
     final_constant = complex(np.mean(final_vals))
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
-    mu = lyubich_exact(R, probes[0], depth)
-    lyu = integrate(mu, a)
+    for level in tree_levels(R, probes[0], depth):
+        pass
+    lyu = _level_integral(a, *level, 1.0 / d ** depth)
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     sample = list(julia_sample if julia_sample is not None else probe_set)

@@ -8,7 +8,7 @@ import pytest
 
 from ratdyn.errors import BudgetExceeded, FrameUnavailable
 from ratdyn.numkernel import SpherePoint
-from ratdyn.ratmap import preimages
+from ratdyn.ratmap import preimage_tree, preimages
 from ratdyn.bimodule import (
     GraphFunction,
     ProductOnGraph,
@@ -177,6 +177,38 @@ def test_witness_rejects_bad_inputs(z2, cloud_z2):
         simplicity_witness(z2, TestFunction.monomial(1), 0.1, cloud_z2)
     with pytest.raises(ValueError):
         simplicity_witness(z2, TestFunction.constant(1.0), 2.0, cloud_z2)
+
+
+@pytest.mark.parametrize("case", ["z2", "zm2"])
+def test_witness_callables_recover_the_report(case, request):
+    # f and u through their public callables, summed here over fibers of
+    # the probes, give back the sums the report took from its own table
+    R = request.getfixturevalue(case)
+    cloud = request.getfixturevalue("cloud_" + case)
+    a = TestFunction.from_table({(0, 0): 2.0, (1, 0): 0.25, (0, 1): 0.25,
+                                 (2, 0): 0.1j, (0, 2): -0.1j})
+    probes = cloud.points[::1500]
+    n, f, rep = simplicity_witness(R, a, 0.3, cloud, probe_ys=probes)
+    u, urep = normalized_witness(R, a, 0.3, cloud, probe_ys=probes)
+    assert urep["n"] == n
+    sums = {"ff": [], "faf": [], "uau": [], "uu": []}
+    for y in probes:
+        fib = preimage_tree(R, y, n)
+        e = np.array(fib.indices(), dtype=float)
+        av = np.array([complex(a(q)).real for q, _ in fib.entries])
+        f2 = np.abs([complex(f(q)) for q, _ in fib.entries]) ** 2
+        u2 = np.abs([complex(u(q)) for q, _ in fib.entries]) ** 2
+        sums["ff"].append(np.sum(e * f2))
+        sums["faf"].append(np.sum(e * f2 * av))
+        sums["uau"].append(np.sum(e * u2 * av))
+        sums["uu"].append(np.sum(e * u2))
+    for key in ("ff", "faf", "uau"):
+        assert min(sums[key]) == pytest.approx(urep[key + "_min"], abs=1e-8)
+        assert max(sums[key]) == pytest.approx(urep[key + "_max"], abs=1e-8)
+        if key != "uau":
+            assert rep[key + "_min"] == urep[key + "_min"]
+    assert math.sqrt(max(sums["uu"])) == pytest.approx(urep["norm_two_u"],
+                                                        abs=1e-8)
 
 
 def test_normalized_witness(z2, cloud_z2, tmp_path):

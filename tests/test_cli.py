@@ -163,6 +163,16 @@ def test_bad_counts_exit_2(args, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("test", [
+    "z^", "z^(2)", "conj(z)^", "1/0", "z^1000000000000",
+])
+def test_bad_test_functions_exit_2(test):
+    r = run("kms", "z^2", "--test", test, "--levels", "1")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_single():
     r = run("verify", "z2_minus_2")
     assert r.returncode == 0

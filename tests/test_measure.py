@@ -19,6 +19,7 @@ from ratdyn.measure import (
     write_weighted_csv,
 )
 from ratdyn.numkernel import SpherePoint
+from ratdyn.transfer import TestFunction
 
 
 def _moment(cloud, k):
@@ -130,6 +131,22 @@ def test_convergence_diagnostic_shape(z2):
     assert recs[-1]["gap"] < 1e-2
     # gaps shrink with depth
     assert recs[6]["gap"] < recs[0]["gap"]
+
+
+def test_convergence_diagnostic_tests_sharing_a_label(z2):
+    # two different tests under one label keep their own gap sequences
+    square = TestFunction.monomial(2)
+    other = TestFunction.monomial(1, 1)
+    other.label = square.label
+    y, y2 = 0.73 + 0.1j, 1.4 - 0.2j
+    both = convergence_diagnostic(z2, y, 3, [square, other], y2=y2)
+    alone = [convergence_diagnostic(z2, y, 3, [a], y2=y2)
+             for a in (square, other)]
+    per_level = alone[0][:3] + alone[1][:3] + alone[0][3:] + alone[1][3:]
+    assert both == per_level
+    # the same test twice gives the same gaps twice
+    twice = convergence_diagnostic(z2, y, 3, [square, square])
+    assert [r["gap"] for r in twice] == [r["gap"] for r in alone[0][:3]] * 2
 
 
 def test_weighted_csv_roundtrip(tmp_path, zm2):

@@ -78,6 +78,34 @@ def test_kms_traces_collapse(z2, cloud_z2):
     assert run.lyubich_gap < 1e-3
 
 
+def test_kms_levels_against_per_point_sums(z2, t3):
+    # each level against a plain loop over the depth-k fiber, and the
+    # Lyubich value against integration over the exact pullback cloud
+    from ratdyn.julia import sample_inverse_iteration
+    from ratdyn.ratmap import preimage_tree
+    a = TestFunction.from_table({(0, 0): 0.5, (2, 0): 1.0, (1, 1): 0.25,
+                                 (0, 3): 0.125j})
+    for R, start, tol in ((z2, 0.9 + 0.3j, 0.0), (t3, 0.3, 1e-12)):
+        d = R.degree
+        probes = sample_inverse_iteration(R, start, count=400,
+                                          seed=0).points[::100]
+        run = kms_iterate(R, a, 4, probes, lyubich_budget=4096)
+        for k in range(1, 5):
+            for y, got in zip(probes, run.traces[k].values):
+                total = 0j
+                for q, e in preimage_tree(R, y, k).entries:
+                    total += e * complex(a(q))
+                assert abs(got - total / d ** k) <= tol
+        depth = int(math.floor(math.log(4096) / math.log(d)))
+        want = integrate(lyubich_exact(R, probes[0], depth), a)
+        assert abs(run.lyubich_value - want) <= tol
+        # plain Python numbers, so reports serialize as JSON
+        assert type(run.final_constant) is complex
+        assert type(run.lyubich_value) is complex
+        assert type(run.lyubich_gap) is float
+        assert all(type(v) is complex for t in run.traces for v in t.values)
+
+
 def test_kms_monotone_for_z(z2, t2, t3):
     from ratdyn.ratmap import RationalMap
     from ratdyn.julia import sample_inverse_iteration
