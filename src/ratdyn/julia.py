@@ -12,8 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .numkernel import (SpherePoint, _as_pair, _cluster_rows, _near,
-                        _row_roots, embed_points, sphere_nearest)
+from .numkernel import (SpherePoint, _as_pair, _row_roots, embed_points,
+                        sphere_nearest)
 from .ratmap import (_chunks, _expand_level, _fiber_rows, critical_points,
                      evaluate)
 
@@ -58,11 +58,12 @@ def backward_walk(R, start, steps, walkers, rng):
     Each chain independently picks one of the d preimages of its current
     point uniformly with multiplicity, i.e. x with probability e(x)/d.
     Also returns the matching is-infinity flags. Each step solves every
-    walker's fiber with the batched solver in ratmap: walkers with d
-    distinct roots pick a raw root in solver order; walkers with tied roots
-    (over a critical value) pick a cluster mean, and walkers at infinity or
-    over a degree drop a fiber point, by the counts. Raises BudgetExceeded
-    before allocating when steps * walkers exceeds WALK_BUDGET.
+    walker's fiber with the fiber solver of ratmap: a walker whose fiber
+    polynomial keeps degree d picks one of its d roots in solver order,
+    where the tie rule has put an e(x)-fold root's centre in e(x) places;
+    walkers at infinity or over a degree drop pick a fiber point by the
+    indices. Raises BudgetExceeded before allocating when steps * walkers
+    exceeds WALK_BUDGET.
     """
     if steps * walkers > WALK_BUDGET:
         raise BudgetExceeded(
@@ -76,18 +77,14 @@ def backward_walk(R, start, steps, walkers, rng):
     out_inf = np.empty((steps, walkers), dtype=bool)
     for k in range(steps):
         pick = rng.integers(0, d, size=walkers)
-        f, slow = _fiber_rows(R, z, isinf)
-        fast = np.flatnonzero(~slow)
+        f, s, n = _fiber_rows(R, z, isinf)
+        fast = np.flatnonzero(n > d)
         for sl in _chunks(fast.size, d):
-            rows = fast[sl]
-            roots = _row_roots(f[rows])
-            tied = _near(roots)[0].any(axis=1)
-            z[rows] = roots[np.arange(rows.size), pick[rows]]
-            if tied.any():
-                cz, cc, _ = _cluster_rows(roots[tied])
-                z[rows[tied]] = cz[_by_counts(cc, pick[rows[tied]], d)]
+            rows = fast[sl] if fast.size < walkers else sl
+            roots, _ = _row_roots(f[rows], s[rows])
+            z[rows] = roots[np.arange(roots.shape[0]), pick[rows]]
         isinf[fast] = False
-        rows = np.flatnonzero(slow)
+        rows = np.flatnonzero(n <= d)
         if rows.size:
             cp, cn, cc, _ = _expand_level(R, z[rows], isinf[rows])
             t = _by_counts(cc, rng.integers(d, size=rows.size), d)

@@ -5,14 +5,14 @@ infinity. All distances are chordal, so infinity is an ordinary point at
 distance <= 2 from everything else. Polynomial coefficients are stored in
 ascending order (constant term first).
 
-Besides the one-polynomial finder, `_row_roots` solves a stack of
-polynomials of one degree at once, and `_cluster_rows` groups each row's
-roots into multiplicity clusters, for the one-polynomial finder too.
+One solver finds roots: `_row_roots` solves a stack of polynomials of one
+degree at once and decides multiplicities by one tie rule, and
+`_cluster_rows` lists each row's distinct roots with their multiplicities.
+`roots_with_multiplicity` is its one-row case.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -24,12 +24,15 @@ from .errors import EvaluationAtInfinity, NonConvergence
 
 EPS = float(np.finfo(float).eps)
 
-# Default clustering radius factor for root identification: two approximate
-# roots within CLUSTER_FACTOR * (1 + |root|) of each other count as one root.
-CLUSTER_FACTOR = 1e-6
+# A value counts as zero when it is at most GUARD times the rounding-noise
+# bound EPS * (Horner magnitude of its terms) of its evaluation.
+GUARD = 10.0
 
-# Iteration budget for the simultaneous root solver.
-ROOT_BUDGET = 500
+# Roots closer than LINK times their rounding-noise radius are candidates
+# for one multiple root. Eigenvalues scatter by the solver's backward
+# error, which can far exceed the Horner noise at the root; a wide radius
+# only costs acceptance tests.
+LINK = 1e5
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +233,6 @@ def poly_eval(coeffs, z):
     return npoly.polyval(np.asarray(z, dtype=complex), c)
 
 
-def poly_eval_with_bound(coeffs, z):
-    """Horner evaluation together with the running magnitude sum.
-
-    The second return is sum_k |c_k| |z|^k, which bounds the attainable
-    floating-point noise of the evaluation (times a small multiple of eps).
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    az = np.abs(z)
-    acc = np.zeros(z.shape, dtype=complex)
-    mag = np.zeros(z.shape, dtype=float)
-    for k in range(c.size - 1, -1, -1):
-        acc = acc * z + c[k]
-        mag = mag * az + abs(c[k])
-    return acc, mag
-
-
 def poly_derivative(coeffs):
     c = np.asarray(coeffs, dtype=complex)
     if c.size <= 1:
@@ -313,6 +299,8 @@ def _poly_coeffs(p):
     return np.asarray(p, dtype=complex)
 
 
+
+
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
@@ -340,87 +328,63 @@ class RootSet:
         return [m for _, m in self.entries]
 
 
-def _aberth(c, budget=ROOT_BUDGET):
-    """Simultaneous root iteration for a monic-normalized coefficient array.
+def _horner(c, s, x):
+    """Each row of c and its derivative at that row's points x[r].
 
-    Returns deg(c) approximations; clusters around multiple roots are left
-    for the caller to merge. Raises NonConvergence on budget exhaustion.
+    c is (m, n) ascending, x is (m, p), and s (m, n) holds the sizes of
+    the terms each coefficient was computed from (|c| for exact data).
+    Returns (value, derivative, magnitude), the magnitude
+    sum_k s_k |x|^k bounding the rounding noise of the value (times a small
+    multiple of EPS).
     """
-    n = c.size - 1
-    c1 = poly_derivative(c)
-    # perturbed unit-circle initializers: golden-ratio angular stagger breaks
-    # symmetric stalls of the simultaneous iteration
-    k = np.arange(n)
-    ang = 2.0 * np.pi * (k / n + 0.61803398874989 * (k + 1) / (n + 1)) + 0.4
-    z = np.exp(1j * ang) * (1.0 + 1e-3 * k / max(n, 1))
-    freeze_scale = 4.0 * (n + 1) * EPS
-    for _ in range(budget):
-        p, mag = poly_eval_with_bound(c, z)
-        frozen = np.abs(p) <= freeze_scale * mag + 1e-300
-        dp = poly_eval(c1, z)
-        bad = dp == 0
-        if np.any(bad):
-            dp = np.where(bad, 1.0, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        small = np.abs(diff) < 1e-300
-        if np.any(small):
-            diff = np.where(small, 1e-300, diff)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * s
-        step = np.where(np.abs(denom) > 1e-12, newton / denom, newton)
-        step = np.where(frozen, 0.0, step)
-        if np.any(bad):
-            # derivative vanished exactly at an iterate: nudge it off
-            step = np.where(bad & ~frozen, -1e-6 * (1.0 + np.abs(z)), step)
-        z = z - step
-        if np.all(frozen | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z)))):
-            return z
-    raise NonConvergence(
-        f"root iteration did not settle within {budget} iterations (degree {n})"
-    )
+    val = np.zeros(x.shape, dtype=complex)
+    der = np.zeros(x.shape, dtype=complex)
+    mag = np.zeros(x.shape)
+    ax = np.abs(x)
+    for k in range(c.shape[1] - 1, -1, -1):
+        der = der * x + val
+        val = val * x + c[:, k, None]
+        mag = mag * ax + s[:, k, None]
+    return val, der, mag
 
 
-def _solve_quadratic(c):
-    """Stable closed form for c0 + c1 z + c2 z^2."""
-    c0, c1, c2 = c[0], c[1], c[2]
-    if c0 == 0:
-        return np.array([0j, -c1 / c2])
-    disc = c1 * c1 - 4.0 * c2 * c0
-    s = cmath.sqrt(disc)
-    if (c1.real * s.real + c1.imag * s.imag) >= 0.0:
-        q = -0.5 * (c1 + s)
-    else:
-        q = -0.5 * (c1 - s)
-    if q == 0:  # c1 == 0 and disc == 0
-        return np.array([0j, 0j])
-    return np.array([q / c2, c0 / q])
+def _derivative_rows(c, k):
+    """Coefficients of the k-th derivative of each row of c."""
+    n = c.shape[1] - k
+    w = np.ones(n)
+    for s in range(1, k + 1):
+        w = w * np.arange(s, n + s)
+    return c[:, k:] * w
 
 
-def _raw_roots(c, budget=ROOT_BUDGET):
-    """All deg(c) roots (repetitions for multiplicities live in clusters)."""
-    c = np.asarray(c, dtype=complex)
-    n = c.size - 1
-    if n <= 0:
-        return np.zeros(0, dtype=complex)
-    # exact zero roots split off first: common for monomial-heavy fibers
-    k0 = 0
-    while k0 < n and c[k0] == 0:
-        k0 += 1
-    zeros = np.zeros(k0, dtype=complex)
-    c = c[k0:]
-    n -= k0
-    if n == 0:
-        return zeros
-    c = c / c[-1]
-    if n == 1:
-        rest = np.array([-c[0]])
-    elif n == 2:
-        rest = _solve_quadratic(c)
-    else:
-        rest = _aberth(c, budget)
-    return np.concatenate([zeros, rest])
+def _orders(c, s, x):
+    """Order of x[r] as a root of row r of c, judged by derivative sizes.
+
+    The order is the first k with |c_r^(k)(x_r)| above GUARD times the
+    rounding noise of its own evaluation (`_horner`, term sizes s); the row
+    length when no derivative rises above it, as for the zero row.
+    """
+    order = np.zeros(x.size, dtype=np.int64)
+    live = np.arange(x.size)
+    for _ in range(c.shape[1]):
+        val, _, mag = _horner(c, s, x[:, None])
+        zero = np.abs(val[:, 0]) <= GUARD * EPS * (mag[:, 0] + 1e-300)
+        live, c, s, x = live[zero], c[zero], s[zero], x[zero]
+        if not live.size:
+            break
+        order[live] += 1
+        c, s = _derivative_rows(c, 1), _derivative_rows(s, 1)
+    return order
+
+
+def local_multiplicity(coeffs, x):
+    """Order of x as a root of the polynomial, judged by derivative sizes.
+
+    Returns the smallest k with |p^(k)(x)| decisively (GUARD times) above
+    the floating-point noise of its own evaluation; 0 means x is not a root.
+    """
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))[None, :]
+    return int(_orders(c, np.abs(c), np.array([complex(x)]))[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,247 +393,237 @@ def _pairs(d):
     return np.triu_indices(d, 1)
 
 
-def _near(roots, factor=CLUSTER_FACTOR):
-    """Which pairs of roots of each row lie within the clustering radius.
+def _labels(link):
+    """Connected components of each row's link matrix (t, d, d): every
+    root's label is the smallest index linked to it."""
+    d = link.shape[1]
+    label = np.broadcast_to(np.arange(d), link.shape[:2])
+    while True:
+        nxt = np.where(link, label[:, None, :], d).min(axis=2)
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
-    Returns (near, i, j): near[r, t] says roots i[t] < j[t] of row r lie
-    within factor * (1 + (|x| + |y|) / 2) of each other.
+
+def _polish(g, s, x, k):
+    """One Newton step from x[r] on the (k[r] - 1)-th derivative of row r
+    of g, where a k-fold root is simple (term sizes s)."""
+    out = x.copy()
+    for kk in np.unique(k):
+        at = k == kk
+        val, der, _ = _horner(_derivative_rows(g[at], kk - 1),
+                              _derivative_rows(s[at], kk - 1), x[at, None])
+        step = val[:, 0] / np.where(der[:, 0] == 0, 1.0, der[:, 0])
+        out[at] = np.where(np.isfinite(step), x[at] - step, x[at])
+    return out
+
+
+def _tie(roots, g, size, near, i, j):
+    """The tie rule on the rows that have candidate pairs.
+
+    Linked candidates form clusters. A cluster of k roots is one k-fold
+    root when the derivatives 0..k-1 of its row g (term sizes `size`)
+    vanish (`_orders`) at its centre: the cluster mean after one Newton
+    step on the (k-1)-th derivative (`_polish`). A rejected cluster loses
+    every link at least half as long as its longest one, and its parts are
+    tried again. Returns (label, centre): each root's cluster label, and
+    the centre of its cluster (nan for simple roots).
     """
-    i, j = _pairs(roots.shape[1])
-    a = np.abs(roots)
-    near = (np.abs(roots[:, i] - roots[:, j])
-            <= factor * (1.0 + 0.5 * (a[:, i] + a[:, j])))
-    return near, i, j
+    t, d = roots.shape
+    link = np.broadcast_to(np.eye(d, dtype=bool), (t, d, d)).copy()
+    link[:, i, j] = link[:, j, i] = near
+    gap = np.abs(roots[:, :, None] - roots[:, None, :])
+    off = ~np.eye(d, dtype=bool)
+    slots = np.arange(d)
+    while True:
+        label = _labels(link)
+        member = label[:, None, :] == slots[:, None]      # (t, slot, root)
+        count = member.sum(axis=2)
+        rr, ss = np.nonzero(count >= 2)
+        k = count[rr, ss]
+        mean = np.where(member[rr, ss], roots[rr], 0j).sum(axis=1) / k
+        centre = _polish(g[rr], size[rr], mean, k)
+        ok = _orders(g[rr], size[rr], centre) >= k
+        if ok.all():
+            break
+        bad, inside = rr[~ok], member[rr[~ok], ss[~ok]]
+        within = link[bad] & inside[:, :, None] & inside[:, None, :] & off
+        span = np.where(within, gap[bad], 0.0)
+        cut = np.zeros_like(link)
+        np.logical_or.at(cut, bad, within & (
+            span >= 0.5 * span.max(axis=(1, 2))[:, None, None]))
+        link &= ~cut
+    out = np.full((t, d), np.nan + 0j)
+    out[rr, ss] = centre
+    return label, out[np.arange(t)[:, None], label]
 
 
-def _row_roots(f):
-    """The d roots of every row of f in solver order, a multiple root repeated.
+# a batch of monic rows with a coefficient above this is scaled to its root
+# bound before the eigenvalue solve
+_UNBALANCED = 2.0 ** 32
 
-    d <= 2 uses the stable closed form. d >= 3 takes the eigenvalues of the
-    companion matrices, then one Newton step on each simple root (one near
-    no other root of its row).
+
+def _ldexp(z, n):
+    """z * 2^n, exact short of overflow or underflow."""
+    if np.iscomplexobj(z):
+        return np.ldexp(z.real, n) + 1j * np.ldexp(z.imag, n)
+    return np.ldexp(z, n)
+
+
+def _row_roots(f, s=None):
+    """The roots of every row of f, multiplicities decided by one tie rule.
+
+    f is (m, d + 1) with nonzero leading coefficients; s holds the sizes of
+    the terms each coefficient was computed from (default |f|), which set
+    its rounding noise. Returns (roots, label), both (m, d): each row's d
+    roots in solver order and each root's cluster label (the solver
+    position of the first root of its cluster; None when no root is tied).
+    Every root of a k-fold cluster holds the cluster's centre, so a row
+    lists each distinct root as often as its multiplicity.
+
+    d <= 2 uses the stable closed form, d >= 3 the eigenvalues of the
+    companion matrices followed by one Newton step on each simple root.
+    When a monic coefficient of a d >= 3 batch exceeds _UNBALANCED, its rows
+    are solved in u = z / 2^e, with e the integer nearest to log2 of the
+    root bound max_k |f_k / f_d|^(1/(d-k)), so that their companion
+    matrices stay balanced and Horner sums stay in range. The tie rule
+    follows Z. Zeng, "Computing multiple roots of inexact polynomials",
+    Math. Comp. 74 (2005):
+
+    - candidates: two roots x, y of a row whose distance is at most the sum
+      of their noise radii LINK * EPS * mag / |f'| (mag the Horner
+      magnitude of the terms), the distance within which a root of an
+      m-fold cluster cannot be told from its cluster mates;
+    - acceptance and polish: see `_tie`.
+
+    Rows without candidate pairs skip the tie rule. Raises NonConvergence
+    when a monic row or the roots are not finite, or when the roots spread
+    over more scales than the solve resolves.
     """
     m, d = f.shape[0], f.shape[1] - 1
+    g, size, e = f, (np.abs(f) if s is None else s), None
     if d == 1:
-        return -f[:, :1] / f[:, 1:]
-    if d == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = -f[:, :1] / f[:, 1:]
+    elif d == 2:
         # q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the sign that avoids
         # cancellation; the roots are q / c2 and c0 / q
         c0, c1, c2 = f[:, 0], f[:, 1], f[:, 2]
-        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
-        q = -0.5 * (c1 + sq)
-        qz = q == 0  # double root at the origin
-        return np.stack([q / c2, np.where(qz, 0j, c0 / np.where(qz, 1.0, q))],
-                        axis=1)
-    monic = f / f[:, -1:]
-    comp = np.zeros((m, d, d), dtype=complex)
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, :, -1] = -monic[:, :-1]
-    roots = np.linalg.eigvals(comp)
-    # Horner for the monic row and its derivative at every root
-    val = np.ones_like(roots)
-    der = np.zeros_like(roots)
-    for k in range(d - 1, -1, -1):
-        der = der * roots + val
-        val = val * roots + monic[:, k, None]
-    near, i, j = _near(roots)
-    ends = (np.arange(d) == i[:, None]) | (np.arange(d) == j[:, None])
-    ok = ~(near @ ends) & (der != 0)  # simple roots
-    step = val / np.where(ok, der, 1.0)
-    return np.where(ok & np.isfinite(step), roots - step, roots)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+            sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
+            q = -0.5 * (c1 + sq)
+            qz = q == 0  # double root at the origin
+            u = np.empty((m, 2), dtype=complex)
+            u[:, 0] = q / c2
+            u[:, 1] = np.where(qz, 0j, c0 / np.where(qz, 1.0, q))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, size = f / f[:, -1:], size / np.abs(f[:, -1:])
+        if not (np.isfinite(g).all() and np.isfinite(size).all()):
+            raise NonConvergence(
+                "a fiber polynomial leaves the floating-point range once "
+                "normalized")
+        if np.abs(g).max(initial=0.0) > _UNBALANCED:
+            with np.errstate(divide="ignore"):
+                bound = np.max(np.log2(np.abs(g[:, :-1]))
+                               / np.arange(d, 0, -1), axis=1)
+            e = np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
+            power = e[:, None] * (np.arange(d + 1) - d)
+            scaled = _ldexp(g, power)
+            big = np.abs(g) > EPS * np.max(np.abs(g), axis=1, keepdims=True)
+            if np.any(big & (np.abs(scaled) < np.finfo(float).tiny)):
+                raise NonConvergence(
+                    "fiber roots spread over more scales than floating "
+                    "point holds")
+            g, size = scaled, _ldexp(size, power)
+        comp = np.zeros((m, d, d), dtype=complex)
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] = -g[:, :-1]
+        u = np.linalg.eigvals(comp)
+    if not np.isfinite(u).all():
+        raise NonConvergence("fiber roots beyond the floating-point range")
+    if d == 1:
+        return u, None
+    # candidates: |x - y| <= r_x + r_y, multiplied out so that a root with
+    # a vanishing derivative (an infinite radius) links to everything
+    i, j = _pairs(d)
+    if d == 2:
+        # |f'| at either root of a quadratic is |c2| times their distance
+        a1, a2 = np.abs(u[:, 0]), np.abs(u[:, 1])
+        mag = (2.0 * size[:, 0] + size[:, 1] * (a1 + a2)
+               + size[:, 2] * (a1 * a1 + a2 * a2))    # at both roots
+        gap = np.abs(u[:, 0] - u[:, 1])
+        near = (np.abs(f[:, 2]) * gap * gap <= LINK * EPS * mag)[:, None]
+    else:
+        val, der, mag = _horner(g, size, u)
+        slope = np.abs(der)
+        near = (np.abs(u[:, i] - u[:, j]) * slope[:, i] * slope[:, j]
+                <= LINK * EPS * (mag[:, i] * slope[:, j]
+                                 + mag[:, j] * slope[:, i]))
+    tied = np.flatnonzero(near.any(axis=1))
+    label = None
+    if tied.size:
+        label = np.tile(np.arange(d), (m, 1))
+        label[tied], centre = _tie(u[tied], g[tied], size[tied], near[tied],
+                                   i, j)
+        merged = ~np.isnan(centre)
+        u = u.copy()
+        u[tied] = np.where(merged, centre, u[tied])
+    if d >= 3:
+        ok = der != 0
+        if tied.size:
+            ok[tied] &= ~merged
+        step = val / np.where(ok, der, 1.0)
+        u = np.where(ok & np.isfinite(step), u - step, u)
+        # an eigenvalue far from any root that Newton did not bring in means
+        # the row's roots spread over more scales than the companion holds
+        far = np.flatnonzero((np.abs(val) > 1e-3 * mag).any(axis=1))
+        if far.size:
+            val, _, mag = _horner(g[far], size[far], u[far])
+            if np.any(np.abs(val) > 1e-3 * mag):
+                raise NonConvergence("companion eigenvalues missed roots")
+    if e is not None:
+        u = _ldexp(u, e[:, None])
+        if not np.isfinite(u).all():
+            raise NonConvergence("fiber roots beyond the floating-point range")
+    return u, label
 
 
-def _cluster_rows(roots, factor=CLUSTER_FACTOR):
-    """Single-linkage clusters of each row's roots, linked by `_near`.
+def _cluster_rows(roots, label):
+    """Each row's distinct roots with multiplicities, from `_row_roots`.
 
-    Returns (centers, counts, row): one entry per cluster, its centre the
-    mean of its roots, sorted by row and then by (re, im).
+    Returns (centers, counts, row): one entry per cluster, sorted by row
+    and then by (re, im).
     """
     m, d = roots.shape
-    centers, counts = roots, np.ones((m, d), dtype=np.int64)
-    near, i, j = _near(roots, factor)
-    tied = np.flatnonzero(near.any(axis=1))
-    if tied.size:
-        # cluster slot k of a row collects the roots whose smallest linked
-        # index is k; slots left empty sort last and are dropped
-        link = np.broadcast_to(np.eye(d, dtype=bool), (tied.size, d, d)).copy()
-        link[:, i, j] = link[:, j, i] = near[tied]
-        label = np.broadcast_to(np.arange(d), (tied.size, d))
-        while True:
-            nxt = np.where(link, label[:, None, :], d).min(axis=2)
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
-        member = label[:, None, :] == np.arange(d)[None, :, None]
-        n = member.sum(axis=2)
-        sums = np.where(member, roots[tied][:, None, :], 0j).sum(axis=2)
-        centers = roots.copy()
-        centers[tied] = np.where(n > 0, sums / np.maximum(n, 1), np.inf)
-        counts[tied] = n
+    if label is None:
+        counts, centers = np.ones((m, d), dtype=np.int64), roots
+    else:
+        counts = np.bincount((label + d * np.arange(m)[:, None]).ravel(),
+                             minlength=m * d).reshape(m, d)
+        centers = np.where(counts > 0, roots, np.inf)
     flat = (np.lexsort((centers.imag, centers.real), axis=1)
             + d * np.arange(m)[:, None]).ravel()
     centers, counts = centers.ravel()[flat], counts.ravel()[flat]
-    row = flat // max(d, 1)
-    if not tied.size:
+    row = flat // d
+    if label is None:
         return centers, counts, row
     keep = counts > 0
     return centers[keep], counts[keep], row[keep]
 
 
-def _newton_steps(c, c1, x, m, steps=3):
-    """Multiplicity-accelerated Newton iteration for an m-fold root near x."""
-    for _ in range(steps):
-        p, mag = poly_eval_with_bound(c, x)
-        if abs(p) <= 10.0 * EPS * mag:
-            break  # already below evaluation noise: further steps just wander
-        dp = poly_eval(c1, x)
-        if dp == 0:
-            break
-        step = m * p / dp
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        x = x - step
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            break
-    return x
+def roots_with_multiplicity(poly):
+    """All roots of a polynomial with multiplicities.
 
-
-def _polish_root(c, c1, x, m):
-    """Final polish pass: only for m <= 2, where Newton gains digits.
-
-    Beyond m = 2 the accepted merge center already sits at the conditioning
-    limit and further iteration would move it off.
-    """
-    if m > 2:
-        return x
-    return _newton_steps(c, c1, x, m)
-
-
-def _multiplicity_estimate(c, x):
-    """Estimated order of x as a root of c (0 when x is not a root).
-
-    The derivative sequence gives the count k of sub-noise derivatives; the
-    Newton ratio g'^2 / (g'^2 - g g'') applied to the first derivative g
-    with usable signal then refines the answer to k + (order of x in g).
-    The ratio is exact on exact m-fold roots and stays well conditioned on
-    clusters scattered at the floating-point limit.
-    """
-    k = local_multiplicity(c, x)
-    if k == 0:
-        return 0
-    deg = c.size - 1
-    g = np.asarray(c, dtype=complex)
-    for _ in range(k):
-        g = poly_derivative(g)
-    g1 = poly_derivative(g)
-    g2 = poly_derivative(g1)
-    gv = poly_eval(g, complex(x))
-    g1v = poly_eval(g1, complex(x))
-    g2v = poly_eval(g2, complex(x))
-    denom = g1v * g1v - gv * g2v
-    if denom != 0:
-        m = (g1v * g1v / denom).real
-        if 0.5 <= m <= deg - k + 0.5 and abs(m - round(m)) < 0.25 and round(m) >= 1:
-            return min(k + int(round(m)), deg)
-    return k
-
-
-def local_multiplicity(coeffs, x, guard=1e5, max_order=None):
-    """Order of x as a root of the polynomial, judged by derivative magnitudes.
-
-    Returns the smallest k with |p^(k)(x)| decisively above the floating-point
-    noise floor of its own evaluation; 0 means x is not a root. The guard
-    factor sets how far above the Horner error bound a value must rise to
-    count as nonzero.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    limit = c.size - 1 if max_order is None else min(max_order, c.size - 1)
-    for k in range(limit + 1):
-        val, mag = poly_eval_with_bound(c, complex(x))
-        if abs(val) > guard * EPS * (mag + 1.0e-300):
-            return k
-        c = poly_derivative(c)
-    return limit + 1
-
-
-def roots_with_multiplicity(poly, cluster_radius=CLUSTER_FACTOR, budget=ROOT_BUDGET):
-    """Find all roots of a polynomial with multiplicities.
-
-    Close approximations are merged by single-linkage clustering at radius
-    cluster_radius * (1 + |root|); cluster cardinality gives the multiplicity,
-    cross-checked against derivative magnitudes at the cluster center. When
-    the derivative test calls for a larger multiplicity than the cardinality,
-    nearby clusters are merged (ties resolve toward the larger multiplicity).
-
+    The one-row case of the fiber solver `_row_roots` and its tie rule.
     Returns a RootSet; multiplicities always sum to the degree.
     """
-    c = _poly_coeffs(poly)
-    c = poly_trim(c)
+    c = poly_trim(_poly_coeffs(poly))
     if c.size <= 1:
         return RootSet((), 0.0)
-    centers, counts, _ = _cluster_rows(_raw_roots(c, budget)[None, :],
-                                       cluster_radius)
-    c_monic = c / c[-1]
-    c1 = poly_derivative(c_monic)
-    centers = np.array([
-        _polish_root(c_monic, c1, centers[i], counts[i]) for i in range(centers.size)
-    ])
-    # cross-check cluster cardinalities against derivative behaviour: a
-    # multiple root scattered wider than the base radius is re-merged, but a
-    # candidate merge only commits when the estimator at the merged center
-    # confirms the combined multiplicity, so genuinely separate neighbours
-    # are never eaten
-    changed = True
-    while changed and centers.size > 1:
-        changed = False
-        for i in range(centers.size):
-            target = _multiplicity_estimate(c_monic, centers[i])
-            if target <= counts[i]:
-                continue
-            # members of the split cluster lie within the conditioning blob
-            # ~ (noise)^(1/target) around the true root
-            _, mag = poly_eval_with_bound(c_monic, centers[i])
-            blob = 10.0 * (1e5 * EPS * (mag + 1.0)) ** (1.0 / target)
-            r = min(max(blob, 50.0 * cluster_radius * (1.0 + abs(centers[i]))),
-                    0.1 * (1.0 + abs(centers[i])))
-            near = [j for j in range(centers.size) if j != i
-                    and abs(centers[i] - centers[j]) <= r]
-            near.sort(key=lambda j: abs(centers[i] - centers[j]))
-            prefix = []
-            total = int(counts[i])
-            for j in near:
-                if total + counts[j] > target:
-                    break
-                prefix.append(j)
-                total += int(counts[j])
-            accepted = None
-            while prefix:
-                sel = [i] + prefix
-                tot = int(sum(counts[t] for t in sel))
-                centroid = complex(
-                    np.sum(centers[sel] * counts[sel]) / tot)
-                cand = _newton_steps(c_monic, c1, centroid, tot)
-                if _multiplicity_estimate(c_monic, cand) >= tot:
-                    accepted = (cand, tot, list(prefix))
-                    break
-                prefix.pop()  # drop the farthest candidate and retry
-            if accepted is not None:
-                cand, tot, used = accepted
-                centers[i] = cand
-                counts[i] = tot
-                keep = [t for t in range(centers.size) if t not in used]
-                centers = centers[keep]
-                counts = counts[keep]
-                changed = True
-                break
-    centers = np.array([
-        _polish_root(c_monic, c1, centers[i], counts[i]) for i in range(centers.size)
-    ])
-    order = np.lexsort((centers.imag, centers.real))
-    centers, counts = centers[order], counts[order]
-    residual = float(np.max(np.abs(poly_eval(c_monic, centers)))) if centers.size else 0.0
-    entries = tuple(
-        (SpherePoint.finite(centers[i]), int(counts[i])) for i in range(centers.size)
-    )
-    return RootSet(entries, residual)
+    centers, counts, _ = _cluster_rows(*_row_roots(c[None, :]))
+    centers = centers + 0.0   # report a root at 0 as 0, not -0
+    residual = float(np.max(np.abs(poly_eval(c / c[-1], centers))))
+    return RootSet(tuple((SpherePoint.finite(z), int(k))
+                         for z, k in zip(centers, counts)), residual)

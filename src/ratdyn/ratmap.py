@@ -6,13 +6,13 @@ local multiplicity of R at x, equal to 1 + (order of x as a zero of the
 derivative numerator W = P'Q - PQ'). Work near infinity happens in the
 reciprocal chart w = 1/z throughout.
 
-`preimages` solves one fiber with the full multiplicity machinery of
-numkernel. Preimage trees, backward walks and expansion times use the
-batched fiber solver `_expand_level` instead: one closed form (d <= 2) or
-one stack of companion-matrix eigenvalues (d >= 3) for a whole batch of
-bases, then per-row clustering (numkernel's `_row_roots` and
-`_cluster_rows`). Only bases at infinity and degree-drop bases go through
-the scalar `_fiber_core`.
+Every fiber goes through one solver, `_expand_level`: it builds the fiber
+polynomials of a whole batch of bases (`_fiber_rows`), groups the rows by
+degree (bases at infinity and degree-drop bases form the groups of lower
+degree, with their preimage at infinity) and solves each group with
+numkernel's `_row_roots`, whose tie rule decides the branch indices.
+`preimages` is its one-row case; trees, backward walks and expansion
+times call it on batches.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import BudgetExceeded, CoprimalityError
 from .numkernel import (
     Polynomial,
-    RootSet,
     SpherePoint,
     _as_pair,
     local_multiplicity,
@@ -35,7 +34,6 @@ from .numkernel import (
     poly_trim,
     roots_with_multiplicity,
     _cluster_rows,
-    _raw_roots,
     _row_roots,
 )
 
@@ -82,8 +80,9 @@ class Fiber:
 class RationalMap:
     """R = P/Q with coprime polynomial numerator and denominator.
 
-    Construction trims exact leading zeros, rejects a vanishing denominator,
-    and checks coprimality (a common factor above tolerance is an error).
+    Construction trims exact leading zeros, rejects non-finite coefficients
+    and a vanishing denominator, and checks coprimality (a common factor
+    above tolerance is an error).
     """
 
     def __init__(self, numerator, denominator=(1,), check=True):
@@ -91,6 +90,8 @@ class RationalMap:
             np.atleast_1d(np.asarray(numerator, dtype=complex))
         q = denominator.coeffs if isinstance(denominator, Polynomial) else \
             np.atleast_1d(np.asarray(denominator, dtype=complex))
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            raise ValueError("map coefficients must be finite")
         p = poly_trim(p)
         q = poly_trim(q)
         if np.all(q == 0):
@@ -131,7 +132,7 @@ class RationalMap:
         if min(dp, dq) < 1:
             return
         low, high = (self._p, self._q) if dp <= dq else (self._q, self._p)
-        rs = _raw_roots(low / np.max(np.abs(low)))
+        rs = _row_roots((low / np.max(np.abs(low)))[None, :])[0][0]
         vals = np.abs(poly_eval(high, rs))
         scale = np.max(np.abs(high)) * np.maximum(1.0, np.abs(rs)) ** (high.size - 1)
         if np.any(vals <= 1e-10 * scale):
@@ -256,62 +257,36 @@ def critical_points(R):
 # fibers
 # ---------------------------------------------------------------------------
 
-def _fiber_poly(R, w, isinf=False):
-    """Coefficients whose roots are the finite preimages of w.
+def _fiber_rows(R, pts, inf):
+    """Fiber polynomials of a batch of bases: (f, s, n).
 
-    Returns (coeffs, inf_index): over infinity, the poles and deg P - deg Q
-    when positive; over finite w, leading coefficients that cancel against
-    w drop the degree, and each dropped level adds one to inf_index.
+    Row j of f holds the d+1 coefficients of P - w Q for |w| <= 1, of
+    P/w - Q for |w| > 1 (w = pts[j]), and of Q over infinity; s holds the
+    sizes of the two terms of each coefficient. Only the first n[j]
+    coefficients count: a leading coefficient at most _DROP_TOL times the
+    size of its terms drops (w = R(infinity)), and each dropped degree is
+    one more preimage at infinity, d + 1 - n[j] in all.
     """
-    if isinf:
-        return R._q, max(R._p.size - R._q.size, 0)
-    if abs(w) <= 1.0:
-        f = R._p_pad - w * R._q_pad
-        s = np.abs(R._p_pad) + abs(w) * np.abs(R._q_pad)
-    else:
-        iw = 1.0 / w
-        f = iw * R._p_pad - R._q_pad
-        s = abs(iw) * np.abs(R._p_pad) + np.abs(R._q_pad)
-    n = f.size
-    while n > 1 and abs(f[n - 1]) <= _DROP_TOL * s[n - 1]:
-        n -= 1
-    return f[:n], (f.size - n)
+    r = np.abs(pts)
+    small = r <= 1.0
+    a = 1.0 / np.where(small, 1.0 + 0j, pts)   # 1, or 1/w
+    b = np.where(small, pts, 1.0 + 0j)         # w, or 1
+    f = a[:, None] * R._p_pad - b[:, None] * R._q_pad
+    ab = np.empty((r.size, 2))                 # |a| and |b|
+    ab[:, 0] = 1.0 / np.maximum(r, 1.0)
+    ab[:, 1] = np.minimum(r, 1.0)
+    s = ab @ np.abs(np.array((R._p_pad, R._q_pad)))
+    if inf.any():
+        f[inf], s[inf] = R._q_pad, np.abs(R._q_pad)
+    n = np.full(f.shape[0], f.shape[1])
+    low = np.abs(f[:, -1]) <= _DROP_TOL * s[:, -1]
+    if low.any():
+        low = np.flatnonzero(low)
+        keep = np.abs(f[low]) > _DROP_TOL * s[low]
+        keep[:, 0] = True
+        n[low] -= np.argmax(keep[:, ::-1], axis=1)
+    return f, s, n
 
-
-def _fiber_core(R, z, isinf):
-    """Scalar fiber solve: (points, isinf, counts), infinity last.
-
-    Multiplicities come from single-linkage clustering of the raw roots;
-    finite points are sorted by (re, im).
-    """
-    f, drop = _fiber_poly(R, z, isinf)
-    raw = _raw_roots(f / np.max(np.abs(f)))
-    centers, counts, _ = _cluster_rows(raw[None, :])
-    if not drop:
-        return centers, np.zeros(centers.size, dtype=bool), counts
-    at_inf = np.arange(centers.size + 1) == centers.size
-    return np.append(centers, 0j), at_inf, np.append(counts, drop)
-
-
-def preimages(R, w):
-    """The fiber over w: distinct preimage points with branch indices.
-
-    Indices sum to deg(R) exactly. The preimage at infinity appears when the
-    fiber polynomial loses degree (w = R(infinity)) or, over w = infinity,
-    when deg P exceeds deg Q; finite preimages of infinity are the poles
-    with their orders.
-    """
-    wv, isinf = _as_pair(w)
-    f, drop = _fiber_poly(R, wv, isinf)
-    entries = list(roots_with_multiplicity(f).entries)
-    if drop:
-        entries.append((SpherePoint.infinity(), drop))
-    return Fiber(SpherePoint.from_value(w), 1, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# preimage trees: the batched fiber solver
-# ---------------------------------------------------------------------------
 
 # cap on the entries of one chunk's (rows, d, d) work arrays
 _WORK_ENTRIES = 1 << 18
@@ -323,53 +298,62 @@ def _chunks(m, d):
     return [slice(lo, lo + step) for lo in range(0, max(m, 1), step)]
 
 
-def _fiber_rows(R, pts, inf):
-    """Fiber polynomials of a batch of bases, one row of d+1 coefficients each.
-
-    Row j is P - w Q for |w| <= 1 and P/w - Q otherwise (w = pts[j]), the
-    scaling `_fiber_poly` uses. slow marks the rows the batched solver leaves
-    to `_fiber_core`: bases at infinity, and bases whose fiber polynomial
-    loses degree (w = R(infinity)).
-    """
-    small = (np.abs(pts) <= 1.0) | inf
-    a = 1.0 / np.where(small, 1.0 + 0j, pts)   # 1, or 1/w
-    b = np.where(small, pts, 1.0 + 0j)         # w, or 1
-    f = a[:, None] * R._p_pad - b[:, None] * R._q_pad
-    s = np.abs(a) * abs(R._p_pad[-1]) + np.abs(b) * abs(R._q_pad[-1])
-    return f, inf | (np.abs(f[:, -1]) <= _DROP_TOL * s)
-
-
 def _expand_level(R, pts, inf):
-    """One backward step for a batch of points: the batched fiber solver.
+    """One backward step for a batch of points: the fiber solver.
 
     Returns (points, isinf, counts, parent): the children of every input
-    point with their local branch counts and parent positions. Children of
-    one parent are contiguous, sorted by (re, im), infinity last. All rows
-    are solved together by `_row_roots` and clustered by `_cluster_rows`,
-    in chunks of bounded size; only bases at infinity and degree-drop bases
-    take the scalar `_fiber_core`.
+    point with their branch indices and parent positions. Children of one
+    parent are contiguous, sorted by (re, im), infinity last. Rows are
+    grouped by the length n of their fiber polynomial (`_fiber_rows`); each
+    group is solved by `_row_roots` in chunks of bounded size, and a group
+    with n <= d adds one child at infinity of index d + 1 - n per row.
     """
-    f, slow = _fiber_rows(R, pts, inf)
-    fast = np.flatnonzero(~slow)
+    f, s, n = _fiber_rows(R, pts, inf)
+    d = R.degree
+    if d == 0:   # a constant map has empty fibers
+        none = np.zeros(0, dtype=np.int64)
+        return none.astype(complex), none.astype(bool), none, none
     parts = []
-    for sl in _chunks(fast.size, R.degree):
-        rows = fast[sl]
-        centers, counts, row = _cluster_rows(_row_roots(f[rows]))
-        parts.append((centers, np.zeros(centers.size, dtype=bool), counts,
-                      rows[row]))
-    if not slow.any():
-        return parts[0] if len(parts) == 1 else tuple(
-            np.concatenate(a) for a in zip(*parts))
-    # bases at infinity share one scalar solve; degree-drop bases get one each
-    drops = np.flatnonzero(slow & ~inf)
-    for rows in [np.flatnonzero(inf)] + [[j] for j in drops]:
-        if len(rows):
-            kids = _fiber_core(R, pts[rows[0]], inf[rows[0]])
-            parts.append(tuple(np.tile(k, len(rows)) for k in kids)
-                         + (np.repeat(rows, kids[0].size),))
+    for k in [d + 1] if (n > d).all() else np.unique(n):
+        group = np.flatnonzero(n == k)
+        for sl in _chunks(group.size, k - 1) if k > 1 else ():
+            rows = group[sl]
+            if rows.size == n.size:   # every row: no copies
+                rows = slice(None)
+            centers, counts, row = _cluster_rows(
+                *_row_roots(f[rows, :k], s[rows, :k]))
+            parts.append((centers, np.zeros(centers.size, dtype=bool), counts,
+                          row if isinstance(rows, slice) else rows[row]))
+        if k <= d:
+            parts.append((np.zeros(group.size, dtype=complex),
+                          np.ones(group.size, dtype=bool),
+                          np.full(group.size, d + 1 - k), group))
+    if len(parts) == 1:
+        return parts[0]
     cp, cn, cc, par = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(par, kind="stable")
     return cp[order], cn[order], cc[order], par[order]
+
+
+def _fiber(y, depth, pts, inf, idx):
+    entries = tuple(
+        (SpherePoint.infinity() if inf[j] else SpherePoint.finite(pts[j]),
+         int(idx[j]))
+        for j in range(pts.size))
+    return Fiber(SpherePoint.from_value(y), depth, entries)
+
+
+def preimages(R, w):
+    """The fiber over w: distinct preimage points with branch indices.
+
+    Indices sum to deg(R) exactly. The preimage at infinity appears when the
+    fiber polynomial loses degree (w = R(infinity)) or, over w = infinity,
+    when deg P exceeds deg Q; finite preimages of infinity are the poles
+    with their orders. This is the one-row case of `_expand_level`.
+    """
+    wv, isinf = _as_pair(w)
+    pts, inf, idx, _ = _expand_level(R, np.array([wv]), np.array([isinf]))
+    return _fiber(w, 1, pts, inf, idx)
 
 
 def tree_levels(R, y, n, node_budget=NODE_BUDGET):
@@ -405,15 +389,9 @@ def preimage_tree(R, y, n, node_budget=NODE_BUDGET):
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
-    pts = inf = idx = None
     for pts, inf, idx in tree_levels(R, y, n, node_budget):
         pass
-    entries = tuple(
-        (SpherePoint.infinity() if inf[j] else SpherePoint.finite(pts[j]),
-         int(idx[j]))
-        for j in range(pts.size)
-    )
-    return Fiber(SpherePoint.from_value(y), n, entries)
+    return _fiber(y, n, pts, inf, idx)
 
 
 # ---------------------------------------------------------------------------

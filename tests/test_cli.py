@@ -38,6 +38,10 @@ def test_info_registry_name_and_family():
 def test_parse_errors_exit_2():
     assert run("info", "zz^^").returncode == 2
     assert run("info", "z^").returncode == 2
+    for expr in ("1e400*z^2", "(1e200*z+1)^2"):   # coefficients overflow
+        r = run("info", expr)
+        assert r.returncode == 2
+        assert r.stderr == "error: map coefficients must be finite\n"
     assert run("verify", "no_such_example").returncode == 2
     assert run("preimage", "z^2").returncode == 2      # missing --point
     assert run().returncode == 2                       # no subcommand
@@ -50,6 +54,18 @@ def test_preimage_table():
     assert lines[0] == "x_re,x_im,is_infinity,index"
     assert lines[1].startswith("-2,") and lines[2].startswith("2,")
     assert lines[-1].startswith("# index sum 2")
+
+
+def test_preimage_tiny_point_keeps_every_root():
+    # the six preimages of 1e-18 under z^6 have modulus 1e-3
+    r = run("preimage", "z^6", "--point", "1e-18")
+    assert r.returncode == 0
+    rows = [l.split(",") for l in r.stdout.splitlines()
+            if l and not l.startswith(("x_re", "#"))]
+    assert len(rows) == 6
+    assert all(row[2:] == ["0", "1"] for row in rows)
+    assert all(abs(abs(complex(float(row[0]), float(row[1]))) - 1e-3)
+               <= 1e-15 for row in rows)
 
 
 def test_preimage_critical_value_and_depth():

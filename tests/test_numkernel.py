@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ratdyn.errors import NonConvergence
+from ratdyn.julia import backward_walk
 from ratdyn.numkernel import (
     SpherePoint,
     chordal_distance,
@@ -19,6 +20,7 @@ from ratdyn.numkernel import (
     sphere_embed,
     sphere_nearest,
 )
+from ratdyn.ratmap import RationalMap, preimages, tree_levels
 
 
 def test_sphere_point_constructors():
@@ -104,6 +106,27 @@ def test_roots_with_multiplicities():
     assert got == {(1.0, 0.0): 3, (-2.0, -0.0): 1} or got == {
         (1.0, 0.0): 3, (-2.0, 0.0): 1}
     assert rs.degree == 4
+    # an m-fold root x with three simple roots 0.05 away, from rounded
+    # coefficients: its derivatives vanish at the polished centre, not at
+    # the mean of its scattered roots
+    for m in (3, 4):
+        for x in (0.7 + 0.2j, 1.3 - 0.5j):
+            coeffs = np.ones(1, dtype=complex)
+            for r in [x] * m + [x + 0.05 * o for o in (1, 1j, -1 - 1j)]:
+                coeffs = np.convolve(coeffs, [-r, 1])
+            rs = roots_with_multiplicity(coeffs)
+            assert sorted(rs.multiplicities()) == [1, 1, 1, m]
+            centre = rs.points()[rs.multiplicities().index(m)]
+            assert abs(centre.z - x) < 1e-9
+    # two double roots 0.01 apart link into one cluster of four, which is
+    # no 4-fold root; split at its long links it gives the two doubles
+    coeffs = np.ones(1, dtype=complex)
+    for r in (1, 1, 1.01, 1.01, -0.5j):
+        coeffs = np.convolve(coeffs, [-r, 1])
+    rs = roots_with_multiplicity(coeffs)
+    assert rs.multiplicities() == [1, 2, 2]
+    assert np.allclose(rs.points()[1].z, 1, atol=1e-9)
+    assert np.allclose(rs.points()[2].z, 1.01, atol=1e-9)
 
 
 def test_roots_degenerate_inputs():
@@ -121,8 +144,22 @@ def test_local_multiplicity():
 
 
 def test_root_budget_raises():
-    with pytest.raises(NonConvergence):
-        roots_with_multiplicity([1.0, 0, 0, 0, 1.0], budget=1)
+    # fibers beyond the floating-point range fail cleanly on every route:
+    # over 1e-320 the preimage of 1/z is 1e320, 1/z^3 overflows its monic
+    # polynomial (its preimages, 4.6e106, are finite); and over tiny y the
+    # preimages of (1 + z^2) / z^3, near +-i and at 1/y, spread over more
+    # scales than one companion matrix resolves
+    cases = [(RationalMap([1], [0, 1]), 1e-320),
+             (RationalMap([1], [0, 0, 0, 1]), 1e-320),
+             (RationalMap([1, 0, 1], [0, 0, 0, 1]), 1e-40),
+             (RationalMap([1, 0, 1], [0, 0, 0, 1]), 2.6e-275)]
+    for R, y in cases:
+        with pytest.raises(NonConvergence):
+            preimages(R, y)
+        with pytest.raises(NonConvergence):
+            list(tree_levels(R, y, 1))
+        with pytest.raises(NonConvergence):
+            backward_walk(R, y, 1, 4, np.random.default_rng(0))
 
 
 def _pairwise(a, b):

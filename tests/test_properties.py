@@ -61,7 +61,11 @@ def _nearest(p, points):
 @given(coeffs, coeffs, st.one_of(st.just(INF), bases))
 def test_fiber_index_sums(p, q, y):
     R = _rational_map(p, q)
-    assert sum(e for _, e in preimages(R, y).entries) == R.degree
+    fib = preimages(R, y)
+    assert sum(e for _, e in fib.entries) == R.degree
+    for x, _ in fib.entries:
+        if not x.is_infinity:
+            assert chordal_distance(evaluate(R, x), y) <= 1e-9
 
 
 @bounded

@@ -1,5 +1,8 @@
 """Branched-covering data: evaluation, fibers, indices, trees, iteration."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,7 @@ from ratdyn.numkernel import SpherePoint, chordal_distance
 from ratdyn.ratmap import (
     RationalMap,
     _expand_level,
-    _fiber_core,
-    _fiber_poly,
+    _fiber_rows,
     branch_index,
     compose,
     critical_points,
@@ -29,6 +31,8 @@ def test_degree_and_validation():
     assert RationalMap([-1, 0, 2], [0, 1]).degree == 2
     with pytest.raises(CoprimalityError):
         RationalMap([0, 1], [0, 1])    # common factor z
+    with pytest.raises(ValueError, match="finite"):
+        RationalMap([1, math.inf])
 
 
 def test_evaluate(z2, full_shift):
@@ -106,34 +110,88 @@ def test_preimage_tree_weights(zm2):
                for _, e in fib.entries)
 
 
-def _scalar_levels(R, y, n):
-    """Replay a depth-n expansion one node at a time through _fiber_core."""
+def _mp_newton(f, x):
+    # Newton from x to a root of f (descending coefficients) in the working
+    # precision, until a step falls below 1e-28: the root is then good to
+    # about 1e-56, its square
+    import mpmath
+    for _ in range(30):
+        v, dv = mpmath.polyval(f, x, derivative=True)
+        if dv == 0:
+            break
+        step = v / dv
+        x -= step
+        if abs(step) <= 1e-28 * (1 + abs(x)):
+            break
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_coefficients(R):
+    import mpmath
+    mpmath.mp.dps = 50
+    return ([mpmath.mpc(c) for c in R._p_pad],
+            [mpmath.mpc(c) for c in R._q_pad])
+
+
+def _mp_derivative(f):
+    n = len(f) - 1
+    return [c * (n - k) for k, c in enumerate(f[:-1])]
+
+
+def _assert_exact_fiber(R, w, at_inf, z, isinf, counts, tol=1e-9):
+    """The children (z, isinf, counts) of base w are its exact fiber.
+
+    In 50-digit arithmetic the fiber polynomial P - w Q (Q over infinity) of
+    the float base has exactly d - deg preimages at infinity. Newton on the
+    (e - 1)-th derivative takes each finite child of index e to a root x*
+    within tol, where derivatives 0..e-1 vanish to 1e-25 relative; the x*
+    are distinct and the indices add up to the degree, so no root is
+    missed and every index is exact.
+    """
+    import mpmath
+    mpmath.mp.dps = 50
+    p, q = _mp_coefficients(R)
+    f = q[:] if at_inf else [a - mpmath.mpc(w) * b for a, b in zip(p, q)]
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    drop = R.degree + 1 - len(f)
+    assert counts[isinf].tolist() == ([drop] if drop else [])
+    assert counts.sum() == R.degree
+    derivs = [f[::-1]]
+    while len(derivs) < counts[~isinf].max(initial=1):
+        derivs.append(_mp_derivative(derivs[-1]))
+    mags = [np.abs(np.array(g, dtype=complex)) for g in derivs]
+    found = []
+    for x, e in zip(z[~isinf], counts[~isinf]):
+        root = _mp_newton(derivs[e - 1], mpmath.mpc(x))
+        assert abs(root - x) < tol
+        for g, mag in zip(derivs[:e], mags):
+            assert abs(mpmath.polyval(g, root)) <= 1e-25 * np.polyval(
+                mag, abs(x))
+        assert all(abs(root - r) > 1e-30 for r in found)
+        found.append(root)
+
+
+def _assert_exact_levels(R, y, n):
+    # every level of tree_levels, node for node: each parent's children
+    # are its exact fiber (within 1e-9, indices exact), and the chain-rule
+    # indices multiply along the tree
     y = SpherePoint.from_value(y)
-    nodes = [(y.z, y.is_infinity, 1)]
-    for _ in range(n):
-        nxt = []
-        for z, at_inf, w in nodes:
-            kids = _fiber_core(R, z, at_inf)
-            nxt.extend((x, bool(i), w * int(c)) for x, i, c in zip(*kids))
-        nodes = nxt
-        yield nodes
-
-
-def _assert_same_nodes(pts, isinf, idx, nodes, tol=1e-9):
-    # node for node: each batched node's nearest scalar node is a distinct
-    # node with the same index and infinity flag, within tol; equal indices
-    # everywhere mean every cluster merge was decided the same way
-    assert len(nodes) == pts.size
-    wz = np.array([z for z, _, _ in nodes], dtype=complex)
-    wi = np.array([i for _, i, _ in nodes], dtype=bool)
-    ww = np.array([w for _, _, w in nodes], dtype=np.int64)
-    gap = np.abs(pts[:, None] - wz[None, :])
-    gap[isinf[:, None] != wi[None, :]] = np.inf
-    gap[isinf[:, None] & wi[None, :]] = 0.0
-    near = np.argmin(gap, axis=1)
-    assert np.unique(near).size == near.size
-    assert np.array_equal(idx, ww[near])
-    assert np.max(gap[np.arange(near.size), near], initial=0.0) < tol
+    pts = np.array([y.z])
+    inf = np.array([y.is_infinity])
+    idx = np.array([1])
+    for got in tree_levels(R, y, n):
+        cp, cn, cc, par = _expand_level(R, pts, inf)
+        assert np.array_equal(par, np.sort(par))
+        for j in range(pts.size):
+            kids = par == j
+            _assert_exact_fiber(R, pts[j], inf[j], cp[kids], cn[kids],
+                                cc[kids])
+        pts, inf, idx = cp, cn, cc * idx[par]
+        for a, b in zip(got, (pts, inf, idx)):
+            assert np.array_equal(a, b)
+    assert idx.sum() == R.degree ** n
 
 
 T3 = RationalMap([0, -3, 0, 4], [1])
@@ -158,28 +216,84 @@ TREE_MAPS = [
 
 
 def test_tree_levels_match_scalar_route(rng):
-    # the batched fiber solver must agree with the scalar fiber route node
-    # for node at every level, indices exactly
+    # every level of the tree against 50-digit exact fibers, node for node
+    # within 1e-9 and indices exactly
+    pytest.importorskip("mpmath")
     for R, n, extra in TREE_MAPS:
         randoms = [complex(*rng.standard_normal(2)) for _ in range(4)]
         for y in randoms + list(extra):
-            for (pts, isinf, idx), nodes in zip(tree_levels(R, y, n),
-                                                _scalar_levels(R, y, n)):
-                _assert_same_nodes(pts, isinf, idx, nodes)
-            assert idx.sum() == R.degree ** n
+            _assert_exact_levels(R, y, n)
+
+
+def _fiber_on_every_route(R, y):
+    # the finite fiber over y by preimages, by the depth-1 tree and by one
+    # step of a 64-walker backward walk: the three share the row solve, so
+    # they list the same points and indices, and every walker lands on one
+    # of those points
+    fib = preimages(R, y)
+    pts, isinf, idx = next(tree_levels(R, y, 1))
+    assert not isinf.any()
+    assert [(p.z, e) for p, e in fib.entries] == list(zip(pts.tolist(),
+                                                          idx.tolist()))
+    walk, walk_inf = backward_walk(R, y, 1, 64, np.random.default_rng(1))
+    assert not walk_inf.any() and np.isin(walk[0], pts).all()
+    return pts, idx
+
+
+def _conj_power(m, c):
+    # (z - c)^m + c: c is a superattracting fixed point, its own critical
+    # value, and its fiber is c alone with index m
+    p = np.array([math.comb(m, k) * (-c) ** (m - k) for k in range(m + 1)],
+                 dtype=complex)
+    p[0] += c
+    return RationalMap(p)
 
 
 def test_merge_decisions_near_critical_values():
     # 1 is a critical value of T3 (a double preimage at -1/2); 1e-9 off it
     # the two preimages sit 3e-5 apart and must stay separate
-    assert sorted(next(tree_levels(T3, 1.0, 1))[2].tolist()) == [1, 2]
-    assert next(tree_levels(T3, 1.0 + 1e-9, 1))[2].tolist() == [1, 1, 1]
+    assert sorted(_fiber_on_every_route(T3, 1.0)[1].tolist()) == [1, 2]
+    assert _fiber_on_every_route(T3, 1.0 + 1e-9)[1].tolist() == [1, 1, 1]
+    # over 1 + 1e-12 the fiber polynomial of (z - 1)^3 + 1 is
+    # (z - 1)^3 - 1e-12, whose value at 1 is 560 times its rounding-noise
+    # bound: three simple preimages 1.7e-4 apart, on every route
+    pts, idx = _fiber_on_every_route(_conj_power(3, 1.0), 1.0 + 1e-12)
+    assert idx.tolist() == [1, 1, 1]
+    assert np.allclose(np.abs(pts - 1.0), 1e-4, rtol=1e-4)
+
+
+def test_multiple_roots_on_every_route():
+    # over c the fiber of (z - c)^m + c is one point of index m, and the
+    # depth-3 tree is one node of index m^3, each within 1e-12 of c
+    # (for c = 0.05 the fiber's constant term c^m + c - c cancels to
+    # 1e-8, far below its rounding noise from the terms c^m + c and c)
+    for m in range(3, 7):
+        for c in (1.0, 0.3, -0.5 + 0.2j, 0.05):
+            R = _conj_power(m, c)
+            pts, idx = _fiber_on_every_route(R, c)
+            assert idx.tolist() == [m] and abs(pts[0] - c) <= 1e-12
+            *_, (pts, isinf, idx) = tree_levels(R, c, 3)
+            assert idx.tolist() == [m ** 3] and abs(pts[0] - c) <= 1e-12
+
+
+def test_tiny_fibers_of_powers():
+    # z^m over tiny w: m simple preimages w^(1/m) e^(2 pi i k / m) at
+    # relative error 1e-12, on every route
+    for m in range(3, 7):
+        R = RationalMap([0] * m + [1])
+        for w in (1e-12, 1e-18, 1e-24, 1e-30):
+            pts, idx = _fiber_on_every_route(R, w)
+            exact = w ** (1 / m) * np.exp(2j * np.pi * np.arange(m) / m)
+            gap = np.abs(pts[:, None] - exact[None, :]).min(axis=0)
+            assert idx.tolist() == [1] * m
+            assert np.all(gap <= 1e-12 * w ** (1 / m))
 
 
 def test_expand_level_with_scalar_rows(full_shift):
-    # a batch mixing batched rows, rows at infinity and degree-drop rows:
+    # a batch mixing full-degree rows, rows at infinity and degree-drop rows:
     # parents in order, each parent's children sorted by (re, im) with
-    # infinity last, equal to the scalar route's fiber
+    # infinity last, equal to the 50-digit exact fiber
+    pytest.importorskip("mpmath")
     for R, bases in ((full_shift, [0.3 + 0.1j, None, -0.7j, None, 2.5]),
                      (DROP, [0.5, None, 0.2 + 0.3j, 0.5, -1.5 + 2j, None])):
         inf = np.array([b is None for b in bases])
@@ -192,10 +306,9 @@ def test_expand_level_with_scalar_rows(full_shift):
             fin = z[~at_inf]
             assert np.array_equal(np.lexsort((fin.imag, fin.real)),
                                   np.arange(fin.size))
-            want, want_inf, counts = _fiber_core(R, pts[j], inf[j])
-            assert np.array_equal(at_inf, want_inf)
-            assert np.allclose(z, want, rtol=0, atol=1e-12)
-            assert cc[kids].tolist() == counts.tolist()
+            assert at_inf.tolist() == sorted(at_inf.tolist())
+            _assert_exact_fiber(R, pts[j], inf[j], z, at_inf, cc[kids],
+                                tol=1e-12)
     # over R(infinity) = 1/2 the fiber is -2 and infinity with index 2
     cp, cn, cc, _ = _expand_level(DROP, np.array([0.5 + 0j]),
                                   np.array([False]))
@@ -303,8 +416,8 @@ def test_far_roots_need_the_degree_gap():
     assert np.allclose([abs(p.z) for p, _ in fib.entries], 4 ** (255 / 256),
                        rtol=1e-12)
     S = iterate_map(RationalMap([30, 0, 1]), 8)
-    f, drop = _fiber_poly(S, 0)
-    assert drop == 0 and f.size == 257
+    *_, n = _fiber_rows(S, np.array([0j]), np.array([False]))
+    assert n.tolist() == [257]
     pts, isinf, counts, _ = _expand_level(R, np.array([1 + 0j]),
                                           np.array([False]))
     assert pts.size == 256 and not isinf.any() and np.all(counts == 1)
