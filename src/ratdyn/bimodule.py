@@ -6,6 +6,13 @@ fibers with branch-index weights. On Julia sets free of critical points a
 finite frame of arc bumps reconstructs every function; the witness
 constructions produce, for any positive a and margin eps, a normalized g/f/u
 chain whose inner products pin a between |a|-eps and |a|.
+
+Everything runs on arrays. Graph functions, frame members and the witness
+bump and f/u evaluate (z, isinf) arrays through their method `at`, and a
+scalar call is its one-point case. Inner products, norms and witness tables
+expand all their bases as one forest (`ratmap._forest`) and sum each base's
+depth-n fiber left to right; frame defects solve all their fibers in one
+`_expand_level` call.
 """
 
 import math
@@ -17,10 +24,11 @@ from dataclasses import dataclass
 from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
 from .julia import critical_points_in_julia
-from .numkernel import (SpherePoint, _as_pair, chordal_distance, embed_points,
+from .measure import _root_sums, _root_table
+from .numkernel import (SpherePoint, _as_arrays, _as_pair, _at_point,
+                        _values_at, chordal_distances, embed_points,
                         sphere_embed, sphere_nearest)
-from .ratmap import (NODE_BUDGET, _expand_level, evaluate, preimages,
-                     preimage_tree)
+from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
 
 EXPANSION_BUDGET = 24
 
@@ -36,42 +44,71 @@ class GraphFunction:
         if self.arity < 1:
             raise ValueError("graph functions need arity >= 1")
 
+    def at(self, z, isinf):
+        """Values at the points (z, isinf): the body's, as an array."""
+        return _values_at(self.body, z, isinf)
+
     def __call__(self, x):
-        return complex(self.body(x))
+        return _at_point(self.at, x)
 
 
-def _points(sample):
-    """Normalize a JuliaCloud or point sequence to a SpherePoint tuple."""
-    pts = []
-    for p in sample:
-        zv, isinf = _as_pair(p)
-        pts.append(SpherePoint(zv, isinf))
-    return tuple(pts)
+class _OnArrays:
+    """A function given by its array method; a call is the one-point case."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at):
+        self.at = at
+
+    def __call__(self, x):
+        return _at_point(self.at, x)
+
+
+def _depth_sums(R, z, isinf, n, terms):
+    """Sum of terms(points, isinf, indices) over each base's depth-n fiber.
+
+    The bases' trees are expanded as one forest (`ratmap._forest`), and
+    each group's deepest level is summed before the next group is expanded,
+    so no more than one group's nodes are held at a time.
+    """
+    out = np.zeros(z.size, dtype=complex)
+    for k, pts, inf, idx, root in _forest(R, z, isinf, n):
+        if k == n:
+            sums = _root_sums(terms(pts, inf, idx), root)
+            out[root[0]:root[0] + sums.size] = sums
+    return out
+
+
+def _inner_products(R, n, f, g, z, isinf):
+    """(f|g)_A at every base (z, isinf), from one forest."""
+    if f.arity != n or g.arity != n:
+        raise ValueError("arity mismatch with the requested depth")
+
+    def terms(pts, inf, idx):
+        return (idx * np.conj(_values_at(f, pts, inf))
+                * _values_at(g, pts, inf))
+    return _depth_sums(R, z, isinf, n, terms)
 
 
 def inner_product(R, n, f, g, y):
     """(f|g)_A(y) = sum over R^{-n}(y) of e_{R^n}(x) conj(f(x)) g(x)."""
-    if f.arity != n or g.arity != n:
-        raise ValueError("arity mismatch with the requested depth")
-    fib = preimage_tree(R, y, n)
-    total = 0j
-    for p, e in fib.entries:
-        total += e * np.conj(complex(f(p))) * complex(g(p))
-    return complex(total)
+    zv, isinf = _as_pair(y)
+    return complex(
+        _inner_products(R, n, f, g, np.array([zv]), np.array([isinf]))[0])
 
 
 def norm_sup(f, julia_sample):
     """Sampled sup norm over the Julia sample."""
-    return max(abs(complex(f(p))) for p in _points(julia_sample))
+    return float(np.max(np.abs(_values_at(f, *_as_arrays(julia_sample)))))
 
 
 def norm_two(R, n, f, probe_ys):
     """Sampled module norm: sup over probes of sqrt((f|f)(y))."""
-    worst = 0.0
-    for y in probe_ys:
-        v = inner_product(R, n, f, f, y)
-        worst = max(worst, math.sqrt(max(v.real, 0.0)))
-    return worst
+    z, isinf = _as_arrays(probe_ys)
+    if not z.size:
+        return 0.0
+    v = _inner_products(R, n, f, f, z, isinf).real
+    return float(np.max(np.sqrt(np.maximum(v, 0.0))))
 
 
 def tensor_embed(R, factors):
@@ -84,17 +121,16 @@ def tensor_embed(R, factors):
         if f.arity != 1:
             raise ValueError("tensor factors must have arity 1")
 
-    def body(x, _fs=factors, _R=R):
-        p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
-        out = 1.0 + 0j
-        for k, f in enumerate(_fs):
-            out *= complex(f(p))
-            if k + 1 < len(_fs):
-                p = evaluate(_R, p)
+    def at(z, isinf):
+        out = np.ones(z.shape, dtype=complex)
+        for k, f in enumerate(factors):
+            out = out * _values_at(f, z, isinf)
+            if k + 1 < n:
+                z, isinf = _evaluate_arrays(R, z, isinf)
         return out
 
     label = " x ".join(f.label for f in factors)
-    return GraphFunction(n, body, label)
+    return GraphFunction(n, _OnArrays(at), label)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +150,18 @@ def _wrap_angle(t):
     return (t + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _chi_hat(theta, theta_l, w):
-    d = _wrap_angle(theta - theta_l)
-    if abs(d) >= w:
-        return 0.0
-    return math.cos(0.5 * math.pi * d / w) ** 2
+def _arc_members(z, isinf, center, thetas, w):
+    """Every member u_l = sqrt(chi_l) at the points, as (arcs, N).
+
+    chi_l = chi_hat_l / sum_m chi_hat_m with raised-cosine bumps chi_hat_l
+    of the angle about center; infinity has z = 0 there.
+    """
+    theta = np.angle(np.where(isinf, 0j, z) - center)
+    d = _wrap_angle(theta[None, :] - np.asarray(thetas)[:, None])
+    hat = np.where(np.abs(d) >= w, 0.0, np.cos(0.5 * math.pi * d / w) ** 2)
+    chi = np.divide(hat, hat.sum(axis=0), out=np.zeros_like(hat),
+                    where=hat != 0.0)
+    return np.sqrt(np.maximum(chi, 0.0))
 
 
 def build_frame(R, julia_sample, cover_spec=None):
@@ -136,84 +179,72 @@ def build_frame(R, julia_sample, cover_spec=None):
     overlap = float(spec["overlap"])
     if arcs < 2 or not (0.0 < overlap):
         raise ValueError("cover needs >= 2 arcs and positive overlap")
-    pts = _points(julia_sample)
-    if any(p.is_infinity for p in pts):
+    z, isinf = _as_arrays(julia_sample)
+    if isinf.any():
         raise FrameUnavailable("arc frames need a bounded Julia sample")
 
-    crit = critical_points_in_julia(R, pts)
+    crit = critical_points_in_julia(R, z)
     if crit:
         where = ", ".join(repr(c.point) for c in crit)
         raise FrameUnavailable(
             f"critical points on the Julia set ({where}): no finite frame")
 
-    center = complex(np.mean([p.z for p in pts]))
+    center = complex(np.mean(z))
     w = (1.0 + overlap) * math.pi / arcs
     thetas = tuple(2.0 * math.pi * l / arcs - math.pi for l in range(arcs))
 
     # injectivity of R on each support: fiber mates of sampled points must
     # never share an arc; supports span 2w of angle, so mates closer than
     # that (in wrapped angle about the centroid) defeat the cover
-    step = max(1, len(pts) // 160)
-    for p in pts[::step]:
-        y = evaluate(R, p)
-        for q, _ in preimages(R, y).entries:
-            if q.is_infinity:
-                raise CoverTooCoarse("a sampled fiber reaches infinity")
-            if chordal_distance(p, q) <= 1e-9:
-                continue
-            gap = abs(_wrap_angle(np.angle(p.z - center)
-                                  - np.angle(q.z - center)))
-            if gap < 2.0 * w:
-                raise CoverTooCoarse(
-                    f"fiber mates {gap:.3f} rad apart share an arc of "
-                    f"support width {2 * w:.3f}")
-
-    def chi(l):
-        def val(x, _l=l):
-            p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
-            theta = float(np.angle(p.z - center))
-            top = _chi_hat(theta, thetas[_l], w)
-            if top == 0.0:
-                return 0.0
-            bottom = sum(_chi_hat(theta, t, w) for t in thetas)
-            return top / bottom
-        return val
+    ps = z[::max(1, z.size // 160)]
+    flat = np.zeros(ps.size, dtype=bool)
+    qs, qinf, _, par = _expand_level(R, *_evaluate_arrays(R, ps, flat))
+    same = np.linalg.norm(sphere_embed(qs, qinf) - sphere_embed(ps[par]),
+                          axis=1) <= 1e-9
+    gap = np.abs(_wrap_angle(np.angle(ps[par] - center)
+                             - np.angle(qs - center)))
+    bad = np.flatnonzero(qinf | (~same & (gap < 2.0 * w)))
+    if bad.size:
+        if qinf[bad[0]]:
+            raise CoverTooCoarse("a sampled fiber reaches infinity")
+        raise CoverTooCoarse(
+            f"fiber mates {gap[bad[0]]:.3f} rad apart share an arc of "
+            f"support width {2 * w:.3f}")
 
     members = tuple(
-        GraphFunction(1, (lambda x, _c=chi(l): math.sqrt(max(_c(x), 0.0))),
-                      label=f"u{l}")
+        GraphFunction(1, _OnArrays(
+            lambda z, isinf, _l=l: _arc_members(z, isinf, center, thetas,
+                                                w)[_l]), label=f"u{l}")
         for l in range(arcs))
-    return Frame(members, tuple((t, w) for t in thetas), center, len(pts))
+    return Frame(members, tuple((t, w) for t in thetas), center, z.size)
 
 
 def frame_delta_defect(R, frame, probe_ys):
     """max |sum_l u_l(x) conj(u_l(x')) - delta_{x,x'}| over fibers of probes."""
-    worst = 0.0
-    for y in probe_ys:
-        fib = preimages(R, y)
-        xs = [p for p, _ in fib.entries]
-        vals = np.array([[complex(u(x)) for x in xs] for u in frame.members])
-        gram = np.einsum("li,lj->ij", vals, np.conj(vals))
-        target = np.eye(len(xs))
-        worst = max(worst, float(np.max(np.abs(gram - target))))
-    return worst
+    z, isinf = _as_arrays(probe_ys)
+    if not z.size:
+        return 0.0
+    pts, inf, _, par = _expand_level(R, z, isinf)
+    vals = _root_table(
+        np.array([_values_at(u, pts, inf) for u in frame.members]).T, par)
+    gram = np.einsum("mil,mjl->mij", vals, np.conj(vals))
+    live = np.arange(gram.shape[1]) < np.bincount(par)[:, None]
+    return float(np.max(np.abs(gram - np.eye(gram.shape[1])), initial=0.0,
+                        where=live[:, :, None] & live[:, None, :]))
 
 
 def frame_reconstruction_defect(R, frame, f, probe_xs):
     """max over x of |sum_l u_l(x) (u_l|f)(R(x)) - f(x)|."""
-    worst = 0.0
-    for x in probe_xs:
-        p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
-        y = evaluate(R, p)
-        fib = preimages(R, y)
-        total = 0j
-        for u in frame.members:
-            ip = 0j
-            for q, e in fib.entries:
-                ip += e * np.conj(complex(u(q))) * complex(f(q))
-            total += complex(u(p)) * ip
-        worst = max(worst, abs(total - complex(f(p))))
-    return worst
+    z, isinf = _as_arrays(probe_xs)
+    if not z.size:
+        return 0.0
+    pts, inf, counts, par = _expand_level(R, *_evaluate_arrays(R, z, isinf))
+    fq = _values_at(f, pts, inf)
+    total = np.zeros(z.size, dtype=complex)
+    for u in frame.members:
+        ip = _root_sums(counts * np.conj(_values_at(u, pts, inf)) * fq, par)
+        total = total + _values_at(u, z, isinf) * ip
+    return float(np.max(np.abs(total - _values_at(f, z, isinf))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +275,29 @@ def expansion_time(R, V, julia_sample, net_tol, budget=EXPANSION_BUDGET,
     worst probe's depth. Raises BudgetExceeded when a tree exhausts the depth
     budget without touching V.
     """
+    z, isinf = _as_arrays(julia_sample)
+    if probes is None:
+        step = max(1, z.size // max_probes)
+        probes = z[::step], isinf[::step]
+    else:
+        probes = _as_arrays(probes)
+    return _expansion(R, V, z, isinf, probes, net_tol, budget)
+
+
+def _expansion(R, V, z, isinf, probes, net_tol, budget):
+    """`expansion_time` of the sample (z, isinf) from probes = (z, isinf)."""
     center, radius = V
-    pts = _points(julia_sample)
     cemb = embed_points([center])[0]
-    emb = embed_points(pts)
-    gap = np.linalg.norm(emb - cemb[None, :], axis=1)
+    gap = np.linalg.norm(sphere_embed(z, isinf) - cemb[None, :], axis=1)
     if not np.any(gap <= radius):
         raise ValueError("V does not intersect the Julia sample")
-    if probes is None:
-        step = max(1, len(pts) // max_probes)
-        probes = pts[::step]
-    probes = _points(probes)
-
     reach = radius + net_tol
 
     def hits(zs, isinf):
         e = sphere_embed(zs, isinf)
         return np.linalg.norm(e - cemb[None, :], axis=1) <= reach
 
-    zs = np.array([p.z for p in probes], dtype=complex)
-    isinf = np.array([p.is_infinity for p in probes], dtype=bool)
+    zs, isinf = probes
     alive = ~hits(zs, isinf)
     zs, isinf = zs[alive], isinf[alive]
     pid = np.flatnonzero(alive)
@@ -291,122 +325,108 @@ def expansion_time(R, V, julia_sample, net_tol, budget=EXPANSION_BUDGET,
 # witnesses
 # ---------------------------------------------------------------------------
 
-def _smooth_bump(t, inner, outer):
-    if t <= inner:
-        return 1.0
-    if t >= outer:
-        return 0.0
-    s = (t - inner) / (outer - inner)
-    return 1.0 - s * s * (3.0 - 2.0 * s)
-
-
-def _sample_mesh(points):
-    return float(np.max(sphere_nearest(embed_points(points))[0]))
-
-
-def _values(fn, fib):
-    """Real parts of fn at the points of a fiber, in fiber order."""
-    return np.array([complex(fn(q)).real for q, _ in fib.entries])
-
-
-def _total(terms):
-    """Left-to-right sum in fiber order, as a scalar loop over the fiber adds.
-
-    numpy's pairwise sum would differ in the last bits.
-    """
-    return float(np.cumsum(terms)[-1])
+def _bump(x0, inner, outer):
+    """The smoothstep bump of the chordal distance to x0, on arrays: 1 up
+    to inner and 0 from outer on."""
+    def at(z, isinf):
+        t = chordal_distances(x0, z, isinf)
+        s = (t - inner) / (outer - inner)
+        return np.where(t <= inner, 1.0,
+                        np.where(t >= outer, 0.0,
+                                 1.0 - s * s * (3.0 - 2.0 * s)))
+    return _OnArrays(at)
 
 
 def _normalized(R, n, g, weight, label):
     """x -> g(x) / sqrt(sum of e g^2 weight over R^{-n}(R^n x)).
 
-    weight None counts 1. Every call walks the depth-n fiber through x.
+    weight None counts 1. The depth-n fibers through all the points are
+    expanded as one forest.
     """
-    def body(x):
-        p = x if isinstance(x, SpherePoint) else SpherePoint.from_value(x)
-        y = p
+    def at(z, isinf):
+        y, yinf = z, isinf
         for _ in range(n):
-            y = evaluate(R, y)
-        fib = preimage_tree(R, y, n)
-        gv = _values(g, fib)
-        w = np.array(fib.indices(), dtype=float) * (gv * gv)
-        if weight is not None:
-            w = w * _values(weight, fib)
-        return complex(g(p)) / math.sqrt(_total(w))
+            y, yinf = _evaluate_arrays(R, y, yinf)
 
-    return GraphFunction(n, body, label=label)
+        def terms(pts, inf, idx):
+            gv = _values_at(g, pts, inf).real
+            w = idx * (gv * gv)
+            if weight is not None:
+                w = w * _values_at(weight, pts, inf).real
+            return w
+
+        b = _depth_sums(R, y, yinf, n, terms).real
+        return _values_at(g, z, isinf) / np.sqrt(b)
+
+    return GraphFunction(n, _OnArrays(at), label=label)
 
 
 def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     """The bump construction both witnesses share.
 
-    Returns (n, g, report, table). The table holds one (e, g, a) triple of
-    arrays per probe, over the probe's depth-n fiber: each fiber is walked
-    once, and g and a are evaluated once per point.
+    Returns (n, g, report, table). The table holds the arrays (e, g, a,
+    root) over the depth-n fibers of all probes, one forest: each fiber is
+    walked once, and g and a are evaluated once per point.
     """
-    pts = _points(julia_sample)
-    avals = np.array([complex(a(p)).real for p in pts])
+    z, isinf = _as_arrays(julia_sample)
+    avals = _values_at(a, z, isinf).real
     if np.min(avals) < -1e-9:
         raise ValueError("witness construction needs a >= 0 on the sample")
     norm_a = float(np.max(avals))
     if not (0.0 < eps < norm_a):
         raise ValueError(f"need 0 < eps < |a| = {norm_a}")
     i0 = int(np.argmax(avals))
-    x0 = pts[i0]
+    x0 = SpherePoint(z[i0], isinf[i0])
 
-    dists = np.array([chordal_distance(x0, p) for p in pts])
+    # U: the disc about x0 up to the nearest sample point where a drops
+    # below the threshold
+    dists = chordal_distances(x0, z, isinf)
     order = np.argsort(dists)
-    thresh = norm_a - 0.9 * eps
-    delta_u = None
-    running = math.inf
-    for t in order:
-        running = min(running, avals[t])
-        if running < thresh:
-            delta_u = max(dists[t] * 0.999, 1e-6)
-            break
-    if delta_u is None:
+    below = np.flatnonzero(avals[order] < norm_a - 0.9 * eps)
+    if below.size:
+        delta_u = max(dists[order[below[0]]] * 0.999, 1e-6)
+    else:
         delta_u = 2.0  # a clears the threshold everywhere on the sphere
     delta_k = delta_u / 3.0
     delta_v = delta_u / 9.0
 
     if net_tol is None:
-        net_tol = max(2.0 * _sample_mesh(pts), 1e-2)
+        mesh = float(np.max(sphere_nearest(sphere_embed(z, isinf))[0]))
+        net_tol = max(2.0 * mesh, 1e-2)
     if probe_ys is None:
-        probe_ys = pts[::max(1, len(pts) // 64)]
-    probes = _points(probe_ys)
+        step = max(1, z.size // 64)
+        pz, pinf = z[::step], isinf[::step]
+    else:
+        pz, pinf = _as_arrays(probe_ys)
 
     # slack capped at delta_v: a hit in the widened disc stays inside K,
     # where g = 1, so (g|g) >= 1 holds at every checked probe
-    n = max(1, expansion_time(R, (x0, delta_v), pts, min(net_tol, delta_v),
-                              budget, probes=probes))
+    n = max(1, _expansion(R, (x0, delta_v), z, isinf, (pz, pinf),
+                          min(net_tol, delta_v), budget))
 
+    bump = _bump(x0, delta_k, delta_u)
     for attempt in range(4):
-        g = GraphFunction(
-            n, (lambda x, _x0=x0, _i=delta_k, _o=delta_u:
-                _smooth_bump(chordal_distance(
-                    x if isinstance(x, SpherePoint)
-                    else SpherePoint.from_value(x), _x0), _i, _o)),
-            label="bump")
-        fibers = [preimage_tree(R, y, n) for y in probes]
-        es = [np.array(fib.indices(), dtype=float) for fib in fibers]
-        gs = [_values(g, fib) for fib in fibers]
-        ws = [e * (gv * gv) for e, gv in zip(es, gs)]
-        bs = [_total(w) for w in ws]  # b(y) = (g|g)(y)
-        if min(bs) >= 1.0 - 1e-9:
+        parts = [level for k, *level in _forest(R, pz, pinf, n) if k == n]
+        pts, inf, idx, root = (np.concatenate(a) for a in zip(*parts))
+        e = idx.astype(float)
+        gv = bump.at(pts, inf)
+        w = e * (gv * gv)
+        b = _root_sums(w, root)  # b(y) = (g|g)(y)
+        if b.min() >= 1.0 - 1e-9:
             break
         n += 1  # net was marginal: one more expansion level fills the gaps
     else:
         raise WitnessFailed(
-            f"(g|g) dropped to {min(bs):.6f} < 1 despite deeper expansion")
+            f"(g|g) dropped to {b.min():.6f} < 1 despite deeper expansion")
 
-    avs = [_values(a, fib) for fib in fibers]
-    ff = [_total(w / b) for w, b in zip(ws, bs)]
-    faf = [_total(w * av / b) for w, av, b in zip(ws, avs, bs)]
+    av = _values_at(a, pts, inf).real
+    ff = _root_sums(w / b[root], root)
+    faf = _root_sums(w * av / b[root], root)
     # norm_a is refined over every point the verification touches
-    norm_a_refined = max(norm_a, *(float(np.max(av)) for av in avs))
-    passed = (abs(min(ff) - 1.0) <= 1e-8 and abs(max(ff) - 1.0) <= 1e-8
-              and min(faf) >= norm_a_refined - eps - 1e-8
-              and max(faf) <= norm_a_refined + 1e-8)
+    norm_a_refined = max(norm_a, float(np.max(av)))
+    passed = (abs(ff.min() - 1.0) <= 1e-8 and abs(ff.max() - 1.0) <= 1e-8
+              and faf.min() >= norm_a_refined - eps - 1e-8
+              and faf.max() <= norm_a_refined + 1e-8)
     report = {
         "schema": 1,
         "a": getattr(a, "label", "a"),
@@ -415,14 +435,14 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
         "n": n,
         "x0": [x0.z.real, x0.z.imag],
         "delta_u": float(delta_u),
-        "probe_count": len(probes),
-        "ff_min": min(ff), "ff_max": max(ff),
-        "faf_min": min(faf), "faf_max": max(faf),
+        "probe_count": int(pz.size),
+        "ff_min": float(ff.min()), "ff_max": float(ff.max()),
+        "faf_min": float(faf.min()), "faf_max": float(faf.max()),
         "passed": bool(passed),
     }
     if not passed:
         raise WitnessFailed(f"witness verification missed tolerance: {report}")
-    return n, g, report, list(zip(es, gs, avs))
+    return n, GraphFunction(n, bump, label="bump"), report, (e, gv, av, root)
 
 
 def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
@@ -453,20 +473,17 @@ def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
     u is exact on the whole sphere and caches nothing: each call u(x) sums
     e g^2 a over the depth-n fiber R^{-n}(R^n x).
     """
-    n, g, rep, table = _witness(R, a, eps, julia_sample, probe_ys, net_tol,
-                                budget)
-    uau, uu = [], []
-    for e, gv, av in table:
-        uv = gv / math.sqrt(_total(e * (gv * gv) * av))  # u on the fiber
-        e_uu = e * (uv * uv)
-        uau.append(_total(e_uu * av))
-        uu.append(_total(e_uu))
-    ntwo = math.sqrt(max(max(uu), 0.0))
+    n, g, rep, (e, gv, av, root) = _witness(R, a, eps, julia_sample,
+                                            probe_ys, net_tol, budget)
+    uv = gv / np.sqrt(_root_sums(e * (gv * gv) * av, root))[root]  # u
+    e_uu = e * (uv * uv)
+    uau, uu = _root_sums(e_uu * av, root), _root_sums(e_uu, root)
+    ntwo = math.sqrt(max(float(uu.max()), 0.0))
     bound = (rep["norm_a"] - eps) ** -0.5
-    passed = (abs(min(uau) - 1.0) <= 1e-8 and abs(max(uau) - 1.0) <= 1e-8
+    passed = (abs(uau.min() - 1.0) <= 1e-8 and abs(uau.max() - 1.0) <= 1e-8
               and ntwo <= bound + 1e-8)
     report = dict(rep)
-    report.update({"uau_min": min(uau), "uau_max": max(uau),
+    report.update({"uau_min": float(uau.min()), "uau_max": float(uau.max()),
                    "norm_two_u": ntwo, "norm_two_bound": bound,
                    "passed": bool(passed)})
     if not passed:
@@ -484,8 +501,12 @@ class ProductOnGraph:
     def arity(self):
         return self.right.arity
 
+    def at(self, z, isinf):
+        return _values_at(self.left, z, isinf) * _values_at(self.right, z,
+                                                             isinf)
+
     def __call__(self, x):
-        return complex(self.left(x)) * complex(self.right(x))
+        return _at_point(self.at, x)
 
 
 def write_witness_json(path, report):

@@ -308,7 +308,8 @@ def _fmt_point(p):
         return "inf"
     if p.z.imag == 0.0:
         return _fmt(p.z.real)
-    return "%s%+si" % (_fmt(p.z.real), _fmt(p.z.imag))
+    sign = "" if p.z.imag < 0.0 else "+"   # a negative part brings its "-"
+    return f"{_fmt(p.z.real)}{sign}{_fmt(p.z.imag)}i"
 
 
 def _parse_point(text):

@@ -4,6 +4,10 @@ Two routes to the measure of maximal entropy: exact pullback trees with
 integer weight bookkeeping (index over d^n), and Monte-Carlo backward walks
 whose step law e(x)/d has the same stationary behaviour. Plus integration,
 invariance defects, and convergence diagnostics.
+
+Level sums run on arrays: a function is evaluated on a whole tree or
+forest level at once (`numkernel._values_at`), and each root's nodes are
+summed left to right, as a scalar loop over them adds (`_root_sums`).
 """
 
 import json
@@ -12,9 +16,9 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .numkernel import SpherePoint, _as_pair, chordal_distance
+from .numkernel import SpherePoint, _as_pair, _values_at, chordal_distance
 from .julia import BURN_IN, backward_walk
-from .ratmap import evaluate, preimage_tree, tree_levels
+from .ratmap import _forest, evaluate, preimage_tree
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,33 @@ def invariance_defect(R, cloud, test_functions):
     return worst
 
 
-def _level_integral(a, pts, isinf, idx, scale):
-    """scale * sum of index * a(x) over one tree level, as a complex."""
-    total = 0j
-    for i in range(pts.size):
-        p = SpherePoint.infinity() if isinf[i] else SpherePoint.finite(pts[i])
-        total += idx[i] * complex(a(p))
-    return complex(total * scale)
+def _root_table(values, root):
+    """Node values grouped by root: row r holds root root[0] + r.
+
+    Each root's nodes are contiguous and roots ascend, as in a forest
+    level or an `_expand_level` output. Rows keep node order and are
+    padded with zeros to the widest root.
+    """
+    count = np.bincount(root - root[0])
+    col = np.arange(root.size) - np.repeat(np.cumsum(count) - count, count)
+    table = np.zeros((count.size, count.max()) + values.shape[1:],
+                     dtype=values.dtype)
+    table[root - root[0], col] = values
+    return table
+
+
+def _root_sums(values, root):
+    """Sum of each root's node values, for roots root[0] .. root[-1].
+
+    Each sum adds from 0 in node order, as a scalar loop over the nodes
+    adds; numpy's pairwise sum would differ in the last bits.
+    """
+    return 0.0 + np.cumsum(_root_table(values, root), axis=1)[:, -1]
+
+
+def _level_sums(a, pts, isinf, idx, root, scale):
+    """scale * sum of index * a(x) over each root's nodes of a level."""
+    return _root_sums(idx * _values_at(a, pts, isinf), root) * scale
 
 
 def _test_label(a, i):
@@ -126,20 +150,27 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     """
     d = R.degree
     labels = [_test_label(a, i) for i, a in enumerate(test_functions)]
+    yv, yinf = _as_pair(y)
+    z, isinf = np.array([yv]), np.array([yinf])
     # one sequence per test, by position: two tests may share a label
-    vals = [[complex(a(SpherePoint.from_value(y)))] for a in test_functions]
-    for k, level in enumerate(tree_levels(R, y, n), start=1):
+    vals = [[complex(_values_at(a, z, isinf)[0])] for a in test_functions]
+    for k, *level in _forest(R, z, isinf, n):
         for seq, a in zip(vals, test_functions):
-            seq.append(_level_integral(a, *level, 1.0 / d ** k))
+            seq.append(complex(_level_sums(a, *level, 1.0 / d ** k)[0]))
     records = []
     for lab, seq in zip(labels, vals):
         for k in range(n):
             records.append(
                 {"k": k, "test": lab, "gap": abs(seq[k + 1] - seq[k])})
     if y2 is not None:
-        other = lyubich_exact(R, y2, n)
+        if n < 1:
+            raise ValueError("depth must be at least 1")
+        yv, yinf = _as_pair(y2)
+        for _, *other in _forest(R, np.array([yv]), np.array([yinf]), n):
+            pass   # keep the deepest level
         for lab, a, seq in zip(labels, test_functions, vals):
-            gap = abs(seq[n] - integrate(other, a))
+            want = complex(_level_sums(a, *other, 1.0 / d ** n)[0])
+            gap = abs(seq[n] - want)
             records.append(
                 {"k": n, "test": lab + " cross-basepoint", "gap": gap})
     return records

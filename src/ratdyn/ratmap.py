@@ -12,7 +12,8 @@ degree (bases at infinity and degree-drop bases form the groups of lower
 degree, with their preimage at infinity) and solves each group with
 numkernel's `_row_roots`, whose tie rule decides the branch indices.
 `preimages` is its one-row case; trees, backward walks and expansion
-times call it on batches.
+times call it on batches. `_forest` expands the preimage trees of many
+bases together, one call per level; `tree_levels` is its one-base case.
 """
 
 from __future__ import annotations
@@ -205,6 +206,26 @@ def evaluate(R, z):
     return _eval_ratio(R._rp, R._rq, 1.0 / zv)
 
 
+def _evaluate_arrays(R, z, isinf):
+    """`evaluate` on (z, isinf) arrays: the images as (values, isinf).
+
+    The same charts as `evaluate`: moduli above 1 and infinity go through
+    the reciprocal chart. An exact 0/0 takes `evaluate`'s l'Hopital route.
+    """
+    far = isinf | (np.abs(z) > 1.0)
+    u = np.where(far, 0j, z)
+    u[far & ~isinf] = 1.0 / z[far & ~isinf]
+    num = np.where(far, poly_eval(R._rp, u), poly_eval(R._p_pad, u))
+    den = np.where(far, poly_eval(R._rq, u), poly_eval(R._q_pad, u))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = num / den
+    inf = (den == 0) | ~np.isfinite(w)
+    for i in np.flatnonzero((num == 0) & (den == 0)):
+        p = evaluate(R, SpherePoint(z[i], isinf[i]))
+        w[i], inf[i] = p.z, p.is_infinity
+    return np.where(inf, 0j, w), inf
+
+
 def value_at_infinity(R):
     return evaluate(R, SpherePoint.infinity())
 
@@ -356,28 +377,49 @@ def preimages(R, w):
     return _fiber(w, 1, pts, inf, idx)
 
 
+def _forest(R, pts, inf, n, node_budget=NODE_BUDGET):
+    """Yield (k, points, isinf, indices, root) for the trees of many bases.
+
+    The bases (pts, inf) are expanded together, one `_expand_level` call
+    per level; root gives each node's base. A base's nodes are contiguous
+    and in the order its tree has alone (`tree_levels`). Bases go in
+    groups of as many trees as fit in node_budget at d^n nodes each, and
+    each group yields its levels k = 1..n before the next group starts, so
+    a group exceeds the budget exactly when one of its trees would alone.
+    """
+    d = R.degree
+    if d < 1:
+        raise ValueError("preimage trees need a nonconstant map")
+    group = node_budget
+    for _ in range(n):
+        if group <= 1:
+            break
+        group //= d
+    group = max(1, group)
+    for lo in range(0, pts.size, group):
+        z, f = pts[lo:lo + group], inf[lo:lo + group]
+        idx = np.ones(z.size, dtype=np.int64)
+        root = np.arange(lo, lo + z.size)
+        for k in range(1, n + 1):
+            if z.size * d > node_budget:
+                raise BudgetExceeded(
+                    f"preimage tree would exceed {node_budget} nodes")
+            z, f, cc, par = _expand_level(R, z, f)
+            idx, root = cc * idx[par], root[par]
+            yield k, z, f, idx, root
+
+
 def tree_levels(R, y, n, node_budget=NODE_BUDGET):
     """Yield the depth-k fibers of y for k = 1..n as parallel arrays.
 
     Each yielded triple is (points, isinf, indices): the full preimage set of
     y under R^k with chain-rule indices (integer arrays). Order within a
     level is deterministic: parents in order, children sorted by (re, im)
-    with infinity last.
+    with infinity last. This is the one-base case of the forest `_forest`.
     """
-    if R.degree < 1:
-        raise ValueError("preimage trees need a nonconstant map")
     yv, yinf = _as_pair(y)
-    pts = np.array([yv], dtype=complex)
-    inf = np.array([yinf], dtype=bool)
-    idx = np.array([1], dtype=np.int64)
-    d = R.degree
-    for _ in range(n):
-        if pts.size * d > node_budget:
-            raise BudgetExceeded(
-                f"preimage tree would exceed {node_budget} nodes")
-        cp, cn, cc, par = _expand_level(R, pts, inf)
-        idx = cc * idx[par]
-        pts, inf = cp, cn
+    for _, pts, inf, idx, _ in _forest(R, np.array([yv], dtype=complex),
+                                        np.array([yinf]), n, node_budget):
         yield pts, inf, idx
 
 

@@ -4,6 +4,12 @@ alpha pulls a function back through the map; transfer_E averages over fibers
 with branch-index weights; h = d * transfer_E. Iterating e^{-beta} h at
 beta = log(deg) drives test functions to the constant given by the balanced
 measure, which is the fixed-point statement this module verifies.
+
+Everything runs on arrays. Test functions evaluate (z, isinf) arrays
+through their method `at`, and a scalar call is its one-point case. The
+fibers of all bases of one operator call come from one `_expand_level`
+solve, and a KMS trace expands all its probes as one forest
+(`ratmap._forest`), summed per probe in node order.
 """
 
 import math
@@ -15,9 +21,10 @@ import numpy as np
 
 from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import critical_points_in_julia
-from .numkernel import SpherePoint, _as_pair, embed_points, sphere_nearest
-from .measure import _level_integral, integrate
-from .ratmap import evaluate, preimages, tree_levels
+from .numkernel import (_as_arrays, _as_pair, _at_point, _values_at,
+                        embed_points, sphere_embed, sphere_nearest)
+from .measure import _level_sums
+from .ratmap import _evaluate_arrays, _expand_level, _forest
 
 
 class TestFunction:
@@ -88,23 +95,31 @@ class TestFunction:
     def is_constant(self):
         return self.kind == "monomial" and self.degree_bound == 0
 
-    def __call__(self, x):
-        zv, isinf = _as_pair(x)
+    def at(self, z, isinf):
+        """Values at the points (z, isinf), as a complex array.
+
+        A monomial table sums c[j, k] z^j conj(z)^k; infinity has z = 0
+        there, so a constant keeps its value.
+        """
         if self.kind == "monomial":
-            if isinf:
-                if self.is_constant():
-                    return complex(self.coeffs[0, 0])
-                raise EvaluationAtInfinity(
-                    f"{self.label or 'monomial'} is unbounded at infinity")
-            zb = np.conj(zv)
-            jp = zv ** np.arange(self.coeffs.shape[0])
-            kp = zb ** np.arange(self.coeffs.shape[1])
-            return complex(jp @ self.coeffs @ kp)
-        dist, idx = sphere_nearest(self._atoms, embed_points([x]))
-        if dist[0] > self.radius:
+            if isinf.any():
+                if not self.is_constant():
+                    raise EvaluationAtInfinity(
+                        f"{self.label or 'monomial'} is unbounded at infinity")
+                z = np.where(isinf, 0j, z)
+            j, k = self.coeffs.shape
+            # einsum, not matmul: BLAS sums a point's terms in an order
+            # that depends on the other rows of the batch
+            return np.einsum("nj,jk,nk->n", z[:, None] ** np.arange(j),
+                             self.coeffs, np.conj(z)[:, None] ** np.arange(k))
+        dist, idx = sphere_nearest(self._atoms, sphere_embed(z, isinf))
+        if np.any(dist > self.radius):
             raise TabulationMiss(
                 f"no tabulated atom within {self.radius} of the query")
-        return complex(self._values[idx[0]])
+        return self._values[idx]
+
+    def __call__(self, x):
+        return _at_point(self.at, x)
 
     def __repr__(self):
         return f"TestFunction({self.label!r})"
@@ -120,8 +135,11 @@ class ComposedFunction:
         self.inner = inner
         self.label = f"({getattr(inner, 'label', 'a')}) o R"
 
+    def at(self, z, isinf):
+        return _values_at(self.inner, *_evaluate_arrays(self.map, z, isinf))
+
     def __call__(self, x):
-        return self.inner(evaluate(self.map, x))
+        return _at_point(self.at, x)
 
 
 class ProductFunction:
@@ -133,11 +151,14 @@ class ProductFunction:
         self.factors = factors
         self.label = " * ".join(getattr(f, "label", "f") for f in factors)
 
-    def __call__(self, x):
-        out = 1.0 + 0j
+    def at(self, z, isinf):
+        out = np.ones(z.shape, dtype=complex)
         for f in self.factors:
-            out *= complex(f(x))
+            out = out * _values_at(f, z, isinf)
         return out
+
+    def __call__(self, x):
+        return _at_point(self.at, x)
 
 
 def alpha(R, a):
@@ -147,11 +168,9 @@ def alpha(R, a):
 
 def transfer_E(R, a, y):
     """Branch-index-weighted fiber average: d^{-1} sum e(x) a(x)."""
-    fib = preimages(R, y)
-    total = 0j
-    for p, e in fib.entries:
-        total += e * complex(a(p))
-    return total / R.degree
+    zv, isinf = _as_pair(y)
+    fiber = _expand_level(R, np.array([zv]), np.array([isinf]))
+    return complex(_level_sums(a, *fiber, 1.0)[0]) / R.degree
 
 
 def h_op(R, a, y):
@@ -165,16 +184,19 @@ def lemma31_defect(R, a, b, probe_ys):
     max over probes of |E(alpha(a) b)(y) - a(y) E(b)(y)|, together with the
     companion identity E(alpha(a))(y) = a(y).
     """
+    z, isinf = _as_arrays(probe_ys)
+    if not z.size:
+        return 0.0
+    fiber = _expand_level(R, z, isinf)
+
+    def expect(f):
+        return _level_sums(f, *fiber, 1.0 / R.degree)
+
     aR = alpha(R, a)
-    ab = ProductFunction(aR, b)
-    worst = 0.0
-    for y in probe_ys:
-        p = SpherePoint.from_value(y)
-        lhs = transfer_E(R, ab, p)
-        rhs = complex(a(p)) * transfer_E(R, b, p)
-        worst = max(worst, abs(lhs - rhs))
-        worst = max(worst, abs(transfer_E(R, aR, p) - complex(a(p))))
-    return worst
+    ay = _values_at(a, z, isinf)
+    lhs, rhs = expect(ProductFunction(aR, b)), ay * expect(b)
+    return float(max(np.max(np.abs(lhs - rhs)),
+                     np.max(np.abs(expect(aR) - ay))))
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +222,38 @@ class KmsRun:
 
 
 def _variation(vals):
-    re = [v.real for v in vals]
-    im = [v.imag for v in vals]
-    return max(max(re) - min(re), max(im) - min(im))
+    return float(max(np.ptp(vals.real), np.ptp(vals.imag)))
 
 
 def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     """Traces of (e^{-beta} h)^k (a) on the probes, beta = log(deg R).
 
-    Each probe's values come from one depth-n preimage tree: level k sums
-    index * a(x) over the depth-k fiber, scaled d^{-k}. The final level's
-    mean is compared against the balanced-measure integral of a, the same
-    level sum over the deepest fiber of probes[0] within lyubich_budget
-    points.
+    All probes' depth-n preimage trees are expanded as one forest: level k
+    sums index * a(x) over each probe's depth-k fiber, left to right,
+    scaled d^{-k}. The final level's mean is compared against the
+    balanced-measure integral of a, the same level sum over the deepest
+    fiber of probes[0] within lyubich_budget points. An empty probe set
+    raises ValueError.
     """
+    z, isinf = _as_arrays(probe_set)
+    if not z.size:
+        raise ValueError("kms_iterate needs at least one probe point")
     d = R.degree
     beta = math.log(d)
-    probes = [SpherePoint.from_value(y) for y in probe_set]
-    per_level = [[complex(a(p)) for p in probes]] + [[] for _ in range(n)]
-    for p in probes:
-        for k, level in enumerate(tree_levels(R, p, n), start=1):
-            per_level[k].append(_level_integral(a, *level, 1.0 / d ** k))
+    vals = np.zeros((n + 1, z.size), dtype=complex)
+    vals[0] = _values_at(a, z, isinf)
+    for k, *level in _forest(R, z, isinf, n):
+        sums = _level_sums(a, *level, 1.0 / d ** k)
+        first = level[3][0]
+        vals[k, first:first + sums.size] = sums
     traces = tuple(
-        IterationTrace(k, tuple(vals), _variation(vals))
-        for k, vals in enumerate(per_level))
-    final_vals = per_level[n]
-    final_constant = complex(np.mean(final_vals))
+        IterationTrace(k, tuple(complex(v) for v in row), _variation(row))
+        for k, row in enumerate(vals))
+    final_constant = complex(np.mean(vals[n]))
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
-    for level in tree_levels(R, probes[0], depth):
-        pass
-    lyu = _level_integral(a, *level, 1.0 / d ** depth)
+    for _, *level in _forest(R, z[:1], isinf[:1], depth):
+        pass   # keep the deepest level
+    lyu = complex(_level_sums(a, *level, 1.0 / d ** depth)[0])
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     sample = list(julia_sample if julia_sample is not None else probe_set)
@@ -246,15 +270,17 @@ def kms_defect(R, mu_cloud, test_functions, beta=None):
     beta defaults to log(deg R), the unique inverse temperature where the
     defect vanishes; passing any other beta demonstrates the failure.
     """
-    d = R.degree
     if beta is None:
-        beta = math.log(d)
+        beta = math.log(R.degree)
     scale = math.exp(-beta)
+    z, isinf = _as_arrays(mu_cloud.points())
+    w = mu_cloud.weights()
+    fiber = _expand_level(R, z, isinf)
     worst = 0.0
     for a in test_functions:
-        ha = lambda y, _a=a: scale * h_op(R, _a, y)
-        worst = max(worst,
-                    abs(integrate(mu_cloud, ha) - integrate(mu_cloud, a)))
+        ha = _level_sums(a, *fiber, scale)
+        worst = max(worst, abs(complex(np.sum(w * ha))
+                               - complex(np.sum(w * _values_at(a, z, isinf)))))
     return worst
 
 

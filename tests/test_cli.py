@@ -35,6 +35,21 @@ def test_info_registry_name_and_family():
     assert "degree: 3" in run("info", "tchebychev_n:n=3").stdout
 
 
+def test_info_points_parse_back(lattes):
+    # each printed critical point and image reads back as a complex number
+    from ratdyn.ratmap import critical_points
+    r = run("info", "lattes")
+    assert r.returncode == 0
+    rows = [line.split() for line in r.stdout.splitlines()
+            if line.startswith("critical: ")]
+    want = [(c.point.z, c.value.z) for c in critical_points(lattes)]
+    assert len(rows) == len(want) == 6
+    for (_, point, _, _, _, image), pair in zip(rows, want):
+        for text, w in zip((point, image), pair):
+            got = complex(text.replace("i", "j"))
+            assert abs(got - w) <= 1e-12 * max(1.0, abs(w)), (text, w)
+
+
 def test_parse_errors_exit_2():
     assert run("info", "zz^^").returncode == 2
     assert run("info", "z^").returncode == 2

@@ -10,6 +10,7 @@ from ratdyn.julia import backward_walk
 from ratdyn.numkernel import (
     SpherePoint,
     chordal_distance,
+    chordal_distances,
     local_multiplicity,
     poly_add,
     poly_derivative,
@@ -56,6 +57,23 @@ def test_chordal_known_values():
     # 2|z - w| / sqrt((1+|z|^2)(1+|w|^2))
     assert chordal_distance(SpherePoint.finite(1), o) == (
         pytest.approx(2.0 / math.sqrt(2.0), abs=1e-15))
+
+
+def test_chordal_distances_bit_for_bit(rng):
+    # the array metric rounds as the scalar one does, in both charts, on
+    # the unit circle (where the chart flips) and at infinity
+    zs = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) \
+        * 10.0 ** rng.uniform(-3, 3, 4000)
+    circle = np.exp(2j * np.pi * rng.uniform(size=1000))
+    zs = np.concatenate([zs, circle, circle * (1 + 2e-16), [0j, 1, -1j]])
+    inf = np.zeros(zs.size, dtype=bool)
+    inf[::37] = True
+    for a in (SpherePoint.infinity(), 0j, 0.3 + 0.2j, 5 - 3j, circle[0],
+              circle[1] * (1 - 1e-16)):
+        got = chordal_distances(a, zs, inf)
+        want = [chordal_distance(a, SpherePoint(z, f))
+                for z, f in zip(zs, inf)]
+        assert got.tolist() == want
 
 
 def test_sphere_embed_unit_vectors(rng):

@@ -12,6 +12,7 @@ from ratdyn.numkernel import SpherePoint, chordal_distance
 from ratdyn.ratmap import (
     RationalMap,
     _expand_level,
+    _forest,
     _fiber_rows,
     branch_index,
     compose,
@@ -426,6 +427,50 @@ def test_far_roots_need_the_degree_gap():
 def test_tree_node_budget(z2):
     with pytest.raises(BudgetExceeded):
         preimage_tree(z2, 0.73, 6, node_budget=10)
+
+
+def _assert_forest_is_trees(R, bases, n, node_budget=10 ** 6):
+    # the forest over many bases, level by level and node for node, is
+    # each base's own tree: same points, infinity flags, indices and order
+    trees = [list(tree_levels(R, y, n, node_budget)) for y in bases]
+    pts = np.array([SpherePoint.from_value(y).z for y in bases])
+    inf = np.array([SpherePoint.from_value(y).is_infinity for y in bases])
+    seen = set()
+    for k, *level, root in _forest(R, pts, inf, n, node_budget):
+        assert np.array_equal(root, np.sort(root))
+        for j in np.unique(root):
+            for got, want in zip(level, trees[j][k - 1]):
+                assert np.array_equal(got[root == j], want)
+            seen.add((k, int(j)))
+    assert seen == {(k, j) for k in range(1, n + 1)
+                    for j in range(len(bases))}
+
+
+@pytest.mark.parametrize("R,n", [
+    (RationalMap([0, 0, 1], [1]), 6),
+    (RationalMap([-2, 0, 1], [1]), 6),
+    (T3, 4),
+    (RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4]), 3),   # Lattes
+    (DROP, 4),
+])
+def test_forest_matches_per_base_trees(R, n, rng):
+    # bases at infinity and at R(infinity) put rows of lower degree into
+    # every level
+    bases = [complex(*rng.standard_normal(2)) for _ in range(5)]
+    bases += [INF, value_at_infinity(R), 0.0]
+    _assert_forest_is_trees(R, bases, n)
+
+
+def test_forest_groups_within_the_budget(z2):
+    # five depth-4 trees of 16 nodes each fit a budget of 40 alone but not
+    # together: the forest still succeeds, group by group
+    bases = [0.73, -0.4 + 0.8j, 1.3, INF, 0.2j]
+    _assert_forest_is_trees(z2, bases, 4, node_budget=40)
+    # a tree over the budget alone still raises inside the forest
+    with pytest.raises(BudgetExceeded):
+        for _ in _forest(z2, np.array([0.73, 0.1]), np.zeros(2, bool), 4,
+                         node_budget=10):
+            pass
 
 
 def test_compose_and_iterate(z2, t2):

@@ -118,6 +118,16 @@ def test_kms_monotone_for_z(z2, t2, t3):
         assert all(vs[i + 1] <= vs[i] + 1e-9 for i in range(len(vs) - 1))
 
 
+def test_kms_iterate_rejects_empty_probes(z2, monkeypatch):
+    import ratdyn.transfer as transfer
+
+    def no_forest(*args):
+        raise AssertionError("a forest was built")
+    monkeypatch.setattr(transfer, "_forest", no_forest)
+    with pytest.raises(ValueError, match="at least one probe"):
+        kms_iterate(z2, TestFunction.monomial(1), 3, [])
+
+
 def test_kms_hypothesis_tag(z2, zm2, cloud_z2, cloud_zm2):
     probes_ok = cloud_z2.points[::800]
     ok = kms_iterate(z2, TestFunction.constant(1.0), 2, probes_ok,
