@@ -462,7 +462,7 @@ def _cmd_measure(args, cfg):
         cloud = lyubich_mc(R, y, depth=max(depth, 60), samples=samples,
                            seed=seed)
     write_weighted_csv(args.out, cloud)
-    print(f"wrote {len(cloud.atoms)} atoms to {args.out}")
+    print(f"wrote {len(cloud)} atoms to {args.out}")
     return 0
 
 
@@ -474,9 +474,8 @@ def _cmd_kms(args, cfg):
     nprobe = _setting(args, cfg, "probes", int, 8, minimum=1)
     cloud = sample_inverse_iteration(R, _render_start(R),
                                      count=max(256, nprobe), seed=seed)
-    step = max(1, len(cloud.points) // nprobe)
-    probe_set = cloud.points[::step][:nprobe]
-    run = kms_iterate(R, a, levels, probe_set, julia_sample=cloud.points)
+    step = max(1, len(cloud) // nprobe)
+    run = kms_iterate(R, a, levels, cloud[::step][:nprobe], julia_sample=cloud)
     if args.out:
         write_trace_csv(args.out, run.traces)
     fc = run.final_constant
@@ -502,9 +501,8 @@ def _cmd_witness(args, cfg):
     cloud = sample_inverse_iteration(R, _render_start(R), count=count,
                                      seed=seed)
     step = max(1, count // nprobe)
-    probes = cloud.points[::step]
-    u, report = normalized_witness(R, a, args.eps, cloud.points,
-                                   probe_ys=probes)
+    u, report = normalized_witness(R, a, args.eps, cloud,
+                                   probe_ys=cloud[::step])
     if args.out:
         write_witness_json(args.out, report)
     print(f"n: {report['n']}")

@@ -6,14 +6,16 @@ law consistent with the balanced measure the rest of the package integrates
 against. Escape-time classification covers the polynomial case.
 """
 
+import functools
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .numkernel import (SpherePoint, _as_pair, _row_roots, embed_points,
-                        sphere_nearest)
+from .numkernel import (SpherePoint, _as_arrays, _as_pair, _frozen_arrays,
+                        _row_roots, _sphere_points, embed_points,
+                        sphere_embed, sphere_nearest)
 from .ratmap import (_chunks, _expand_level, _fiber_rows, critical_points,
                      evaluate)
 
@@ -23,29 +25,46 @@ BURN_IN = 20
 WALK_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JuliaCloud:
-    """A sampled Julia set.
+    """A sampled Julia set, held as arrays.
 
-    generator names the numeric criterion the points satisfy:
+    z and isinf are read-only arrays of the samples (z is 0 at infinity).
+    `points`, and iteration, give them as SpherePoints, built on first
+    access. generator names the numeric criterion the points satisfy:
     "inverse_iteration" (backward-walk samples) or "escape_boundary".
     """
-    points: tuple
+    z: np.ndarray
+    isinf: np.ndarray
     generator: str
     seed: int
     depth: int
     burn_in: int
 
+    def __post_init__(self):
+        z, isinf = _frozen_arrays(self.z, self.isinf)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "isinf", isinf)
+
+    @functools.cached_property
+    def points(self):
+        return _sphere_points(self.z, self.isinf)
+
     def __len__(self):
-        return len(self.points)
+        return self.z.size
 
     def __iter__(self):
         return iter(self.points)
 
+    def __getitem__(self, key):
+        """A point, or for a slice the sub-cloud of those samples."""
+        if isinstance(key, slice):
+            return replace(self, z=self.z[key], isinf=self.isinf[key])
+        return self.points[key]
+
     def finite_values(self):
         """Finite points as a complex array (infinite samples dropped)."""
-        return np.array([p.z for p in self.points if not p.is_infinity],
-                        dtype=complex)
+        return self.z[~self.isinf]
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +84,16 @@ def backward_walk(R, start, steps, walkers, rng):
     indices. Raises BudgetExceeded before allocating when steps * walkers
     exceeds WALK_BUDGET.
     """
+    return _walk(R, start, steps, walkers, rng, steps)
+
+
+def _walk(R, start, steps, walkers, rng, keep):
+    """`backward_walk`, storing only its last `keep` rows.
+
+    In the common step every walker's fiber polynomial keeps degree d and
+    the batch fits one solve: each walker picks from its row's roots with
+    no row bookkeeping.
+    """
     if steps * walkers > WALK_BUDGET:
         raise BudgetExceeded(
             f"{steps} steps x {walkers} walkers exceeds the walk budget "
@@ -73,24 +102,30 @@ def backward_walk(R, start, steps, walkers, rng):
     zv, zinf = _as_pair(start)
     z = np.full(walkers, zv, dtype=complex)
     isinf = np.full(walkers, zinf, dtype=bool)
-    out = np.empty((steps, walkers), dtype=complex)
-    out_inf = np.empty((steps, walkers), dtype=bool)
+    out = np.empty((keep, walkers), dtype=complex)
+    out_inf = np.empty((keep, walkers), dtype=bool)
+    whole = len(_chunks(walkers, d)) == 1
+    cols = np.arange(walkers)
     for k in range(steps):
         pick = rng.integers(0, d, size=walkers)
         f, s, n = _fiber_rows(R, z, isinf)
-        fast = np.flatnonzero(n > d)
-        for sl in _chunks(fast.size, d):
-            rows = fast[sl] if fast.size < walkers else sl
-            roots, _ = _row_roots(f[rows], s[rows])
-            z[rows] = roots[np.arange(roots.shape[0]), pick[rows]]
-        isinf[fast] = False
-        rows = np.flatnonzero(n <= d)
-        if rows.size:
-            cp, cn, cc, _ = _expand_level(R, z[rows], isinf[rows])
-            t = _by_counts(cc, rng.integers(d, size=rows.size), d)
-            z[rows], isinf[rows] = cp[t], cn[t]
-        out[k] = z
-        out_inf[k] = isinf
+        if whole and n.min() > d:
+            z = _row_roots(f, s)[0][cols, pick]
+            isinf[:] = False
+        else:
+            fast = np.flatnonzero(n > d)
+            for sl in _chunks(fast.size, d):
+                rows = fast[sl] if fast.size < walkers else sl
+                roots, _ = _row_roots(f[rows], s[rows])
+                z[rows] = roots[np.arange(roots.shape[0]), pick[rows]]
+            isinf[fast] = False
+            rows = np.flatnonzero(n <= d)
+            if rows.size:
+                cp, cn, cc, _ = _expand_level(R, z[rows], isinf[rows])
+                t = _by_counts(cc, rng.integers(d, size=rows.size), d)
+                z[rows], isinf[rows] = cp[t], cn[t]
+        if k >= steps - keep:
+            out[k - steps + keep], out_inf[k - steps + keep] = z, isinf
     return out, out_inf
 
 
@@ -112,25 +147,15 @@ def sample_inverse_iteration(R, start, depth=60, count=2000, seed=0,
     if R.degree < 2:
         raise ValueError("inverse iteration needs degree >= 2")
     if count <= 0:
-        return JuliaCloud((), "inverse_iteration", seed, depth, burn_in)
+        return JuliaCloud((), (), "inverse_iteration", seed, depth, burn_in)
     walkers = max(1, min(walkers, count))
     tail = -(-count // walkers)
     steps = max(depth, burn_in + tail)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    chains, chain_inf = backward_walk(R, start, steps, walkers, rng)
-    pts = []
-    for wk in range(walkers):  # walker-major order
-        zs = chains[steps - tail:, wk]
-        fl = chain_inf[steps - tail:, wk]
-        for t in range(tail):
-            if len(pts) >= count:
-                break
-            if fl[t]:
-                pts.append(SpherePoint.infinity())
-            else:
-                pts.append(SpherePoint.finite(zs[t]))
-    return JuliaCloud(tuple(pts[:count]), "inverse_iteration", seed, depth,
-                      burn_in)
+    chains, chain_inf = _walk(R, start, steps, walkers, rng, tail)
+    # walker-major order: each walker's last `tail` points in turn
+    return JuliaCloud(chains.T.ravel()[:count], chain_inf.T.ravel()[:count],
+                      "inverse_iteration", seed, depth, burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +199,14 @@ def mandelbrot_member(c, max_iter=256):
 def critical_points_in_julia(R, points, tol=1e-3):
     """Critical points whose chordal distance to the sample is below tol.
 
-    points is any sequence of sample points: a JuliaCloud, SpherePoints or
-    complex numbers.
+    points is any sequence of sample points: a JuliaCloud, a complex
+    array, SpherePoints or complex numbers.
     """
-    if len(points) == 0:
+    z, isinf = _as_arrays(points)
+    if not z.size:
         raise ValueError("need a nonempty Julia sample")
     crit = critical_points(R)
-    dist, _ = sphere_nearest(embed_points(points),
+    dist, _ = sphere_nearest(sphere_embed(z, isinf),
                              embed_points(cd.point for cd in crit))
     return tuple(cd for cd, dv in zip(crit, dist) if dv < tol)
 
@@ -269,13 +295,14 @@ def write_pgm(path, image):
 
 
 def write_cloud_csv(path, cloud):
+    """One line re,im,is_infinity per point of a cloud or point sequence."""
+    z, isinf = _as_arrays(cloud)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("re,im,is_infinity\n")
-        for p in cloud:
-            if p.is_infinity:
-                fh.write("0,0,1\n")
-            else:
-                fh.write("%.17g,%.17g,0\n" % (p.z.real, p.z.imag))
+        fh.writelines(
+            "0,0,1\n" if f else "%.17g,%.17g,0\n" % (re, im)
+            for re, im, f in zip(z.real.tolist(), z.imag.tolist(),
+                                 isinf.tolist()))
 
 
 def read_cloud_csv(path):

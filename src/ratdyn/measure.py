@@ -10,50 +10,78 @@ forest level at once (`numkernel._values_at`), and each root's nodes are
 summed left to right, as a scalar loop over them adds (`_root_sums`).
 """
 
+import functools
 import json
 import math
 
 import numpy as np
-from dataclasses import dataclass
 
-from .numkernel import SpherePoint, _as_pair, _values_at, chordal_distance
-from .julia import BURN_IN, backward_walk
-from .ratmap import _forest, evaluate, preimage_tree
+from .numkernel import (SpherePoint, _as_arrays, _as_pair, _frozen_arrays,
+                        _sphere_points, _values_at, chordal_distance)
+from .julia import BURN_IN, _walk
+from .ratmap import _evaluate_arrays, _forest, evaluate, tree_levels
 
 
-@dataclass(frozen=True)
 class WeightedCloud:
-    """Atoms (point, weight) summing to 1.
+    """Atoms (point, weight) summing to 1, held as arrays.
 
-    Exact-tree clouds also carry integer weights over a common denominator
-    d^n, so pushforward and fiber-sum identities can be checked exactly.
-    provenance is ("exact_tree", y, n) or ("monte_carlo", y, depth, samples,
-    seed) or ("file", path).
+    z, isinf and w are read-only arrays of the atoms' points (z is 0 at
+    infinity) and float weights. Exact-tree clouds also carry integer
+    weights over a common denominator d^n, so pushforward and fiber-sum
+    identities can be checked exactly. `atoms` and `points()` give
+    SpherePoints, built on first access. provenance is ("exact_tree", y, n)
+    or ("monte_carlo", y, depth, samples, seed) or ("file", path).
     """
-    atoms: tuple
-    provenance: tuple
-    int_weights: tuple = None
-    denominator: int = None
 
-    def __post_init__(self):
-        if self.int_weights is not None:
-            total = sum(self.int_weights)
-            if total != self.denominator:
+    def __init__(self, atoms, provenance, int_weights=None, denominator=None):
+        atoms = tuple(atoms)
+        z, isinf = _as_arrays([p for p, _ in atoms])
+        self._init(z, isinf, [w for _, w in atoms], provenance, int_weights,
+                   denominator)
+
+    @classmethod
+    def from_arrays(cls, z, isinf, w, provenance, int_weights=None,
+                    denominator=None):
+        """The cloud of atoms (z, isinf) with weights w."""
+        cloud = cls.__new__(cls)
+        cloud._init(z, isinf, w, provenance, int_weights, denominator)
+        return cloud
+
+    def _init(self, z, isinf, w, provenance, int_weights, denominator):
+        self.z, self.isinf = _frozen_arrays(z, isinf)
+        self.w = np.array(w, dtype=float)
+        self.w.flags.writeable = False
+        self.provenance = provenance
+        self.int_weights = self.denominator = None
+        if int_weights is not None:
+            self.int_weights = np.array(int_weights, dtype=np.int64)
+            self.int_weights.flags.writeable = False
+            self.denominator = denominator
+            total = sum(self.int_weights.tolist())
+            if total != denominator:
                 raise ValueError(f"integer weights sum to {total}, "
-                                 f"not {self.denominator}")
+                                 f"not {denominator}")
             return
-        total = math.fsum(w for _, w in self.atoms)
+        total = math.fsum(self.w.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
 
+    @functools.cached_property
+    def atoms(self):
+        return tuple(zip(self.points(), self.w.tolist()))
+
+    @functools.cached_property
+    def _points(self):
+        return _sphere_points(self.z, self.isinf)
+
     def __len__(self):
-        return len(self.atoms)
+        return self.z.size
 
     def points(self):
-        return tuple(p for p, _ in self.atoms)
+        return self._points
 
     def weights(self):
-        return np.array([w for _, w in self.atoms])
+        return self.w
 
 
 def lyubich_exact(R, y, n):
@@ -62,50 +90,61 @@ def lyubich_exact(R, y, n):
     Weights are integer branch-index products over the integer total d^n;
     they sum to 1 exactly.
     """
-    fib = preimage_tree(R, y, n)
+    if n < 1:
+        raise ValueError("depth must be at least 1")
+    for pts, inf, idx in tree_levels(R, y, n):
+        pass   # keep the deepest level
     den = R.degree ** n
-    atoms = tuple((p, idx / den) for p, idx in fib.entries)
-    ints = tuple(int(idx) for _, idx in fib.entries)
     yv, yinf = _as_pair(y)
     prov = ("exact_tree", SpherePoint(yv, yinf), n)
-    return WeightedCloud(atoms, prov, ints, den)
+    # Python's int / int rounds the exact quotient once; numpy would round
+    # an index and d^n beyond 2^53 first
+    return WeightedCloud.from_arrays(
+        pts, inf, [i / den for i in idx.tolist()], prov, idx, den)
 
 
 def lyubich_mc(R, y, depth, samples, seed=0):
     """Monte-Carlo cloud: endpoints of `samples` backward walks of `depth`.
 
     Every endpoint atom carries weight 1/samples. depth must cover the
-    burn-in mixing length.
+    burn-in mixing length. Only the walks' last step is kept.
     """
     if depth < BURN_IN:
         raise ValueError(f"depth {depth} is below the burn-in {BURN_IN}")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    chains, chain_inf = backward_walk(R, y, depth, samples, rng)
-    zs, fl = chains[-1], chain_inf[-1]
-    w = 1.0 / samples
-    atoms = tuple(
-        (SpherePoint.infinity() if fl[i] else SpherePoint.finite(zs[i]), w)
-        for i in range(samples))
+    (zs,), (fl,) = _walk(R, y, depth, samples, rng, 1)
     yv, yinf = _as_pair(y)
     prov = ("monte_carlo", SpherePoint(yv, yinf), depth, samples, seed)
-    return WeightedCloud(atoms, prov)
+    return WeightedCloud.from_arrays(zs, fl, np.full(samples, 1.0 / samples),
+                                     prov)
 
 
 def integrate(cloud, a):
-    """Sum of weight * a(atom). a is called with SpherePoint atoms."""
-    return complex(sum(w * complex(a(p)) for p, w in cloud.atoms))
+    """Sum of weight * a(atom), added left to right.
+
+    a is evaluated on the arrays through `a.at` when it has one; any other
+    callable is called with the cloud's SpherePoint atoms.
+    """
+    return _weighted_sum(
+        cloud.w, _values_at(a, cloud.z, cloud.isinf, cloud.points))
 
 
 def invariance_defect(R, cloud, test_functions):
     """max over tests of |integral of a(R(x)) - integral of a(x)|."""
+    wz, winf = _evaluate_arrays(R, cloud.z, cloud.isinf)
+    images = functools.cache(lambda: _sphere_points(wz, winf))
     worst = 0.0
     for a in test_functions:
-        pushed = complex(
-            sum(w * complex(a(evaluate(R, p))) for p, w in cloud.atoms))
+        pushed = _weighted_sum(cloud.w, _values_at(a, wz, winf, images))
         worst = max(worst, abs(pushed - integrate(cloud, a)))
     return worst
+
+
+def _weighted_sum(w, values):
+    """sum of w * values from 0 in order, as a scalar loop adds."""
+    return complex(0.0 + np.cumsum(w * values)[-1]) if w.size else 0j
 
 
 def _root_table(values, root):
@@ -214,11 +253,11 @@ def pushforward(R, cloud, merge_tol=1e-9):
 def write_weighted_csv(path, cloud):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("re,im,is_infinity,weight\n")
-        for p, w in cloud.atoms:
-            if p.is_infinity:
-                fh.write("0,0,1,%.17g\n" % w)
-            else:
-                fh.write("%.17g,%.17g,0,%.17g\n" % (p.z.real, p.z.imag, w))
+        fh.writelines(
+            "0,0,1,%.17g\n" % w if f else "%.17g,%.17g,0,%.17g\n" % (re, im, w)
+            for re, im, f, w in zip(cloud.z.real.tolist(),
+                                    cloud.z.imag.tolist(),
+                                    cloud.isinf.tolist(), cloud.w.tolist()))
 
 
 def read_weighted_csv(path):

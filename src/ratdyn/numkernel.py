@@ -102,24 +102,53 @@ def _as_pair(p):
 
 
 def _as_arrays(points):
-    """Internal: a sequence of points as (complex array, is-infinity mask)."""
+    """Internal: points as (complex array, is-infinity mask).
+
+    An array-backed cloud gives its arrays and a numeric ndarray is taken
+    whole (non-finite entries are infinity); any other sequence is read
+    point by point.
+    """
+    isinf = getattr(points, "isinf", None)
+    if isinf is not None:
+        return points.z, isinf
+    if isinstance(points, np.ndarray) and points.dtype.kind in "biufc":
+        z = points.astype(complex)
+        isinf = ~np.isfinite(z)
+        z[isinf] = 0j
+        return z, isinf
     pairs = [_as_pair(p) for p in points]
     return (np.array([z for z, _ in pairs], dtype=complex),
             np.array([f for _, f in pairs], dtype=bool))
 
 
-def _values_at(f, z, isinf):
+def _frozen_arrays(z, isinf):
+    """Read-only copies of (z, isinf), with z set to 0 at infinity."""
+    isinf = np.array(isinf, dtype=bool)
+    z = np.where(isinf, 0j, np.asarray(z, dtype=complex))
+    z.flags.writeable = isinf.flags.writeable = False
+    return z, isinf
+
+
+def _sphere_points(z, isinf):
+    """The points (z, isinf) as a tuple of SpherePoints."""
+    inf = SpherePoint.infinity()
+    return tuple(inf if f else SpherePoint.finite(v)
+                 for v, f in zip(z.tolist(), isinf.tolist()))
+
+
+def _values_at(f, z, isinf, points=None):
     """The values of f at the points (z, isinf), as an array.
 
     An evaluator with an array method `at(z, isinf)` takes the arrays
     whole; any other callable is called once per point with a SpherePoint.
+    `points`, when given, returns those SpherePoints already built.
     """
     at = getattr(f, "at", None)
     if at is not None:
         return at(z, isinf)
-    return np.array([complex(f(SpherePoint(v, i)))
-                     for v, i in zip(z.tolist(), isinf.tolist())],
-                    dtype=complex)
+    pts = (points() if points is not None else
+           (SpherePoint(v, i) for v, i in zip(z.tolist(), isinf.tolist())))
+    return np.array([complex(f(p)) for p in pts], dtype=complex)
 
 
 def _at_point(at, x):

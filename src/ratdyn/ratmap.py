@@ -110,6 +110,8 @@ class RationalMap:
         self._q_pad[: q.size] = q
         self._rp = self._p_pad[::-1].copy()
         self._rq = self._q_pad[::-1].copy()
+        # term sizes |P| and |Q| of the fiber polynomials (`_fiber_rows`)
+        self._pq_abs = np.abs(np.array((self._p_pad, self._q_pad)))
         self.is_polynomial = q.size == 1
         self._w = None
         self._wt = None
@@ -292,13 +294,14 @@ def _fiber_rows(R, pts, inf):
     small = r <= 1.0
     a = 1.0 / np.where(small, 1.0 + 0j, pts)   # 1, or 1/w
     b = np.where(small, pts, 1.0 + 0j)         # w, or 1
-    f = a[:, None] * R._p_pad - b[:, None] * R._q_pad
+    # built as (d + 1, rows) and transposed: numpy loops fast over rows
+    f = (a * R._p_pad[:, None] - b * R._q_pad[:, None]).T
     ab = np.empty((r.size, 2))                 # |a| and |b|
     ab[:, 0] = 1.0 / np.maximum(r, 1.0)
     ab[:, 1] = np.minimum(r, 1.0)
-    s = ab @ np.abs(np.array((R._p_pad, R._q_pad)))
+    s = ab @ R._pq_abs
     if inf.any():
-        f[inf], s[inf] = R._q_pad, np.abs(R._q_pad)
+        f[inf], s[inf] = R._q_pad, R._pq_abs[1]
     n = np.full(f.shape[0], f.shape[1])
     low = np.abs(f[:, -1]) <= _DROP_TOL * s[:, -1]
     if low.any():

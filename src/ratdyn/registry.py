@@ -7,6 +7,7 @@ what finite arithmetic can reach: Julia-set geometry, critical counts,
 fiber sums, Riemann-Hurwitz totals, conjugacy defects, measure moments.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -195,28 +196,28 @@ def get(name):
 # checks
 # ---------------------------------------------------------------------------
 
-def _check_julia_unit_circle(rec, R, seed):
-    cloud = sample_inverse_iteration(R, 1.3, count=2000, seed=seed)
+def _check_julia_unit_circle(rec, R, seed, sample):
+    cloud = sample(1.3, 2000)
     vals = cloud.finite_values()
     dev = float(np.max(np.abs(np.abs(vals) - 1.0))) if vals.size else math.inf
     return {"passed": dev <= 1e-6, "max_modulus_deviation": dev}
 
 
-def _check_criticals_avoid_julia(rec, R, seed):
-    cloud = sample_inverse_iteration(R, 1.3, count=2000, seed=seed)
+def _check_criticals_avoid_julia(rec, R, seed, sample):
+    cloud = sample(1.3, 2000)
     hits = critical_points_in_julia(R, cloud, tol=1e-3)
     return {"passed": len(hits) == 0, "criticals_near_sample": len(hits)}
 
 
-def _check_frame(rec, R, seed):
-    cloud = sample_inverse_iteration(R, 1.3, count=2000, seed=seed)
-    frame = build_frame(R, cloud.points)
-    defect = frame_delta_defect(R, frame, cloud.points[::100])
+def _check_frame(rec, R, seed, sample):
+    cloud = sample(1.3, 2000)
+    frame = build_frame(R, cloud)
+    defect = frame_delta_defect(R, frame, cloud[::100])
     return {"passed": defect <= 1e-9, "delta_defect": float(defect),
             "members": len(frame.members)}
 
 
-def _check_kms(rec, R, seed):
+def _check_kms(rec, R, seed, sample):
     run = kms_iterate(R, TestFunction.monomial(1), 8,
                       probe_set=(0.8 + 0.1j, 1.2 + 0j, -1.0 + 0j))
     last = run.traces[-1].sup_variation
@@ -225,14 +226,14 @@ def _check_kms(rec, R, seed):
             "final_sup_variation": float(last), "lyubich_gap": float(gap)}
 
 
-def _band_cloud(rec, R, seed):
+def _band_cloud(rec, sample):
     if rec.name == "z2_minus_2":
-        return sample_inverse_iteration(R, 1.0, count=8000, seed=seed), 2.0
-    return sample_inverse_iteration(R, 0.3, count=12000, seed=seed), 1.0
+        return sample(1.0, 8000), 2.0
+    return sample(0.3, 12000), 1.0
 
 
-def _check_interval_band(rec, R, seed):
-    cloud, half = _band_cloud(rec, R, seed)
+def _check_interval_band(rec, R, seed, sample):
+    cloud, half = _band_cloud(rec, sample)
     vals = cloud.finite_values()
     im_dev = float(np.max(np.abs(vals.imag)))
     re_lo = float(np.min(vals.real))
@@ -244,8 +245,8 @@ def _check_interval_band(rec, R, seed):
             "re_range": [re_lo, re_hi], "half_width": half}
 
 
-def _check_crit_in_julia(rec, R, seed):
-    cloud, _ = _band_cloud(rec, R, seed)
+def _check_crit_in_julia(rec, R, seed, sample):
+    cloud, _ = _band_cloud(rec, sample)
     hits = critical_points_in_julia(R, cloud, tol=1e-3)
     want = rec.critical_in_julia_count
     if isinstance(want, str):  # family count like "n - 1"
@@ -255,7 +256,7 @@ def _check_crit_in_julia(rec, R, seed):
             "points": [[c.point.z.real, c.point.z.imag] for c in hits]}
 
 
-def _check_tent_conjugacy(rec, R, seed):
+def _check_tent_conjugacy(rec, R, seed, sample):
     t = np.linspace(0.0, 1.0, 20001)
     phi = 2.0 * np.cos(np.pi * t)
     h = 1.0 - np.abs(1.0 - 2.0 * t)
@@ -263,7 +264,7 @@ def _check_tent_conjugacy(rec, R, seed):
     return {"passed": defect < 1e-10, "conjugacy_defect": defect}
 
 
-def _check_cardioid(rec, R, seed):
+def _check_cardioid(rec, R, seed, sample):
     # 50 parameters scaled into the cardioid, 50 far outside every bounded
     # orbit; the closed form and the escape iteration must agree on all
     mismatches = []
@@ -283,7 +284,7 @@ def _check_cardioid(rec, R, seed):
             "mismatches": mismatches}
 
 
-def _check_fiber_sums(rec, R, seed):
+def _check_fiber_sums(rec, R, seed, sample):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = R.degree
     ws = np.array([complex(*rng.normal(size=2)) for _ in range(10)])
@@ -295,13 +296,13 @@ def _check_fiber_sums(rec, R, seed):
     return {"passed": not bad, "degree": d, "bad_fibers": bad}
 
 
-def _check_riemann_hurwitz(rec, R, seed):
+def _check_riemann_hurwitz(rec, R, seed, sample):
     total = sum(c.index - 1 for c in critical_points(R))
     return {"passed": total == 2 * R.degree - 2, "total": total,
             "expected": 2 * R.degree - 2}
 
 
-def _check_critical_count(rec, R, seed):
+def _check_critical_count(rec, R, seed, sample):
     cds = critical_points(R)
     distinct = len(cds)
     finite = sum(1 for c in cds if not c.point.is_infinity)
@@ -316,7 +317,7 @@ def _check_critical_count(rec, R, seed):
             "reported_in_julia": rec.critical_in_julia_count}
 
 
-def _check_lyubich_moments(rec, R, seed):
+def _check_lyubich_moments(rec, R, seed, sample):
     # arcsine moments on [-1, 1]: odd vanish, even are C(k, k/2) / 2^k
     cloud = lyubich_exact(R, 0.1, 7)
     worst = 0.0
@@ -330,7 +331,7 @@ def _check_lyubich_moments(rec, R, seed):
             "moments": table}
 
 
-def _check_sphere_coverage(rec, R, seed):
+def _check_sphere_coverage(rec, R, seed, sample):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v = rng.normal(size=(4000, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -352,7 +353,7 @@ def _check_sphere_coverage(rec, R, seed):
     return {"passed": gap <= 0.2, "max_gap_after_3_steps": gap}
 
 
-def _check_render(rec, R, seed):
+def _check_render(rec, R, seed, sample):
     img = render(R, (-1.2, 1.2, -1.2, 1.2), 128, mode="density",
                  samples=20000, seed=seed)
     lit = int(np.count_nonzero(img))
@@ -386,10 +387,15 @@ def verify(name, param=None, seed=0):
     """
     rec = get(name)
     R = rec.build(param if param is not None else rec.default_param)
+
+    @functools.cache
+    def sample(start, count):   # one walk per cloud, shared by the checks
+        return sample_inverse_iteration(R, start, count=count, seed=seed)
+
     results = []
     for cname in rec.verifiable_checks:
         try:
-            out = _CHECKS[cname](rec, R, seed)
+            out = _CHECKS[cname](rec, R, seed, sample)
         except Exception as exc:  # a crashed check is a failed check
             out = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         out["check"] = cname

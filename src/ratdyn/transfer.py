@@ -256,9 +256,9 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     lyu = complex(_level_sums(a, *level, 1.0 / d ** depth)[0])
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
-    sample = list(julia_sample if julia_sample is not None else probe_set)
+    sample = probe_set if julia_sample is None else julia_sample
     tag = ("outside theorem hypothesis"
-           if sample and critical_points_in_julia(R, sample, tol=0.05)
+           if len(sample) and critical_points_in_julia(R, sample, tol=0.05)
            else "within theorem hypothesis")
     return KmsRun(traces, beta, tag, final_constant, lyu,
                   abs(final_constant - lyu))
@@ -273,7 +273,7 @@ def kms_defect(R, mu_cloud, test_functions, beta=None):
     if beta is None:
         beta = math.log(R.degree)
     scale = math.exp(-beta)
-    z, isinf = _as_arrays(mu_cloud.points())
+    z, isinf = _as_arrays(mu_cloud)
     w = mu_cloud.weights()
     fiber = _expand_level(R, z, isinf)
     worst = 0.0

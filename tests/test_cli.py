@@ -109,6 +109,46 @@ def test_julia_cloud_deterministic(tmp_path):
     assert len(rows) == 401
 
 
+# sha256 of the criterion-13 artifacts and of two stdouts, as written before
+# clouds moved onto arrays (numpy 2.4 on x86-64 Linux); another numpy or
+# LAPACK build may move the last bits
+PINNED = {
+    "cloud.csv": ("bb5eda8ef710443df857ea276e288d12"
+                  "a7cbb605b02f44f333e1653990b15685",
+                  ["julia", "z^2 - 2", "--count", "300", "--out"]),
+    "img.pgm": ("9429ba418629b0c9fc30716f7e6faa6e"
+                "10b68c76f4ada3328c698164d7860b88",
+                ["julia", "z^2", "--res", "24", "--window=-1.2,1.2,-1.2,1.2",
+                 "--render"]),
+    "mu.csv": ("9dc93aaeb45facef915532d41dfe09b4"
+               "ab12632b802f5c65f7042319ad2294e8",
+               ["measure", "z^2 - 2", "--method", "mc", "--samples", "400",
+                "--out"]),
+    "trace.csv": ("402efd3da3fbeaa5d82ce85dd7b7c1ad"
+                  "f28926d1bac61250001cfb0fa377b62d",
+                  ["kms", "z^2", "--test", "z", "--levels", "5", "--out"]),
+    "wit.json": ("fd79e4455476e39af5cf7494b7c06dbf"
+                 "f430a4a945a382679babc8f382d38fd0",
+                 ["witness", "z^2", "--a", "2 + 0.25*z + 0.25*conj(z)",
+                  "--eps", "0.2", "--out"]),
+    "verify --all": ("e858e12e7a8bb34b89344d01fe098e58"
+                     "1a38f4dd845bec7f6a67bbf3435f6ca4", ["verify", "--all"]),
+    "info lattes": ("0290829671b7d9536b60c326867102b6"
+                    "41c0d9ab4287251ae0cc46611cacab1d", ["info", "lattes"]),
+}
+
+
+def test_artifacts_match_pinned_digests(tmp_path):
+    import hashlib
+    for name, (digest, args) in PINNED.items():
+        path = tmp_path / name
+        r = run(*args, *([str(path)] if args[-1] in ("--out", "--render")
+                         else []))
+        assert r.returncode == 0, r.stderr
+        data = path.read_bytes() if path.exists() else r.stdout.encode()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_julia_render_window_equals_form(tmp_path):
     img = tmp_path / "z2.pgm"
     r = run("julia", "z^2", "--render", str(img),

@@ -186,3 +186,60 @@ def test_cloud_csv_roundtrip(tmp_path, zm2):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
         read_cloud_csv(bad)
+
+
+@pytest.mark.parametrize("start", [0.3 + 0.1j, SpherePoint.infinity()])
+@pytest.mark.parametrize("name", ["z2_minus_2", "tchebychev_n", "lattes",
+                                  "full_shift_example", "ushiki_gasket"])
+@pytest.mark.parametrize("walkers", [8, 100])
+def test_common_step_matches_row_bookkeeping(monkeypatch, name, start,
+                                             walkers):
+    # a work cap of one row per solve sends every step through the row
+    # bookkeeping that the common step skips: the walks agree bit for bit
+    from ratdyn import ratmap
+    from ratdyn.registry import get
+    R = get(name).map
+    fast = backward_walk(R, start, 30, walkers, np.random.default_rng(5))
+    monkeypatch.setattr(ratmap, "_WORK_ENTRIES", 1)
+    slow = backward_walk(R, start, 30, walkers, np.random.default_rng(5))
+    assert np.array_equal(fast[0].view(float), slow[0].view(float))
+    assert np.array_equal(fast[1], slow[1])
+
+
+def test_cloud_is_the_walk_in_walker_major_order(zm2):
+    # 8 walkers, 13 points each, the last walker's block cut at 100
+    cloud = sample_inverse_iteration(zm2, 1.3, depth=10, count=100, seed=4)
+    rng = np.random.default_rng(np.random.SeedSequence(4))
+    z, isinf = backward_walk(zm2, 1.3, 33, 8, rng)
+    assert np.array_equal(cloud.z, z[-13:].T.ravel()[:100])
+    assert not cloud.isinf.any()
+    assert [p.z for p in cloud] == cloud.z.tolist()
+    # points are built once; slices are sub-clouds on the same arrays
+    assert cloud.points is cloud.points
+    sub = cloud[::7]
+    assert isinstance(sub, type(cloud)) and len(sub) == 15
+    assert np.array_equal(sub.z, cloud.z[::7])
+    assert cloud[3] == cloud.points[3]
+    with pytest.raises(ValueError):
+        cloud.z[0] = 0j   # read-only: the built points stay in step
+
+
+def _bits(z):
+    return z.view(np.uint64).tolist()
+
+
+def test_cloud_csv_bytes_round_trip(tmp_path):
+    from ratdyn.julia import JuliaCloud
+    z = np.array([complex(-0.0, -0.0), complex(1.5, -0.0), 0j,
+                  complex(-0.0, 2.0 ** -1074), complex(-3.25e300, 0.0)])
+    isinf = np.array([False, False, True, False, False])
+    cloud = JuliaCloud(z, isinf, "inverse_iteration", 0, 60, 20)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_cloud_csv(first, cloud)
+    back = read_cloud_csv(first)
+    assert [p.is_infinity for p in back] == isinf.tolist()
+    assert _bits(np.array([p.z for p in back])) == _bits(cloud.z)
+    write_cloud_csv(second, back)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().splitlines()[1:4] == ["-0,-0,0", "1.5,-0,0",
+                                                   "0,0,1"]

@@ -19,6 +19,7 @@ from ratdyn.measure import (
     write_weighted_csv,
 )
 from ratdyn.numkernel import SpherePoint
+from ratdyn.ratmap import evaluate
 from ratdyn.transfer import TestFunction
 
 
@@ -174,3 +175,69 @@ def test_diagnostics_json(tmp_path, z2):
     data = json.loads(f.read_text())
     assert data["schema"] == 1
     assert len(data["records"]) == len(recs)
+
+
+def test_mc_cloud_is_the_walks_last_step(zm2):
+    from ratdyn.julia import WALK_BUDGET, backward_walk
+    from ratdyn.errors import BudgetExceeded
+    mu = lyubich_mc(zm2, 1.0, depth=25, samples=300, seed=9)
+    z, isinf = backward_walk(zm2, 1.0, 25, 300, np.random.default_rng(
+        np.random.SeedSequence(9)))
+    assert np.array_equal(mu.z, z[-1]) and np.array_equal(mu.isinf, isinf[-1])
+    assert mu.weights().tolist() == [1 / 300] * 300
+    # the budget still counts every step of every walk
+    with pytest.raises(BudgetExceeded):
+        lyubich_mc(zm2, 1.0, depth=64, samples=WALK_BUDGET // 64 + 1)
+
+
+def test_integrate_matches_atom_loops(zm2):
+    mu = lyubich_exact(zm2, 0.37 + 0.1j, 9)
+    seen = []
+
+    def plain(p):
+        seen.append(p)
+        return p.z.real ** 3 - 1j * p.z.imag
+
+    # a plain callable gets the cloud's own points and the same sum
+    want = complex(sum(w * complex(plain(p)) for p, w in mu.atoms))
+    seen.clear()
+    assert integrate(mu, plain) == want
+    assert all(p is q for p, q in zip(seen, mu.points()))
+    # an array evaluator is summed from its arrays
+    a = TestFunction.from_table({(2, 0): 1.0, (1, 1): 0.5j, (0, 3): -2.0})
+    loop = complex(sum(w * a(p) for p, w in mu.atoms))
+    assert abs(integrate(mu, a) - loop) <= 1e-12
+    tests = [a, plain, TestFunction.monomial(1, 1)]
+    loop = max(abs(complex(sum(w * complex(t(evaluate(zm2, p)))
+                               for p, w in mu.atoms)) - integrate(mu, t))
+               for t in tests)
+    assert abs(invariance_defect(zm2, mu, tests) - loop) <= 1e-12
+
+
+def test_clouds_build_points_once(zm2):
+    mu = lyubich_exact(zm2, 0.37, 4)
+    assert mu.points() is mu.points() and mu.atoms is mu.atoms
+    assert [p for p, _ in mu.atoms] == list(mu.points())
+    assert [w for _, w in mu.atoms] == [i / 16 for i in mu.int_weights]
+    # the tuple constructor gives the same arrays
+    again = WeightedCloud(mu.atoms, mu.provenance, mu.int_weights,
+                          mu.denominator)
+    assert np.array_equal(again.z, mu.z) and np.array_equal(again.w, mu.w)
+
+
+def test_weighted_csv_bytes_round_trip(tmp_path):
+    z = np.array([complex(-0.0, -0.0), 0j, complex(0.1, -0.0),
+                  complex(-1e-310, 7.0)])
+    isinf = np.array([False, True, False, False])
+    w = np.array([0.125, 0.375, 0.25, 0.25])
+    mu = WeightedCloud.from_arrays(z, isinf, w, ("file", "x"))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_weighted_csv(first, mu)
+    back = read_weighted_csv(first)
+    assert back.isinf.tolist() == isinf.tolist()
+    assert back.z.view(np.uint64).tolist() == mu.z.view(np.uint64).tolist()
+    assert back.weights().tolist() == w.tolist()
+    write_weighted_csv(second, back)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().splitlines()[1:3] == ["-0,-0,0,0.125",
+                                                   "0,0,1,0.375"]

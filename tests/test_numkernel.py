@@ -221,3 +221,17 @@ def test_sphere_nearest_lone_point():
     assert idx.tolist() == [0]
     assert dist[0] == pytest.approx(chordal_distance(0.3 + 0.1j,
                                                      SpherePoint.infinity()))
+
+
+def test_as_arrays_takes_arrays_and_clouds_whole(cloud_z2):
+    from ratdyn.numkernel import _as_arrays
+    z = np.array([0.5 - 0.0j, complex(np.inf, 0), complex(-0.0, 2.0),
+                  complex(np.nan, 1.0), 3.0])
+    got = _as_arrays(z)
+    want = _as_arrays(list(z))    # the point-by-point route
+    assert got[1].tolist() == want[1].tolist() == [False, True, False,
+                                                   True, False]
+    assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+    assert _as_arrays(np.array([1.0, -2.0]))[0].tolist() == [1, -2]
+    zs, isinf = _as_arrays(cloud_z2)
+    assert zs is cloud_z2.z and isinf is cloud_z2.isinf

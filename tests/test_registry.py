@@ -82,7 +82,7 @@ def test_verify_all_shapes():
 def test_verify_reports_a_crashed_check(monkeypatch):
     from ratdyn import registry
 
-    def boom(rec, R, seed):
+    def boom(rec, R, seed, sample):
         raise ValueError("boom")
 
     monkeypatch.setitem(registry._CHECKS, "riemann_hurwitz", boom)
@@ -93,3 +93,26 @@ def test_verify_reports_a_crashed_check(monkeypatch):
         "passed": False, "error": "ValueError: boom",
         "check": "riemann_hurwitz"}
     assert by_name["degree_and_fiber_sums"]["passed"] is True
+
+
+@pytest.mark.parametrize("name", ["power_map_n", "tchebychev_n"])
+def test_verify_walks_each_cloud_once(monkeypatch, name):
+    from ratdyn import registry
+    walk = registry.sample_inverse_iteration
+    calls = []
+
+    def counted(R, start, **kw):
+        calls.append((start, kw["count"]))
+        return walk(R, start, **kw)
+
+    monkeypatch.setattr(registry, "sample_inverse_iteration", counted)
+    rep = verify(name)
+    assert len(calls) == 1
+    # each check on a walk of its own reports what the shared walk gave
+    rec = get(name)
+    alone = [dict(registry._CHECKS[c](
+        rec, rec.map, 0, lambda start, count: walk(rec.map, start,
+                                                   count=count, seed=0)),
+        check=c) for c in rec.verifiable_checks]
+    assert len(calls) == 1
+    assert rep["checks"] == alone
