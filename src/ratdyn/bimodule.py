@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
-from .julia import critical_points_in_julia
+from .julia import _sample_arrays, critical_points_in_julia
 from .measure import _root_sums, _root_table
 from .numkernel import (SpherePoint, _as_arrays, _as_pair, _at_point,
-                        _values_at, chordal_distances, embed_points,
-                        sphere_embed, sphere_nearest)
+                        _mesh, _values_at, chordal_distances, embed_points,
+                        sphere_embed)
 from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
 
 EXPANSION_BUDGET = 24
@@ -99,7 +99,8 @@ def inner_product(R, n, f, g, y):
 
 def norm_sup(f, julia_sample):
     """Sampled sup norm over the Julia sample."""
-    return float(np.max(np.abs(_values_at(f, *_as_arrays(julia_sample)))))
+    z, isinf = _sample_arrays(julia_sample)
+    return float(np.max(np.abs(_values_at(f, z, isinf))))
 
 
 def norm_two(R, n, f, probe_ys):
@@ -368,7 +369,7 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     root) over the depth-n fibers of all probes, one forest: each fiber is
     walked once, and g and a are evaluated once per point.
     """
-    z, isinf = _as_arrays(julia_sample)
+    z, isinf = _sample_arrays(julia_sample)
     avals = _values_at(a, z, isinf).real
     if np.min(avals) < -1e-9:
         raise ValueError("witness construction needs a >= 0 on the sample")
@@ -391,7 +392,10 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     delta_v = delta_u / 9.0
 
     if net_tol is None:
-        mesh = float(np.max(sphere_nearest(sphere_embed(z, isinf))[0]))
+        # a cloud measures its mesh once, for every witness on it
+        mesh = getattr(julia_sample, "mesh", None)
+        if mesh is None:
+            mesh = _mesh(z, isinf)
         net_tol = max(2.0 * mesh, 1e-2)
     if probe_ys is None:
         step = max(1, z.size // 64)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .numkernel import (SpherePoint, _as_arrays, _as_pair, _frozen_arrays,
-                        _row_roots, _sphere_points, embed_points,
+                        _mesh, _row_roots, _sphere_points, embed_points,
                         sphere_embed, sphere_nearest)
 from .ratmap import (_chunks, _expand_level, _fiber_rows, critical_points,
                      evaluate)
@@ -31,8 +31,11 @@ class JuliaCloud:
 
     z and isinf are read-only arrays of the samples (z is 0 at infinity).
     `points`, and iteration, give them as SpherePoints, built on first
-    access. generator names the numeric criterion the points satisfy:
-    "inverse_iteration" (backward-walk samples) or "escape_boundary".
+    access; the tuple keeps the arrays, so operators take it whole. `mesh`,
+    the largest distance from a sample to its nearest other sample, is
+    measured on first access too. generator names the numeric criterion
+    the points satisfy: "inverse_iteration" (backward-walk samples) or
+    "escape_boundary".
     """
     z: np.ndarray
     isinf: np.ndarray
@@ -49,6 +52,10 @@ class JuliaCloud:
     @functools.cached_property
     def points(self):
         return _sphere_points(self.z, self.isinf)
+
+    @functools.cached_property
+    def mesh(self):
+        return _mesh(self.z, self.isinf)
 
     def __len__(self):
         return self.z.size
@@ -202,9 +209,19 @@ def critical_points_in_julia(R, points, tol=1e-3):
     points is any sequence of sample points: a JuliaCloud, a complex
     array, SpherePoints or complex numbers.
     """
+    return _critical_near(R, *_sample_arrays(points), tol)
+
+
+def _sample_arrays(points):
+    """A Julia sample as (z, isinf); an empty one raises ValueError."""
     z, isinf = _as_arrays(points)
     if not z.size:
         raise ValueError("need a nonempty Julia sample")
+    return z, isinf
+
+
+def _critical_near(R, z, isinf, tol):
+    """`critical_points_in_julia` of the sample (z, isinf)."""
     crit = critical_points(R)
     dist, _ = sphere_nearest(sphere_embed(z, isinf),
                              embed_points(cd.point for cd in crit))

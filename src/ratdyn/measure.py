@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .numkernel import (SpherePoint, _as_arrays, _as_pair, _frozen_arrays,
-                        _sphere_points, _values_at, chordal_distance)
+                        _mesh, _sphere_points, _values_at, chordal_distance,
+                        sphere_embed)
 from .julia import BURN_IN, _walk
 from .ratmap import _evaluate_arrays, _forest, evaluate, tree_levels
 
@@ -29,7 +30,9 @@ class WeightedCloud:
     infinity) and float weights. Exact-tree clouds also carry integer
     weights over a common denominator d^n, so pushforward and fiber-sum
     identities can be checked exactly. `atoms` and `points()` give
-    SpherePoints, built on first access. provenance is ("exact_tree", y, n)
+    SpherePoints, built on first access; the point tuple keeps the arrays.
+    `mesh`, the largest distance from an atom to its nearest other atom,
+    is measured on first access. provenance is ("exact_tree", y, n)
     or ("monte_carlo", y, depth, samples, seed) or ("file", path).
     """
 
@@ -73,6 +76,10 @@ class WeightedCloud:
     @functools.cached_property
     def _points(self):
         return _sphere_points(self.z, self.isinf)
+
+    @functools.cached_property
+    def mesh(self):
+        return _mesh(self.z, self.isinf)
 
     def __len__(self):
         return self.z.size
@@ -215,26 +222,50 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     return records
 
 
+# key offsets of the 27 grid cells around a cell, in `_cell_keys` units
+_CELL = 1 << 42
+_AROUND = tuple((i * _CELL + j) * _CELL + k
+                for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1))
+
+
+def _cell_keys(z, isinf, width):
+    """Grid-hash keys of cubes of side width on sphere_embed coordinates."""
+    # |z|^2 overflows beyond about 1e154, within 2e-154 of infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = sphere_embed(z, isinf)
+    e[~np.isfinite(e).all(axis=1)] = (0.0, 0.0, 1.0)
+    i, j, k = np.floor(e / width).astype(np.int64).T.tolist()
+    return [(a * _CELL + b) * _CELL + c for a, b, c in zip(i, j, k)]
+
+
 def pushforward(R, cloud, merge_tol=1e-9):
     """Forward image of a cloud under R, nearby atoms aggregated.
 
-    For an exact depth-n tree this reproduces the depth-(n-1) tree with
-    integer weights intact (aggregation only ever sums weights of atoms
-    that coincide up to roundoff).
+    Each image joins the first earlier atom, in insertion order, within
+    chordal distance merge_tol, or starts an atom of its own. Atoms are
+    found through a grid hash on sphere_embed coordinates: cubes wider
+    than 2 merge_tol, so every atom within merge_tol lies in one of the 27
+    cubes around the image. For an exact depth-n tree this reproduces the
+    depth-(n-1) tree with integer weights intact (aggregation only ever
+    sums weights of atoms that coincide up to roundoff).
     """
     imgs = [(evaluate(R, p), w) for p, w in cloud.atoms]
     ints = (list(cloud.int_weights)
             if cloud.int_weights is not None else [None] * len(imgs))
+    # the slack covers the roundings of sphere_embed and chordal_distance
+    width = 2.0 * merge_tol + 1e-12 if merge_tol > 0 else 1e-12
+    keys = _cell_keys(*_as_arrays([p for p, _ in imgs]), width)
+    grid = {}    # cell key -> positions in merged of the atoms it holds
     merged = []  # (point, weight, int_weight)
-    for (p, w), iw in zip(imgs, ints):
-        hit = False
-        for t, (q, wq, iq) in enumerate(merged):
+    for (p, w), iw, key in zip(imgs, ints, keys):
+        for t in sorted(t for k in _AROUND for t in grid.get(key + k, ())):
+            q, wq, iq = merged[t]
             if chordal_distance(p, q) <= merge_tol:
                 merged[t] = (q, wq + w,
                              None if iq is None or iw is None else iq + iw)
-                hit = True
                 break
-        if not hit:
+        else:
+            grid.setdefault(key, []).append(len(merged))
             merged.append((p, w, iw))
     merged.sort(key=lambda t: t[0].sort_key())
     atoms = tuple((p, w) for p, w, _ in merged)

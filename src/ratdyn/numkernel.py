@@ -104,9 +104,9 @@ def _as_pair(p):
 def _as_arrays(points):
     """Internal: points as (complex array, is-infinity mask).
 
-    An array-backed cloud gives its arrays and a numeric ndarray is taken
-    whole (non-finite entries are infinity); any other sequence is read
-    point by point.
+    An array-backed cloud, and the point tuple it hands out, give the
+    cloud's own arrays, and a numeric ndarray is taken whole (non-finite
+    entries are infinity); any other sequence is read point by point.
     """
     isinf = getattr(points, "isinf", None)
     if isinf is not None:
@@ -129,11 +129,18 @@ def _frozen_arrays(z, isinf):
     return z, isinf
 
 
+class _Points(tuple):
+    """A tuple of SpherePoints that keeps the arrays (z, isinf) it was built
+    from, so `_as_arrays` takes it whole."""
+
+
 def _sphere_points(z, isinf):
-    """The points (z, isinf) as a tuple of SpherePoints."""
+    """The points (z, isinf) as a tuple of SpherePoints carrying z, isinf."""
     inf = SpherePoint.infinity()
-    return tuple(inf if f else SpherePoint.finite(v)
-                 for v, f in zip(z.tolist(), isinf.tolist()))
+    pts = _Points(inf if f else SpherePoint.finite(v)
+                  for v, f in zip(z.tolist(), isinf.tolist()))
+    pts.z, pts.isinf = z, isinf
+    return pts
 
 
 def _values_at(f, z, isinf, points=None):
@@ -305,6 +312,12 @@ def sphere_nearest(cloud, queries=None):
             dist[a[better]], idx[a[better]] = d[better], b[better]
     back = np.argsort(order)
     return dist[back], order[idx[back]]
+
+
+def _mesh(z, isinf):
+    """Largest chordal distance from a point of (z, isinf) to its nearest
+    other point."""
+    return float(np.max(sphere_nearest(sphere_embed(z, isinf))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +707,21 @@ def _cluster_rows(roots, label):
     """Each row's distinct roots with multiplicities, from `_row_roots`.
 
     Returns (centers, counts, row): one entry per cluster, sorted by row
-    and then by (re, im).
+    and then by (re, im), ties in solver order.
     """
     m, d = roots.shape
-    if label is None:
-        counts, centers = np.ones((m, d), dtype=np.int64), roots
-    else:
+    centers = roots
+    if label is not None:
         counts = np.bincount((label + d * np.arange(m)[:, None]).ravel(),
                              minlength=m * d).reshape(m, d)
         centers = np.where(counts > 0, roots, np.inf)
-    flat = (np.lexsort((centers.imag, centers.real), axis=1)
+    # numpy orders complex numbers by (re, im); a stable sort keeps ties
+    flat = (np.argsort(centers, axis=1, kind="stable")
             + d * np.arange(m)[:, None]).ravel()
-    centers, counts = centers.ravel()[flat], counts.ravel()[flat]
-    row = flat // d
+    centers, row = centers.ravel()[flat], flat // d
     if label is None:
-        return centers, counts, row
+        return centers, np.ones(flat.size, dtype=np.int64), row
+    counts = counts.ravel()[flat]
     keep = counts > 0
     return centers[keep], counts[keep], row[keep]
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationAtInfinity, TabulationMiss
-from .julia import critical_points_in_julia
+from .julia import _critical_near
 from .numkernel import (_as_arrays, _as_pair, _at_point, _values_at,
                         embed_points, sphere_embed, sphere_nearest)
 from .measure import _level_sums
@@ -233,11 +233,14 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     scaled d^{-k}. The final level's mean is compared against the
     balanced-measure integral of a, the same level sum over the deepest
     fiber of probes[0] within lyubich_budget points. An empty probe set
-    raises ValueError.
+    raises ValueError. The hypothesis tag looks for critical points near
+    julia_sample (the probes when None), which may be any sequence of
+    points, as for `critical_points_in_julia`, and is read once.
     """
     z, isinf = _as_arrays(probe_set)
     if not z.size:
         raise ValueError("kms_iterate needs at least one probe point")
+    sz, sinf = (z, isinf) if julia_sample is None else _as_arrays(julia_sample)
     d = R.degree
     beta = math.log(d)
     vals = np.zeros((n + 1, z.size), dtype=complex)
@@ -256,9 +259,8 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     lyu = complex(_level_sums(a, *level, 1.0 / d ** depth)[0])
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
-    sample = probe_set if julia_sample is None else julia_sample
     tag = ("outside theorem hypothesis"
-           if len(sample) and critical_points_in_julia(R, sample, tol=0.05)
+           if sz.size and _critical_near(R, sz, sinf, 0.05)
            else "within theorem hypothesis")
     return KmsRun(traces, beta, tag, final_constant, lyu,
                   abs(final_constant - lyu))

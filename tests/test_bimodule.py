@@ -225,3 +225,32 @@ def test_normalized_witness(z2, cloud_z2, tmp_path):
     write_witness_json(q, rep)
     assert p.read_bytes() == q.read_bytes()
     assert b'"passed": true' in p.read_bytes()
+
+
+def test_witness_measures_a_clouds_mesh_once(z2, cloud_z2, monkeypatch):
+    import ratdyn.numkernel as numkernel
+    a = TestFunction.from_table({(0, 0): 2.0, (1, 0): 0.5, (0, 1): 0.5})
+    cloud = cloud_z2[::2]   # a new cloud: its mesh is not measured yet
+    # a list of the same points carries no mesh and is measured per call
+    want = normalized_witness(z2, a, 0.2, list(cloud.points))[1]
+    sweeps = []
+    sweep = numkernel.sphere_nearest
+    monkeypatch.setattr(numkernel, "sphere_nearest",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    for _ in range(3):
+        assert normalized_witness(z2, a, 0.2, cloud)[1] == want
+        simplicity_witness(z2, a, 0.2, cloud.points)   # measured per call
+    assert len(sweeps) == 1 + 3
+
+
+def test_empty_samples_fail_cleanly(z2, cloud_z2):
+    a = TestFunction.constant(1.0)
+    empty = cloud_z2[:0]
+    for call in (lambda s: simplicity_witness(z2, a, 0.5, s),
+                 lambda s: normalized_witness(z2, a, 0.5, s),
+                 lambda s: norm_sup(_mono(1), s),
+                 lambda s: build_frame(z2, s)):
+        for sample in (empty, empty.points, []):
+            with pytest.raises(ValueError,
+                               match="need a nonempty Julia sample"):
+                call(sample)

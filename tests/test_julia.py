@@ -243,3 +243,21 @@ def test_cloud_csv_bytes_round_trip(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().splitlines()[1:4] == ["-0,-0,0", "1.5,-0,0",
                                                    "0,0,1"]
+
+
+def test_cloud_mesh_is_the_nearest_point_sweep(lattes, cloud_z2):
+    from ratdyn.measure import lyubich_exact
+    from ratdyn.numkernel import sphere_embed, sphere_nearest
+    from ratdyn.registry import get, list_examples
+    clouds = [sample_inverse_iteration(get(n).map, 1.3, count=500, seed=0)
+              for n in list_examples()]
+    # an exact tree over infinity holds the point at infinity
+    clouds.append(lyubich_exact(lattes, SpherePoint.infinity(), 3))
+    assert clouds[-1].isinf.any()
+    cloud_z2.mesh   # measured before it is sliced
+    clouds += [cloud_z2, cloud_z2[::5], cloud_z2[1::9]]
+    for cloud in clouds:
+        want = max(sphere_nearest(sphere_embed(cloud.z, cloud.isinf))[0])
+        assert cloud.mesh.hex() == float(want).hex()
+    # a slice measures its own, wider mesh
+    assert cloud_z2[::5].mesh > cloud_z2.mesh

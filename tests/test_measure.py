@@ -18,8 +18,8 @@ from ratdyn.measure import (
     write_diagnostics_json,
     write_weighted_csv,
 )
-from ratdyn.numkernel import SpherePoint
-from ratdyn.ratmap import evaluate
+from ratdyn.numkernel import SpherePoint, chordal_distance
+from ratdyn.ratmap import RationalMap, evaluate
 from ratdyn.transfer import TestFunction
 
 
@@ -241,3 +241,75 @@ def test_weighted_csv_bytes_round_trip(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().splitlines()[1:3] == ["-0,-0,0,0.125",
                                                    "0,0,1,0.375"]
+
+
+def _pushforward_by_pairs(R, cloud, merge_tol=1e-9):
+    """`pushforward` as it merged before the grid hash: each image against
+    every atom so far."""
+    imgs = [(evaluate(R, p), w) for p, w in cloud.atoms]
+    ints = (list(cloud.int_weights)
+            if cloud.int_weights is not None else [None] * len(imgs))
+    merged = []
+    for (p, w), iw in zip(imgs, ints):
+        for t, (q, wq, iq) in enumerate(merged):
+            if chordal_distance(p, q) <= merge_tol:
+                merged[t] = (q, wq + w,
+                             None if iq is None or iw is None else iq + iw)
+                break
+        else:
+            merged.append((p, w, iw))
+    merged.sort(key=lambda t: t[0].sort_key())
+    ints_out = tuple(iw for _, _, iw in merged)
+    have_ints = all(iw is not None for iw in ints_out) and len(ints_out) > 0
+    return WeightedCloud(
+        tuple((p, w) for p, w, _ in merged),
+        ("pushforward",) + cloud.provenance, ints_out if have_ints else None,
+        cloud.denominator if have_ints else None)
+
+
+def _crowded_cloud(rng):
+    # clusters of points a few merge_tol apart, so pairs straddle both the
+    # tolerance and the grid cells, plus infinity and points beyond 1e154
+    centres = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    z = (np.repeat(centres, 6)
+         + 1e-3 * (rng.uniform(-1, 1, 240) + 1j * rng.uniform(-1, 1, 240)))
+    z = np.concatenate([z, [0j, 3e200 + 1e200j, 3e200 + 1e200j, 1e160j]])
+    isinf = np.zeros(z.size, dtype=bool)
+    isinf[240] = True
+    return WeightedCloud.from_arrays(z, isinf, np.full(z.size, 1 / z.size),
+                                     ("file", "crowded"))
+
+
+@pytest.mark.parametrize("case", ["z2", "zm2", "lattes", "lattes_inf", "mc",
+                                  "crowded"])
+def test_pushforward_matches_the_pairwise_merge(case, z2, zm2, lattes, rng):
+    tols = (1e-9,)
+    if case == "z2":
+        R, cloud = z2, lyubich_exact(z2, 0.73 + 0.2j, 8)
+    elif case == "zm2":
+        R, cloud = zm2, lyubich_exact(zm2, 0.37, 8)
+    elif case == "lattes":
+        R, cloud = lattes, lyubich_exact(lattes, 0.3 + 0.1j, 4)
+    elif case == "lattes_inf":
+        R, cloud = lattes, lyubich_exact(lattes, SpherePoint.infinity(), 4)
+    elif case == "mc":
+        R, cloud, tols = zm2, lyubich_mc(zm2, 0.37, 30, 600, seed=5), (
+            1e-9, 1e-2)
+    else:
+        R = RationalMap([0, 1], [1])   # the identity: pushforward merges
+        cloud, tols = _crowded_cloud(rng), (0.0, 1e-3, 2e-3, 0.5, 3.0)
+    for tol in tols:
+        got, want = pushforward(R, cloud, tol), _pushforward_by_pairs(
+            R, cloud, tol)
+        assert got.z.view(np.uint64).tolist() == want.z.view(
+            np.uint64).tolist()
+        assert got.isinf.tolist() == want.isinf.tolist()
+        assert got.w.view(np.uint64).tolist() == want.w.view(
+            np.uint64).tolist()
+        assert got.provenance == want.provenance
+        assert got.denominator == want.denominator
+        assert (got.int_weights is None) == (want.int_weights is None)
+        if got.int_weights is not None:
+            assert got.int_weights.tolist() == want.int_weights.tolist()
+        if case != "crowded":
+            assert len(got) < len(cloud) or case == "mc"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratdyn.errors import NonConvergence
 from ratdyn.julia import backward_walk
@@ -235,3 +237,63 @@ def test_as_arrays_takes_arrays_and_clouds_whole(cloud_z2):
     assert _as_arrays(np.array([1.0, -2.0]))[0].tolist() == [1, -2]
     zs, isinf = _as_arrays(cloud_z2)
     assert zs is cloud_z2.z and isinf is cloud_z2.isinf
+
+
+def test_point_tuples_keep_their_clouds_arrays(zm2, cloud_z2):
+    from ratdyn.measure import lyubich_exact, lyubich_mc
+    from ratdyn.numkernel import _as_arrays
+    for cloud in (cloud_z2, cloud_z2[::7], lyubich_exact(zm2, 0.37, 5),
+                  lyubich_mc(zm2, 0.37, 30, 50)):
+        pts = cloud.points() if callable(cloud.points) else cloud.points
+        z, isinf = _as_arrays(pts)
+        assert z is cloud.z and isinf is cloud.isinf
+        # the same points in a list go point by point, to equal arrays
+        lz, linf = _as_arrays(list(pts))
+        assert lz.view(np.uint64).tolist() == z.view(np.uint64).tolist()
+        assert linf.tolist() == isinf.tolist()
+    assert type(cloud_z2.points[::7]) is tuple
+
+
+def _lexsort_cluster_rows(roots, label):
+    """`_cluster_rows` as it sorted each row with np.lexsort on (re, im)."""
+    m, d = roots.shape
+    if label is None:
+        counts, centers = np.ones((m, d), dtype=np.int64), roots
+    else:
+        counts = np.bincount((label + d * np.arange(m)[:, None]).ravel(),
+                             minlength=m * d).reshape(m, d)
+        centers = np.where(counts > 0, roots, np.inf)
+    flat = (np.lexsort((centers.imag, centers.real), axis=1)
+            + d * np.arange(m)[:, None]).ravel()
+    centers, counts = centers.ravel()[flat], counts.ravel()[flat]
+    row = flat // d
+    if label is None:
+        return centers, counts, row
+    keep = counts > 0
+    return centers[keep], counts[keep], row[keep]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_cluster_rows_order_as_the_lexsort(data):
+    # parts from a small pool give exact ties in re, in im and in both,
+    # and +-0.0; tied clusters leave inf in their other slots
+    from ratdyn.numkernel import _cluster_rows
+    d = data.draw(st.integers(2, 5))
+    m = data.draw(st.integers(1, 6))
+    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+    roots = np.array([[complex(data.draw(part), data.draw(part))
+                       for _ in range(d)] for _ in range(m)])
+    label = None
+    if data.draw(st.booleans()):
+        label = np.tile(np.arange(d), (m, 1))
+        for r in range(m):
+            for j in range(1, d):
+                heads = sorted({label[r, i] for i in range(j)} | {j})
+                label[r, j] = data.draw(st.sampled_from(heads))
+                roots[r, j] = roots[r, label[r, j]]   # members hold the centre
+    got = _cluster_rows(roots, label)
+    want = _lexsort_cluster_rows(roots, label)
+    assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+    assert got[1].tolist() == want[1].tolist()
+    assert got[2].tolist() == want[2].tolist()

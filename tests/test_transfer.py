@@ -172,3 +172,18 @@ def test_trace_csv(tmp_path, z2, cloud_z2):
     assert rows[0] == ["level", "probe_index", "re", "im"]
     nprobes = len(run.traces[0].values)
     assert len(rows) == 1 + len(run.traces) * nprobes
+
+
+def test_kms_hypothesis_reads_any_sample(z2, zm2, cloud_z2, cloud_zm2):
+    one = TestFunction.constant(1.0)
+    for R, cloud, tag in ((z2, cloud_z2, "within theorem hypothesis"),
+                          (zm2, cloud_zm2, "outside theorem hypothesis")):
+        probes = cloud.points[::800]
+        for sample in (cloud, cloud.points, list(cloud.points),
+                       (p for p in cloud.points)):
+            run = kms_iterate(R, one, 2, probes, julia_sample=sample)
+            assert run.hypothesis == tag
+        # without a sample the probes are read once, a generator too
+        want = kms_iterate(R, one, 2, probes)
+        run = kms_iterate(R, one, 2, (p for p in probes))
+        assert run == want
