@@ -25,8 +25,8 @@ from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
 from .julia import _sample_arrays, critical_points_in_julia
 from .measure import _root_sums, _root_table
-from .numkernel import (SpherePoint, _as_arrays, _as_pair, _at_point,
-                        _mesh, _values_at, chordal_distances, embed_points,
+from .numkernel import (SpherePoint, _PointSet, _as_arrays, _at_point,
+                        _values_at, chordal_distances, embed_points,
                         sphere_embed)
 from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
 
@@ -92,9 +92,7 @@ def _inner_products(R, n, f, g, z, isinf):
 
 def inner_product(R, n, f, g, y):
     """(f|g)_A(y) = sum over R^{-n}(y) of e_{R^n}(x) conj(f(x)) g(x)."""
-    zv, isinf = _as_pair(y)
-    return complex(
-        _inner_products(R, n, f, g, np.array([zv]), np.array([isinf]))[0])
+    return complex(_inner_products(R, n, f, g, *_as_arrays([y]))[0])
 
 
 def norm_sup(f, julia_sample):
@@ -392,11 +390,10 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     delta_v = delta_u / 9.0
 
     if net_tol is None:
-        # a cloud measures its mesh once, for every witness on it
-        mesh = getattr(julia_sample, "mesh", None)
-        if mesh is None:
-            mesh = _mesh(z, isinf)
-        net_tol = max(2.0 * mesh, 1e-2)
+        # a point set measures its mesh once, for every witness on it
+        if not isinstance(julia_sample, _PointSet):
+            julia_sample = _PointSet(z, isinf)
+        net_tol = max(2.0 * julia_sample.mesh, 1e-2)
     if probe_ys is None:
         step = max(1, z.size // 64)
         pz, pinf = z[::step], isinf[::step]

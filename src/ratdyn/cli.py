@@ -219,21 +219,23 @@ def parse_test_function(text):
 
     Coefficients and exponents follow the map grammar: NUM/NUM is one
     coefficient with a nonzero denominator, and an exponent is an integer
-    from 0 to 64.
+    from 0 to 64. Each sign ahead of a term multiplies it: "2*-z" is -2z.
     """
     toks = _tokenize(text)
     if not toks:
         raise MapParseError("empty test-function expression")
     ps = _ExprParser(toks)
     table = {}
-    sign = 1.0
     while ps.peek() is not None:
-        coeff = sign
+        coeff = 1.0
         j = k = 0
         saw = False
-        while ps.peek() not in (None, "+", "-"):
+        lead = True   # a sign here multiplies the term
+        while ps.peek() not in (None, "+", "-") or lead and ps.peek():
             t = ps.take()
-            if t == "*":
+            lead = t in ("*", "+", "-")
+            if lead:
+                coeff = -coeff if t == "-" else coeff
                 continue
             if ps._is_num(t):
                 coeff *= float(ps._coefficient(t))
@@ -255,7 +257,6 @@ def parse_test_function(text):
         if not saw:
             raise MapParseError("empty term in test function")
         table[(j, k)] = table.get((j, k), 0.0) + coeff
-        sign = -1.0 if ps.take() == "-" else 1.0
     fn = TestFunction.from_table(table)
     fn.label = text.strip()
     return fn

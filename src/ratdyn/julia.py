@@ -4,18 +4,19 @@ The Julia set is approximated by backward random walks: preimages are dense
 in J, and choosing each preimage x with probability e(x)/d makes the visit
 law consistent with the balanced measure the rest of the package integrates
 against. Escape-time classification covers the polynomial case.
+
+A sample is a `JuliaCloud`, an array-backed point set; `read_cloud_csv`
+reads the point CSV format back to a point tuple that keeps its arrays.
 """
 
-import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .numkernel import (SpherePoint, _as_arrays, _as_pair, _frozen_arrays,
-                        _mesh, _row_roots, _sphere_points, embed_points,
-                        sphere_embed, sphere_nearest)
+from .numkernel import (SpherePoint, _PointSet, _as_arrays, _as_pair,
+                        _read_points_csv, _row_roots, _write_points_csv,
+                        embed_points, sphere_embed, sphere_nearest)
 from .ratmap import (_chunks, _expand_level, _fiber_rows, critical_points,
                      evaluate)
 
@@ -26,15 +27,14 @@ WALK_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
-class JuliaCloud:
-    """A sampled Julia set, held as arrays.
+class JuliaCloud(_PointSet):
+    """A sampled Julia set, held as arrays (`numkernel._PointSet`).
 
     z and isinf are read-only arrays of the samples (z is 0 at infinity).
     `points`, and iteration, give them as SpherePoints, built on first
-    access; the tuple keeps the arrays, so operators take it whole. `mesh`,
-    the largest distance from a sample to its nearest other sample, is
-    measured on first access too. generator names the numeric criterion
-    the points satisfy: "inverse_iteration" (backward-walk samples) or
+    access; `mesh` is measured on first access. A slice is the sub-cloud
+    of those samples. generator names the numeric criterion the points
+    satisfy: "inverse_iteration" (backward-walk samples) or
     "escape_boundary".
     """
     z: np.ndarray
@@ -44,24 +44,9 @@ class JuliaCloud:
     depth: int
     burn_in: int
 
-    def __post_init__(self):
-        z, isinf = _frozen_arrays(self.z, self.isinf)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "isinf", isinf)
-
-    @functools.cached_property
+    @property
     def points(self):
-        return _sphere_points(self.z, self.isinf)
-
-    @functools.cached_property
-    def mesh(self):
-        return _mesh(self.z, self.isinf)
-
-    def __len__(self):
-        return self.z.size
-
-    def __iter__(self):
-        return iter(self.points)
+        return self._points
 
     def __getitem__(self, key):
         """A point, or for a slice the sub-cloud of those samples."""
@@ -313,33 +298,12 @@ def write_pgm(path, image):
 
 def write_cloud_csv(path, cloud):
     """One line re,im,is_infinity per point of a cloud or point sequence."""
-    z, isinf = _as_arrays(cloud)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("re,im,is_infinity\n")
-        fh.writelines(
-            "0,0,1\n" if f else "%.17g,%.17g,0\n" % (re, im)
-            for re, im, f in zip(z.real.tolist(), z.imag.tolist(),
-                                 isinf.tolist()))
+    _write_points_csv(path, *_as_arrays(cloud))
 
 
 def read_cloud_csv(path):
-    """Points from a cloud CSV (header re,im,is_infinity)."""
-    pts = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:3] != ["re", "im", "is_infinity"]:
-            raise ValueError(f"unexpected cloud header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            re_s, im_s, inf_s = line.strip().split(",")[:3]
-            if inf_s.strip() == "1":
-                pts.append(SpherePoint.infinity())
-            else:
-                # complex(re, im) keeps negative-zero components intact
-                pts.append(SpherePoint.finite(complex(float(re_s),
-                                                      float(im_s))))
-    return tuple(pts)
+    """Points from a cloud CSV, as a tuple that keeps its arrays."""
+    return _PointSet(*_read_points_csv(path)[:2])._points
 
 
 def circle_neighbor_stats(points, anchors=64):

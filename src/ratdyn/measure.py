@@ -8,6 +8,9 @@ invariance defects, and convergence diagnostics.
 Level sums run on arrays: a function is evaluated on a whole tree or
 forest level at once (`numkernel._values_at`), and each root's nodes are
 summed left to right, as a scalar loop over them adds (`_root_sums`).
+
+A `WeightedCloud` is an array-backed point set with weights; CSV files
+use the point format with its weight column and read back to arrays.
 """
 
 import functools
@@ -16,31 +19,29 @@ import math
 
 import numpy as np
 
-from .numkernel import (SpherePoint, _as_arrays, _as_pair, _frozen_arrays,
-                        _mesh, _sphere_points, _values_at, chordal_distance,
+from .numkernel import (SpherePoint, _PointSet, _as_arrays, _read_points_csv,
+                        _values_at, _write_points_csv, chordal_distance,
                         sphere_embed)
 from .julia import BURN_IN, _walk
 from .ratmap import _evaluate_arrays, _forest, evaluate, tree_levels
 
 
-class WeightedCloud:
+class WeightedCloud(_PointSet):
     """Atoms (point, weight) summing to 1, held as arrays.
 
-    z, isinf and w are read-only arrays of the atoms' points (z is 0 at
-    infinity) and float weights. Exact-tree clouds also carry integer
-    weights over a common denominator d^n, so pushforward and fiber-sum
-    identities can be checked exactly. `atoms` and `points()` give
-    SpherePoints, built on first access; the point tuple keeps the arrays.
-    `mesh`, the largest distance from an atom to its nearest other atom,
-    is measured on first access. provenance is ("exact_tree", y, n)
-    or ("monte_carlo", y, depth, samples, seed) or ("file", path).
+    A `numkernel._PointSet` of the atoms' points that adds w, the
+    read-only float weights. Exact-tree clouds also carry integer weights
+    over a common denominator d^n, so pushforward and fiber-sum identities
+    can be checked exactly. `atoms` and `points()` give SpherePoints,
+    built on first access; the point tuple keeps the arrays. provenance is
+    ("exact_tree", y, n) or ("monte_carlo", y, depth, samples, seed) or
+    ("file", path).
     """
 
     def __init__(self, atoms, provenance, int_weights=None, denominator=None):
         atoms = tuple(atoms)
-        z, isinf = _as_arrays([p for p, _ in atoms])
-        self._init(z, isinf, [w for _, w in atoms], provenance, int_weights,
-                   denominator)
+        self._init(*_as_arrays([p for p, _ in atoms]), [w for _, w in atoms],
+                   provenance, int_weights, denominator)
 
     @classmethod
     def from_arrays(cls, z, isinf, w, provenance, int_weights=None,
@@ -51,7 +52,7 @@ class WeightedCloud:
         return cloud
 
     def _init(self, z, isinf, w, provenance, int_weights, denominator):
-        self.z, self.isinf = _frozen_arrays(z, isinf)
+        super().__init__(z, isinf)
         self.w = np.array(w, dtype=float)
         self.w.flags.writeable = False
         self.provenance = provenance
@@ -71,18 +72,7 @@ class WeightedCloud:
 
     @functools.cached_property
     def atoms(self):
-        return tuple(zip(self.points(), self.w.tolist()))
-
-    @functools.cached_property
-    def _points(self):
-        return _sphere_points(self.z, self.isinf)
-
-    @functools.cached_property
-    def mesh(self):
-        return _mesh(self.z, self.isinf)
-
-    def __len__(self):
-        return self.z.size
+        return tuple(zip(self._points, self.w.tolist()))
 
     def points(self):
         return self._points
@@ -102,8 +92,7 @@ def lyubich_exact(R, y, n):
     for pts, inf, idx in tree_levels(R, y, n):
         pass   # keep the deepest level
     den = R.degree ** n
-    yv, yinf = _as_pair(y)
-    prov = ("exact_tree", SpherePoint(yv, yinf), n)
+    prov = ("exact_tree", SpherePoint.from_value(y), n)
     # Python's int / int rounds the exact quotient once; numpy would round
     # an index and d^n beyond 2^53 first
     return WeightedCloud.from_arrays(
@@ -122,8 +111,7 @@ def lyubich_mc(R, y, depth, samples, seed=0):
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     (zs,), (fl,) = _walk(R, y, depth, samples, rng, 1)
-    yv, yinf = _as_pair(y)
-    prov = ("monte_carlo", SpherePoint(yv, yinf), depth, samples, seed)
+    prov = ("monte_carlo", SpherePoint.from_value(y), depth, samples, seed)
     return WeightedCloud.from_arrays(zs, fl, np.full(samples, 1.0 / samples),
                                      prov)
 
@@ -135,16 +123,15 @@ def integrate(cloud, a):
     callable is called with the cloud's SpherePoint atoms.
     """
     return _weighted_sum(
-        cloud.w, _values_at(a, cloud.z, cloud.isinf, cloud.points))
+        cloud.w, _values_at(a, cloud.z, cloud.isinf, cloud))
 
 
 def invariance_defect(R, cloud, test_functions):
     """max over tests of |integral of a(R(x)) - integral of a(x)|."""
-    wz, winf = _evaluate_arrays(R, cloud.z, cloud.isinf)
-    images = functools.cache(lambda: _sphere_points(wz, winf))
+    img = _PointSet(*_evaluate_arrays(R, cloud.z, cloud.isinf))
     worst = 0.0
     for a in test_functions:
-        pushed = _weighted_sum(cloud.w, _values_at(a, wz, winf, images))
+        pushed = _weighted_sum(cloud.w, _values_at(a, img.z, img.isinf, img))
         worst = max(worst, abs(pushed - integrate(cloud, a)))
     return worst
 
@@ -196,8 +183,7 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     """
     d = R.degree
     labels = [_test_label(a, i) for i, a in enumerate(test_functions)]
-    yv, yinf = _as_pair(y)
-    z, isinf = np.array([yv]), np.array([yinf])
+    z, isinf = _as_arrays([y])
     # one sequence per test, by position: two tests may share a label
     vals = [[complex(_values_at(a, z, isinf)[0])] for a in test_functions]
     for k, *level in _forest(R, z, isinf, n):
@@ -211,8 +197,7 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     if y2 is not None:
         if n < 1:
             raise ValueError("depth must be at least 1")
-        yv, yinf = _as_pair(y2)
-        for _, *other in _forest(R, np.array([yv]), np.array([yinf]), n):
+        for _, *other in _forest(R, *_as_arrays([y2]), n):
             pass   # keep the deepest level
         for lab, a, seq in zip(labels, test_functions, vals):
             want = complex(_level_sums(a, *other, 1.0 / d ** n)[0])
@@ -230,11 +215,8 @@ _AROUND = tuple((i * _CELL + j) * _CELL + k
 
 def _cell_keys(z, isinf, width):
     """Grid-hash keys of cubes of side width on sphere_embed coordinates."""
-    # |z|^2 overflows beyond about 1e154, within 2e-154 of infinity
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = sphere_embed(z, isinf)
-    e[~np.isfinite(e).all(axis=1)] = (0.0, 0.0, 1.0)
-    i, j, k = np.floor(e / width).astype(np.int64).T.tolist()
+    i, j, k = np.floor(sphere_embed(z, isinf) / width).astype(
+        np.int64).T.tolist()
     return [(a * _CELL + b) * _CELL + c for a, b, c in zip(i, j, k)]
 
 
@@ -249,32 +231,33 @@ def pushforward(R, cloud, merge_tol=1e-9):
     depth-(n-1) tree with integer weights intact (aggregation only ever
     sums weights of atoms that coincide up to roundoff).
     """
-    imgs = [(evaluate(R, p), w) for p, w in cloud.atoms]
-    ints = (list(cloud.int_weights)
-            if cloud.int_weights is not None else [None] * len(imgs))
+    imgs = [evaluate(R, p) for p in cloud.points()]
+    z, isinf = _as_arrays(imgs)
     # the slack covers the roundings of sphere_embed and chordal_distance
     width = 2.0 * merge_tol + 1e-12 if merge_tol > 0 else 1e-12
-    keys = _cell_keys(*_as_arrays([p for p, _ in imgs]), width)
-    grid = {}    # cell key -> positions in merged of the atoms it holds
-    merged = []  # (point, weight, int_weight)
-    for (p, w), iw, key in zip(imgs, ints, keys):
+    grid = {}    # cell key -> positions in `first` of the atoms it holds
+    first, into = [], []   # each atom's first image, each image's atom
+    for j, key in enumerate(_cell_keys(z, isinf, width)):
         for t in sorted(t for k in _AROUND for t in grid.get(key + k, ())):
-            q, wq, iq = merged[t]
-            if chordal_distance(p, q) <= merge_tol:
-                merged[t] = (q, wq + w,
-                             None if iq is None or iw is None else iq + iw)
+            if chordal_distance(imgs[j], imgs[first[t]]) <= merge_tol:
+                into.append(t)
                 break
         else:
-            grid.setdefault(key, []).append(len(merged))
-            merged.append((p, w, iw))
-    merged.sort(key=lambda t: t[0].sort_key())
-    atoms = tuple((p, w) for p, w, _ in merged)
-    ints_out = tuple(iw for _, _, iw in merged)
-    have_ints = all(iw is not None for iw in ints_out) and len(ints_out) > 0
-    return WeightedCloud(
-        atoms, ("pushforward",) + cloud.provenance,
-        ints_out if have_ints else None,
-        cloud.denominator if have_ints else None)
+            grid.setdefault(key, []).append(len(first))
+            into.append(len(first))
+            first.append(j)
+    first = np.array(first, dtype=np.int64)
+    order = np.lexsort((z.imag[first], z.real[first], isinf[first]))
+    # both sums add each atom's images in order, as a loop over them does
+    w = np.bincount(into, cloud.w, first.size)[order]
+    iw = cloud.int_weights
+    if iw is not None:
+        iw = np.zeros(first.size, dtype=np.int64)
+        np.add.at(iw, into, cloud.int_weights)
+        iw = iw[order]
+    return WeightedCloud.from_arrays(
+        z[first[order]], isinf[first[order]], w,
+        ("pushforward",) + cloud.provenance, iw, cloud.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +265,14 @@ def pushforward(R, cloud, merge_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def write_weighted_csv(path, cloud):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("re,im,is_infinity,weight\n")
-        fh.writelines(
-            "0,0,1,%.17g\n" % w if f else "%.17g,%.17g,0,%.17g\n" % (re, im, w)
-            for re, im, f, w in zip(cloud.z.real.tolist(),
-                                    cloud.z.imag.tolist(),
-                                    cloud.isinf.tolist(), cloud.w.tolist()))
+    """One line re,im,is_infinity,weight per atom of a weighted cloud."""
+    _write_points_csv(path, cloud.z, cloud.isinf, cloud.w)
 
 
 def read_weighted_csv(path):
-    atoms = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:4] != ["re", "im", "is_infinity", "weight"]:
-            raise ValueError(f"unexpected weighted-cloud header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            re_s, im_s, inf_s, w_s = line.strip().split(",")[:4]
-            # complex(re, im), not re + 1j*im: the sum would lose the sign
-            # of a negative-zero imaginary part and break byte round-trips
-            p = (SpherePoint.infinity() if inf_s.strip() == "1"
-                 else SpherePoint.finite(complex(float(re_s), float(im_s))))
-            atoms.append((p, float(w_s)))
-    return WeightedCloud(tuple(atoms), ("file", str(path)))
+    """The weighted cloud of a file of `write_weighted_csv`."""
+    z, isinf, w = _read_points_csv(path, weighted=True)
+    return WeightedCloud.from_arrays(z, isinf, w, ("file", str(path)))
 
 
 def write_diagnostics_json(path, records):

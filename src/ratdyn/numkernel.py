@@ -104,8 +104,8 @@ def _as_pair(p):
 def _as_arrays(points):
     """Internal: points as (complex array, is-infinity mask).
 
-    An array-backed cloud, and the point tuple it hands out, give the
-    cloud's own arrays, and a numeric ndarray is taken whole (non-finite
+    A point set (`_PointSet`), and the point tuple it hands out, give the
+    set's own arrays, and a numeric ndarray is taken whole (non-finite
     entries are infinity); any other sequence is read point by point.
     """
     isinf = getattr(points, "isinf", None)
@@ -121,41 +121,127 @@ def _as_arrays(points):
             np.array([f for _, f in pairs], dtype=bool))
 
 
-def _frozen_arrays(z, isinf):
-    """Read-only copies of (z, isinf), with z set to 0 at infinity."""
-    isinf = np.array(isinf, dtype=bool)
-    z = np.where(isinf, 0j, np.asarray(z, dtype=complex))
-    z.flags.writeable = isinf.flags.writeable = False
-    return z, isinf
-
-
 class _Points(tuple):
     """A tuple of SpherePoints that keeps the arrays (z, isinf) it was built
     from, so `_as_arrays` takes it whole."""
 
 
-def _sphere_points(z, isinf):
-    """The points (z, isinf) as a tuple of SpherePoints carrying z, isinf."""
-    inf = SpherePoint.infinity()
-    pts = _Points(inf if f else SpherePoint.finite(v)
-                  for v, f in zip(z.tolist(), isinf.tolist()))
-    pts.z, pts.isinf = z, isinf
-    return pts
+class _PointSet:
+    """Points of the sphere held as read-only arrays: the base of Julia
+    clouds, weighted clouds, fibers and root sets.
+
+    z and isinf are the points' values and is-infinity mask (z is 0 at
+    infinity); a finite point with a non-finite part raises ValueError.
+    `_points`, and iteration, give the points as SpherePoints, built on
+    first access; the tuple keeps the arrays, so operators take it whole.
+    `mesh`, the largest distance from a point to its nearest other point,
+    is measured on first access too.
+    """
+
+    def __init__(self, z, isinf):
+        isinf = np.array(isinf, dtype=bool)
+        z = np.where(isinf, 0j, np.asarray(z, dtype=complex))
+        if not np.isfinite(z).all():
+            raise ValueError("finite point with non-finite components")
+        z.flags.writeable = isinf.flags.writeable = False
+        self.__dict__.update(z=z, isinf=isinf)
+
+    def __post_init__(self):   # a frozen dataclass with fields z and isinf
+        _PointSet.__init__(self, self.z, self.isinf)
+
+    @functools.cached_property
+    def _points(self):
+        # the arrays are checked, so each point is filled in directly,
+        # without SpherePoint's own check
+        inf, pts, put = SpherePoint.infinity(), [], object.__setattr__
+        for v, f in zip(self.z.tolist(), self.isinf.tolist()):
+            p = inf
+            if not f:
+                p = object.__new__(SpherePoint)
+                put(p, "z", v)
+                put(p, "is_infinity", False)
+            pts.append(p)
+        pts = _Points(pts)
+        pts.z, pts.isinf = self.z, self.isinf
+        return pts
+
+    @functools.cached_property
+    def mesh(self):
+        return float(np.max(sphere_nearest(sphere_embed(self.z,
+                                                        self.isinf))[0]))
+
+    def __len__(self):
+        return self.z.size
+
+    def __iter__(self):
+        return iter(self._points)
+
+
+class _Entries(_PointSet):
+    """The base of Fiber and RootSet, frozen dataclasses whose field
+    `entries` pairs distinct points with integer counts."""
+
+    def __post_init__(self):
+        _PointSet.__init__(self, *_as_arrays([p for p, _ in self.entries]))
+
+    @classmethod
+    def _from_arrays(cls, z, isinf, counts, **fields):
+        """The set of the points (z, isinf) with counts, built from arrays."""
+        out = cls.__new__(cls)
+        _PointSet.__init__(out, z, isinf)
+        out.__dict__.update(
+            fields, entries=tuple(zip(out._points, counts.tolist())))
+        return out
+
+    def points(self):
+        return [p for p, _ in self.entries]
 
 
 def _values_at(f, z, isinf, points=None):
     """The values of f at the points (z, isinf), as an array.
 
     An evaluator with an array method `at(z, isinf)` takes the arrays
-    whole; any other callable is called once per point with a SpherePoint.
-    `points`, when given, returns those SpherePoints already built.
+    whole; any other callable is called once per point with a SpherePoint,
+    taken from `points`, the point set of (z, isinf), when given.
     """
     at = getattr(f, "at", None)
     if at is not None:
         return at(z, isinf)
-    pts = (points() if points is not None else
-           (SpherePoint(v, i) for v, i in zip(z.tolist(), isinf.tolist())))
+    pts = (_PointSet(z, isinf) if points is None else points)._points
     return np.array([complex(f(p)) for p in pts], dtype=complex)
+
+
+def _write_points_csv(path, z, isinf, w=None):
+    """One line re,im,is_infinity per point, with a weight column when w
+    is given; parts in %.17g, which reads back to the same doubles."""
+    rows = ("0,0,1" if f else "%.17g,%.17g,0" % (re, im)
+            for re, im, f in zip(z.real.tolist(), z.imag.tolist(),
+                                 isinf.tolist()))
+    if w is not None:
+        rows = (r + ",%.17g" % x for r, x in zip(rows, w.tolist()))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("re,im,is_infinity" + ("" if w is None else ",weight") + "\n")
+        fh.writelines(r + "\n" for r in rows)
+
+
+def _read_points_csv(path, weighted=False):
+    """(z, isinf, w) as lists from a file of `_write_points_csv`; w is None
+    unless weighted. A header without the columns or a short row raises
+    ValueError; blank lines and extra columns are ignored."""
+    n = 4 if weighted else 3
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header.split(",")[:n] != ["re", "im", "is_infinity", "weight"][:n]:
+            raise ValueError(f"unexpected point CSV header: {header!r}")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if any(len(r) < n for r in rows):
+        raise ValueError(f"a point CSV row has fewer than {n} columns")
+    isinf = [r[2].strip() == "1" for r in rows]
+    # complex(re, im), not re + 1j*im: the sum would lose the sign of a
+    # negative-zero imaginary part and break byte round trips
+    z = [0j if f else complex(float(r[0]), float(r[1]))
+         for r, f in zip(rows, isinf)]
+    return z, isinf, [float(r[3]) for r in rows] if weighted else None
 
 
 def _at_point(at, x):
@@ -235,6 +321,7 @@ def chordal_distances(a, zs, isinf):
     return np.where(isinf & ia, 0.0, out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sphere_embed(zs, isinf=None):
     """Embed points into R^3 so Euclidean distance equals chordal distance.
 
@@ -245,7 +332,8 @@ def sphere_embed(zs, isinf=None):
 
     Returns
     -------
-    (n, 3) float array on the unit sphere.
+    (n, 3) float array on the unit sphere. A point whose |z|^2 overflows
+    goes through the reciprocal chart: (x, -y, -h) of w = 1/z's (x, y, h).
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if isinf is None:
@@ -258,6 +346,9 @@ def sphere_embed(zs, isinf=None):
     out[:, 0] = 2.0 * zs.real / denom
     out[:, 1] = 2.0 * zs.imag / denom
     out[:, 2] = (m2 - 1.0) / denom
+    far = np.isfinite(zs) & ~np.isfinite(m2)
+    if far.any():
+        out[far] = sphere_embed(1.0 / zs[far]) * (1.0, -1.0, -1.0)
     out[isinf] = (0.0, 0.0, 1.0)
     return out
 
@@ -312,12 +403,6 @@ def sphere_nearest(cloud, queries=None):
             dist[a[better]], idx[a[better]] = d[better], b[better]
     back = np.argsort(order)
     return dist[back], order[idx[back]]
-
-
-def _mesh(z, isinf):
-    """Largest chordal distance from a point of (z, isinf) to its nearest
-    other point."""
-    return float(np.max(sphere_nearest(sphere_embed(z, isinf))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +504,8 @@ def _poly_coeffs(p):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RootSet:
-    """Roots of a polynomial with multiplicities.
+class RootSet(_Entries):
+    """Roots of a polynomial with multiplicities, an array-backed point set.
 
     entries are (root, multiplicity) pairs sorted by (re, im); multiplicities
     sum to the polynomial degree. residual_bound is max |p(root)| over the
@@ -433,9 +518,6 @@ class RootSet:
     @property
     def degree(self):
         return sum(m for _, m in self.entries)
-
-    def points(self):
-        return [r for r, _ in self.entries]
 
     def multiplicities(self):
         return [m for _, m in self.entries]
@@ -738,5 +820,5 @@ def roots_with_multiplicity(poly):
     centers, counts, _ = _cluster_rows(*_row_roots(c[None, :]))
     centers = centers + 0.0   # report a root at 0 as 0, not -0
     residual = float(np.max(np.abs(poly_eval(c / c[-1], centers))))
-    return RootSet(tuple((SpherePoint.finite(z), int(k))
-                         for z, k in zip(centers, counts)), residual)
+    return RootSet._from_arrays(centers, np.zeros(centers.size, dtype=bool),
+                                counts, residual_bound=residual)

@@ -14,6 +14,7 @@ numkernel's `_row_roots`, whose tie rule decides the branch indices.
 `preimages` is its one-row case; trees, backward walks and expansion
 times call it on batches. `_forest` expands the preimage trees of many
 bases together, one call per level; `tree_levels` is its one-base case.
+A `Fiber` is an array-backed point set built from the solver's arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import BudgetExceeded, CoprimalityError
 from .numkernel import (
     Polynomial,
     SpherePoint,
+    _Entries,
+    _as_arrays,
     _as_pair,
     local_multiplicity,
     poly_add,
@@ -56,11 +59,11 @@ class CriticalDatum:
 
 
 @dataclass(frozen=True)
-class Fiber:
+class Fiber(_Entries):
     """Preimage set of a base point under R^depth, with branch indices.
 
     entries are (point, index) pairs, pairwise distinct points; the indices
-    sum to degree^depth.
+    sum to degree^depth. An array-backed point set (`numkernel._PointSet`).
     """
 
     base: SpherePoint
@@ -70,9 +73,6 @@ class Fiber:
     @property
     def total_index(self):
         return sum(m for _, m in self.entries)
-
-    def points(self):
-        return [p for p, _ in self.entries]
 
     def indices(self):
         return [m for _, m in self.entries]
@@ -359,14 +359,6 @@ def _expand_level(R, pts, inf):
     return cp[order], cn[order], cc[order], par[order]
 
 
-def _fiber(y, depth, pts, inf, idx):
-    entries = tuple(
-        (SpherePoint.infinity() if inf[j] else SpherePoint.finite(pts[j]),
-         int(idx[j]))
-        for j in range(pts.size))
-    return Fiber(SpherePoint.from_value(y), depth, entries)
-
-
 def preimages(R, w):
     """The fiber over w: distinct preimage points with branch indices.
 
@@ -375,9 +367,9 @@ def preimages(R, w):
     when deg P exceeds deg Q; finite preimages of infinity are the poles
     with their orders. This is the one-row case of `_expand_level`.
     """
-    wv, isinf = _as_pair(w)
-    pts, inf, idx, _ = _expand_level(R, np.array([wv]), np.array([isinf]))
-    return _fiber(w, 1, pts, inf, idx)
+    pts, inf, idx, _ = _expand_level(R, *_as_arrays([w]))
+    return Fiber._from_arrays(pts, inf, idx, base=SpherePoint.from_value(w),
+                              depth=1)
 
 
 def _forest(R, pts, inf, n, node_budget=NODE_BUDGET):
@@ -420,9 +412,7 @@ def tree_levels(R, y, n, node_budget=NODE_BUDGET):
     level is deterministic: parents in order, children sorted by (re, im)
     with infinity last. This is the one-base case of the forest `_forest`.
     """
-    yv, yinf = _as_pair(y)
-    for _, pts, inf, idx, _ in _forest(R, np.array([yv], dtype=complex),
-                                        np.array([yinf]), n, node_budget):
+    for _, pts, inf, idx, _ in _forest(R, *_as_arrays([y]), n, node_budget):
         yield pts, inf, idx
 
 
@@ -436,7 +426,8 @@ def preimage_tree(R, y, n, node_budget=NODE_BUDGET):
         raise ValueError("depth must be at least 1")
     for pts, inf, idx in tree_levels(R, y, n, node_budget):
         pass
-    return _fiber(y, n, pts, inf, idx)
+    return Fiber._from_arrays(pts, inf, idx, base=SpherePoint.from_value(y),
+                              depth=n)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +489,7 @@ def periodic_points(R, n, include_nonrepelling=False, degree_budget=DEGREE_BUDGE
                   rel_tol=1e-14)
     if f.size <= 1:
         return np.zeros(0, dtype=complex)
-    rs = roots_with_multiplicity(f)
-    pts = np.array([p.z for p, _ in rs.entries], dtype=complex)
+    pts = roots_with_multiplicity(f).z
     if not include_nonrepelling:
         w = rn.derivative_numerator()
         qv = poly_eval(rn._q_pad, pts)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
-from .numkernel import (_as_arrays, _as_pair, _at_point, _values_at,
-                        embed_points, sphere_embed, sphere_nearest)
+from .numkernel import (_as_arrays, _at_point, _values_at, embed_points,
+                        sphere_embed, sphere_nearest)
 from .measure import _level_sums
 from .ratmap import _evaluate_arrays, _expand_level, _forest
 
@@ -168,8 +168,7 @@ def alpha(R, a):
 
 def transfer_E(R, a, y):
     """Branch-index-weighted fiber average: d^{-1} sum e(x) a(x)."""
-    zv, isinf = _as_pair(y)
-    fiber = _expand_level(R, np.array([zv]), np.array([isinf]))
+    fiber = _expand_level(R, *_as_arrays([y]))
     return complex(_level_sums(a, *fiber, 1.0)[0]) / R.degree
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "ratdyn.cli"]
@@ -235,13 +236,40 @@ def test_bad_counts_exit_2(args, tmp_path):
 
 
 @pytest.mark.parametrize("test", [
-    "z^", "z^(2)", "conj(z)^", "1/0", "z^1000000000000",
+    "z^", "z^(2)", "conj(z)^", "1/0", "z^1000000000000", "z -",
 ])
 def test_bad_test_functions_exit_2(test):
     r = run("kms", "z^2", "--test", test, "--levels", "1")
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("text,table", [
+    ("2*-z", {(1, 0): -2.0}),
+    ("-z", {(1, 0): -1.0}),
+    ("-1 + z", {(0, 0): -1.0, (1, 0): 1.0}),
+    ("z - -1", {(0, 0): 1.0, (1, 0): 1.0}),
+    ("-conj(z)^2 - 3/4 z", {(0, 2): -1.0, (1, 0): -0.75}),
+    ("2 + 0.25*z + 0.25*conj(z)", {(0, 0): 2.0, (1, 0): 0.25, (0, 1): 0.25}),
+])
+def test_test_function_signs_multiply_their_term(text, table):
+    # a sign opening a term, or right after `*`, is part of the term
+    from ratdyn.cli import parse_test_function
+    from ratdyn.transfer import TestFunction
+    got = parse_test_function(text)
+    assert got.label == text
+    assert np.array_equal(got.coeffs, TestFunction.from_table(table).coeffs)
+
+
+def test_test_function_leading_minus_on_the_command_line():
+    # the equals form keeps the sign out of flag parsing
+    def lyubich(test):
+        r = run("kms", "z^2", test, "--levels", "1")
+        assert r.returncode == 0, r.stderr
+        line = [t for t in r.stdout.splitlines() if t.startswith("lyubich_v")]
+        return float(line[0].split()[-1])
+    assert lyubich("--test=-z") == -lyubich("--test=z") != 0.0
 
 
 def test_verify_single():

@@ -168,6 +168,30 @@ def test_weighted_csv_roundtrip(tmp_path, zm2):
     assert p.read_bytes() == q.read_bytes()
 
 
+@pytest.mark.parametrize("text,cloud_too", [
+    ("re,im,is_infinity,weight\n0.5,nan,0,0.5\n0,0,1,0.5\n", True),
+    ("re,im,is_infinity,weight\ninf,0,0,0.5\n0,0,1,0.5\n", True),
+    ("re,im,is_infinity,weight\n0.5,0\n0,0,1,0.5\n", True),
+    ("re,im,is_infinity,weight\n0.5,0,0,0.5\n0,0,1\n", False),
+    ("re,im,weight\n0.5,0,0.5\n", True),
+    ("re,im,is_infinity,weight\n0.5,0,0,0.5\n0,0,1,0.25\n", False),
+], ids=["nan-part", "inf-part", "short-row", "row-without-weight",
+        "bad-header", "weights-not-1"])
+def test_point_csv_readers_refuse_bad_input(tmp_path, text, cloud_too):
+    # the weight column is the weighted reader's alone: a cloud reader
+    # takes the first three columns of any point file
+    from ratdyn.julia import read_cloud_csv
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError):
+        read_weighted_csv(p)
+    if cloud_too:
+        with pytest.raises(ValueError):
+            read_cloud_csv(p)
+    else:
+        assert len(read_cloud_csv(p)) == 2
+
+
 def test_diagnostics_json(tmp_path, z2):
     recs = convergence_diagnostic(z2, 0.73, 4, [lambda p: p.z.real])
     f = tmp_path / "diag.json"

@@ -92,6 +92,38 @@ def test_sphere_embed_unit_vectors(rng):
         chordal_distance(SpherePoint.finite(a), SpherePoint.finite(b)), abs=1e-12)
 
 
+def test_sphere_embed_beyond_the_square_of_float_range(rng):
+    # |z|^2 overflows: those rows go through the reciprocal chart; the
+    # other rows keep the bytes of the plain formula
+    big = np.array([1e200, 1e308, -1e300j, complex(1e308, 1e308),
+                    complex(-3e170, 2e160)])
+    e = sphere_embed(big)
+    assert np.isfinite(e).all()
+    assert np.allclose(np.linalg.norm(e, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(e, [0.0, 0.0, 1.0], rtol=0, atol=1e-150)
+    zs = (rng.standard_normal(500) + 1j * rng.standard_normal(500)) \
+        * 10.0 ** rng.uniform(-150, 150, 500)
+    m2 = np.abs(zs) ** 2
+    plain = np.stack([2.0 * zs.real / (1.0 + m2), 2.0 * zs.imag / (1.0 + m2),
+                      (m2 - 1.0) / (1.0 + m2)], axis=1)
+    both = sphere_embed(np.concatenate([zs, big]))
+    assert both[:500].tobytes() == plain.tobytes()
+    # nearest-point distances stay finite, and agree with the metric
+    cloud = sphere_embed(np.array([0.5, 1e200, 1e308, -1e300j]))
+    dist, idx = sphere_nearest(cloud)
+    assert np.isfinite(dist).all() and idx[0] != 0
+    dist, _ = sphere_nearest(cloud, sphere_embed(np.array([2.0, 1e250]),
+                                                 np.array([False, False])))
+    assert np.isfinite(dist).all()
+    assert dist[0] == pytest.approx(chordal_distance(2.0, 1e200), abs=1e-15)
+    from ratdyn.julia import JuliaCloud
+    cloud = JuliaCloud(np.array([0.5, 1e200, -1e300j, 2.0]), np.zeros(4),
+                       "inverse_iteration", 0, 60, 20)
+    assert math.isfinite(cloud.mesh)
+    assert cloud.mesh == pytest.approx(
+        chordal_distance(0.5, 2.0), abs=1e-15)
+
+
 def test_poly_helpers():
     # (1 + z)(1 - z) = 1 - z^2
     assert list(poly_mul([1, 1], [1, -1])) == pytest.approx([1, 0, -1])
@@ -239,19 +271,112 @@ def test_as_arrays_takes_arrays_and_clouds_whole(cloud_z2):
     assert zs is cloud_z2.z and isinf is cloud_z2.isinf
 
 
-def test_point_tuples_keep_their_clouds_arrays(zm2, cloud_z2):
+def test_point_tuples_keep_their_clouds_arrays(zm2, cloud_z2, tmp_path):
+    from ratdyn.julia import read_cloud_csv, write_cloud_csv
     from ratdyn.measure import lyubich_exact, lyubich_mc
     from ratdyn.numkernel import _as_arrays
-    for cloud in (cloud_z2, cloud_z2[::7], lyubich_exact(zm2, 0.37, 5),
-                  lyubich_mc(zm2, 0.37, 30, 50)):
-        pts = cloud.points() if callable(cloud.points) else cloud.points
-        z, isinf = _as_arrays(pts)
-        assert z is cloud.z and isinf is cloud.isinf
+    from ratdyn.ratmap import preimage_tree
+    write_cloud_csv(tmp_path / "c.csv", cloud_z2[::9])
+    back = read_cloud_csv(tmp_path / "c.csv")
+    fib = preimage_tree(zm2, 0.37, 3)
+    roots = roots_with_multiplicity([1, 0, -3, 2])
+    sets = (cloud_z2, cloud_z2[::7], lyubich_exact(zm2, 0.37, 5),
+            lyubich_mc(zm2, 0.37, 30, 50), fib, roots)
+    assert cloud_z2.points is cloud_z2._points
+    assert sets[2].points() is sets[2]._points
+    for s in (fib, roots):   # entries hold the set's own points
+        assert all(p is q for (p, _), q in zip(s.entries, s._points))
+    for s, pts in [(s, s._points) for s in sets] + [(back, back)]:
+        for x in (s, pts):
+            z, isinf = _as_arrays(x)
+            assert z is s.z and isinf is s.isinf
         # the same points in a list go point by point, to equal arrays
         lz, linf = _as_arrays(list(pts))
         assert lz.view(np.uint64).tolist() == z.view(np.uint64).tolist()
         assert linf.tolist() == isinf.tolist()
     assert type(cloud_z2.points[::7]) is tuple
+    assert back.z.tolist() == cloud_z2.z[::9].tolist()
+
+
+def _old_points(z, isinf):
+    """SpherePoints one by one, through the checked constructors."""
+    return tuple(SpherePoint.infinity() if f else SpherePoint.finite(v)
+                 for v, f in zip(z, isinf))
+
+
+def _old_root_set(c):
+    """`roots_with_multiplicity` as it built its RootSet point by point."""
+    from ratdyn.numkernel import RootSet, _cluster_rows, _row_roots
+    c = poly_trim(np.asarray(c, dtype=complex))
+    centers, counts, _ = _cluster_rows(*_row_roots(c[None, :]))
+    centers = centers + 0.0
+    residual = float(np.max(np.abs(poly_eval(c / c[-1], centers))))
+    return RootSet(tuple((SpherePoint.finite(z), int(k))
+                         for z, k in zip(centers, counts)), residual)
+
+
+def _same_points(a, b):
+    assert a == b
+    assert [hash(p) for p in a] == [hash(p) for p in b]
+    assert [repr(p) for p in a] == [repr(p) for p in b]
+    assert [p.z.real.hex() for p in a] == [p.z.real.hex() for p in b]
+    assert [p.z.imag.hex() for p in a] == [p.z.imag.hex() for p in b]
+
+
+@pytest.mark.parametrize("base", [0.3 + 0.1j, SpherePoint.infinity()])
+def test_point_sets_from_arrays_match_the_point_route(base):
+    # every container built from arrays against the same container built
+    # point by point, as before the point sets shared one base
+    from ratdyn.julia import JuliaCloud, sample_inverse_iteration
+    from ratdyn.measure import WeightedCloud, lyubich_exact, lyubich_mc
+    from ratdyn.ratmap import Fiber, _expand_level, preimage_tree, preimages
+    from ratdyn.registry import get, list_examples
+    y = SpherePoint.from_value(base)
+    for name in list_examples():
+        R = get(name).map
+        yv, yinf = y.z, y.is_infinity
+        pts, inf, idx, _ = _expand_level(R, np.array([yv]), np.array([yinf]))
+        fibers = [(preimages(R, y), 1, pts, inf, idx)]
+        for pts, inf, idx in tree_levels(R, y, 2):
+            pass
+        fibers.append((preimage_tree(R, y, 2), 2, pts, inf, idx))
+        for new, depth, pts, inf, idx in fibers:
+            old = Fiber(y, depth, tuple(zip(_old_points(pts, inf),
+                                            idx.tolist())))
+            assert new == old and hash(new) == hash(old)
+            assert repr(new) == repr(old)
+            _same_points(new.points(), old.points())
+            assert new.entries == old.entries
+            assert new.indices() == old.indices()
+            assert new.total_index == old.total_index == R.degree ** depth
+            assert new.z.tobytes() == old.z.tobytes()
+            assert new.isinf.tolist() == old.isinf.tolist()
+        for c in (R.derivative_numerator(), R._p_pad - R._q_pad):
+            new, old = roots_with_multiplicity(c), _old_root_set(c)
+            assert new == old and hash(new) == hash(old)
+            assert repr(new) == repr(old)
+            _same_points(new.points(), old.points())
+            assert new.multiplicities() == old.multiplicities()
+            assert new.degree == old.degree
+            assert new.residual_bound == old.residual_bound
+        for mu in (lyubich_exact(R, y, 3), lyubich_mc(R, y, 25, 40)):
+            old = WeightedCloud(
+                tuple(zip(_old_points(mu.z, mu.isinf), mu.w.tolist())),
+                mu.provenance, mu.int_weights, mu.denominator)
+            _same_points(mu.points(), old.points())
+            assert mu.atoms == old.atoms
+            assert mu.w.tobytes() == old.w.tobytes()
+            assert (mu.int_weights is None) == (old.int_weights is None)
+            if mu.int_weights is not None:
+                assert mu.int_weights.tolist() == old.int_weights.tolist()
+                assert mu.denominator == old.denominator == R.degree ** 3
+        cloud = sample_inverse_iteration(R, y, count=300, seed=1)
+        _same_points(cloud.points, _old_points(cloud.z, cloud.isinf))
+    # negative zeros and infinity, through the builder
+    z = np.array([complex(-0.0, -0.0), complex(1.5, -0.0), 0j, -2.5e300])
+    cloud = JuliaCloud(z, [False, False, True, False], "inverse_iteration",
+                       0, 60, 20)
+    _same_points(cloud.points, _old_points(cloud.z, cloud.isinf))
 
 
 def _lexsort_cluster_rows(roots, label):
