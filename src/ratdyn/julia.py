@@ -101,10 +101,12 @@ def _walk(R, start, steps, walkers, rng, keep):
     for k in range(steps):
         pick = rng.integers(0, d, size=walkers)
         f, s, n = _fiber_rows(R, z, isinf)
-        if whole and n.min() > d:
+        if whole and n is None:
             z = _row_roots(f, s)[0][cols, pick]
             isinf[:] = False
         else:
+            if n is None:
+                n = np.full(walkers, d + 1)
             fast = np.flatnonzero(n > d)
             for sl in _chunks(fast.size, d):
                 rows = fast[sl] if fast.size < walkers else sl

@@ -162,6 +162,8 @@ def _root_sums(values, root):
     Each sum adds from 0 in node order, as a scalar loop over the nodes
     adds; numpy's pairwise sum would differ in the last bits.
     """
+    if root[0] == root[-1]:   # one root: its nodes are the whole array
+        return 0.0 + np.cumsum(values, axis=0)[-1:]
     return 0.0 + np.cumsum(_root_table(values, root), axis=1)[:, -1]
 
 

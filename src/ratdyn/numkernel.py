@@ -333,7 +333,8 @@ def sphere_embed(zs, isinf=None):
     Returns
     -------
     (n, 3) float array on the unit sphere. A point whose |z|^2 overflows
-    goes through the reciprocal chart: (x, -y, -h) of w = 1/z's (x, y, h).
+    goes through the reciprocal chart: (x, -y, -h) of w = 1/z's (x, y, h),
+    and an infinite value goes to the pole, flagged or not.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if isinf is None:
@@ -346,9 +347,14 @@ def sphere_embed(zs, isinf=None):
     out[:, 0] = 2.0 * zs.real / denom
     out[:, 1] = 2.0 * zs.imag / denom
     out[:, 2] = (m2 - 1.0) / denom
-    far = np.isfinite(zs) & ~np.isfinite(m2)
-    if far.any():
-        out[far] = sphere_embed(1.0 / zs[far]) * (1.0, -1.0, -1.0)
+    big = ~np.isfinite(m2)
+    if big.any():
+        finite = np.isfinite(zs)
+        far = big & finite
+        if far.any():
+            out[far] = sphere_embed(1.0 / zs[far]) * (1.0, -1.0, -1.0)
+        # an infinite value the mask does not flag is the pole as well
+        isinf = isinf | (big & ~finite & ~np.isnan(zs))
     out[isinf] = (0.0, 0.0, 1.0)
     return out
 
@@ -588,6 +594,15 @@ def _pairs(d):
     return np.triu_indices(d, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _companion(d):
+    """The companion matrix skeleton of degree d: ones below the diagonal."""
+    skel = np.zeros((d, d), dtype=complex)
+    skel[np.arange(1, d), np.arange(d - 1)] = 1.0
+    skel.flags.writeable = False
+    return skel
+
+
 def _labels(link):
     """Connected components of each row's link matrix (t, d, d): every
     root's label is the smallest index linked to it."""
@@ -653,8 +668,8 @@ def _tie(roots, g, size, near, i, j):
     return label, out[np.arange(t)[:, None], label]
 
 
-# a batch of monic rows with a coefficient above this is scaled to its root
-# bound before the eigenvalue solve
+# a monic row with a coefficient above this is scaled to its root bound
+# before the eigenvalue solve
 _UNBALANCED = 2.0 ** 32
 
 
@@ -678,12 +693,13 @@ def _row_roots(f, s=None):
 
     d <= 2 uses the stable closed form, d >= 3 the eigenvalues of the
     companion matrices followed by one Newton step on each simple root.
-    When a monic coefficient of a d >= 3 batch exceeds _UNBALANCED, its rows
-    are solved in u = z / 2^e, with e the integer nearest to log2 of the
-    root bound max_k |f_k / f_d|^(1/(d-k)), so that their companion
-    matrices stay balanced and Horner sums stay in range. The tie rule
-    follows Z. Zeng, "Computing multiple roots of inexact polynomials",
-    Math. Comp. 74 (2005):
+    A d >= 3 row with a monic coefficient above _UNBALANCED is solved in
+    u = z / 2^e, with e the integer nearest to log2 of the root bound
+    max_k |f_k / f_d|^(1/(d-k)), so that its companion matrix stays
+    balanced and its Horner sums stay in range. The decision is made row
+    by row, so a row's roots never depend on the other rows of its batch.
+    The tie rule follows Z. Zeng, "Computing multiple roots of inexact
+    polynomials", Math. Comp. 74 (2005):
 
     - candidates: two roots x, y of a row whose distance is at most the sum
       of their noise radii LINK * EPS * mag / |f'| (mag the Horner
@@ -704,14 +720,13 @@ def _row_roots(f, s=None):
         # q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the sign that avoids
         # cancellation; the roots are q / c2 and c0 / q
         c0, c1, c2 = f[:, 0], f[:, 1], f[:, 2]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
             sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
             q = -0.5 * (c1 + sq)
-            qz = q == 0  # double root at the origin
             u = np.empty((m, 2), dtype=complex)
-            u[:, 0] = q / c2
-            u[:, 1] = np.where(qz, 0j, c0 / np.where(qz, 1.0, q))
+            np.divide(q, c2, out=u[:, 0])
+            np.divide(c0, q, out=u[:, 1])
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             g, size = f / f[:, -1:], size / np.abs(f[:, -1:])
@@ -719,25 +734,30 @@ def _row_roots(f, s=None):
             raise NonConvergence(
                 "a fiber polynomial leaves the floating-point range once "
                 "normalized")
-        if np.abs(g).max(initial=0.0) > _UNBALANCED:
+        wide = np.abs(g).max(axis=1) > _UNBALANCED
+        if wide.any():
+            gw = g[wide]
             with np.errstate(divide="ignore"):
-                bound = np.max(np.log2(np.abs(g[:, :-1]))
+                bound = np.max(np.log2(np.abs(gw[:, :-1]))
                                / np.arange(d, 0, -1), axis=1)
             e = np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
             power = e[:, None] * (np.arange(d + 1) - d)
-            scaled = _ldexp(g, power)
-            big = np.abs(g) > EPS * np.max(np.abs(g), axis=1, keepdims=True)
+            scaled = _ldexp(gw, power)
+            big = np.abs(gw) > EPS * np.max(np.abs(gw), axis=1, keepdims=True)
             if np.any(big & (np.abs(scaled) < np.finfo(float).tiny)):
                 raise NonConvergence(
                     "fiber roots spread over more scales than floating "
                     "point holds")
-            g, size = scaled, _ldexp(size, power)
-        comp = np.zeros((m, d, d), dtype=complex)
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] = -g[:, :-1]
+            g[wide], size[wide] = scaled, _ldexp(size[wide], power)
+        comp = np.empty((m, d, d), dtype=complex)
+        comp[:] = _companion(d)
+        np.negative(g[:, :-1], out=comp[:, :, -1])
         u = np.linalg.eigvals(comp)
-    if not np.isfinite(u).all():
-        raise NonConvergence("fiber roots beyond the floating-point range")
+    if np.count_nonzero(np.isfinite(u)) < u.size:
+        if d == 2:   # q = 0: a double root at the origin, where c0 / q is 0/0
+            u[q == 0, 1] = 0j
+        if not np.isfinite(u).all():
+            raise NonConvergence("fiber roots beyond the floating-point range")
     if d == 1:
         return u, None
     # candidates: |x - y| <= r_x + r_y, multiplied out so that a root with
@@ -745,20 +765,23 @@ def _row_roots(f, s=None):
     i, j = _pairs(d)
     if d == 2:
         # |f'| at either root of a quadratic is |c2| times their distance
-        a1, a2 = np.abs(u[:, 0]), np.abs(u[:, 1])
+        au = np.abs(u)
+        a1, a2 = au[:, 0], au[:, 1]
         mag = (2.0 * size[:, 0] + size[:, 1] * (a1 + a2)
                + size[:, 2] * (a1 * a1 + a2 * a2))    # at both roots
         gap = np.abs(u[:, 0] - u[:, 1])
-        near = (np.abs(f[:, 2]) * gap * gap <= LINK * EPS * mag)[:, None]
+        tied = np.abs(f[:, 2]) * gap * gap <= LINK * EPS * mag
+        near = tied[:, None]
     else:
         val, der, mag = _horner(g, size, u)
         slope = np.abs(der)
         near = (np.abs(u[:, i] - u[:, j]) * slope[:, i] * slope[:, j]
                 <= LINK * EPS * (mag[:, i] * slope[:, j]
                                  + mag[:, j] * slope[:, i]))
-    tied = np.flatnonzero(near.any(axis=1))
+        tied = near.any(axis=1)
     label = None
-    if tied.size:
+    if np.count_nonzero(tied):
+        tied = np.flatnonzero(tied)
         label = np.tile(np.arange(d), (m, 1))
         label[tied], centre = _tie(u[tied], g[tied], size[tied], near[tied],
                                    i, j)
@@ -767,20 +790,20 @@ def _row_roots(f, s=None):
         u[tied] = np.where(merged, centre, u[tied])
     if d >= 3:
         ok = der != 0
-        if tied.size:
+        if label is not None:
             ok[tied] &= ~merged
         step = val / np.where(ok, der, 1.0)
         u = np.where(ok & np.isfinite(step), u - step, u)
         # an eigenvalue far from any root that Newton did not bring in means
         # the row's roots spread over more scales than the companion holds
-        far = np.flatnonzero((np.abs(val) > 1e-3 * mag).any(axis=1))
-        if far.size:
+        far = (np.abs(val) > 1e-3 * mag).any(axis=1)
+        if far.any():
             val, _, mag = _horner(g[far], size[far], u[far])
             if np.any(np.abs(val) > 1e-3 * mag):
                 raise NonConvergence("companion eigenvalues missed roots")
     if e is not None:
-        u = _ldexp(u, e[:, None])
-        if not np.isfinite(u).all():
+        u[wide] = _ldexp(u[wide], e[:, None])
+        if not np.isfinite(u[wide]).all():
             raise NonConvergence("fiber roots beyond the floating-point range")
     return u, label
 
@@ -792,6 +815,10 @@ def _cluster_rows(roots, label):
     and then by (re, im), ties in solver order.
     """
     m, d = roots.shape
+    if label is None and d == 2:   # one comparison orders each row's pair
+        swap = (roots[:, 1] < roots[:, 0])[:, None]
+        return (np.where(swap, roots[:, ::-1], roots).ravel(),
+                np.ones(2 * m, dtype=np.int64), np.repeat(np.arange(m), 2))
     centers = roots
     if label is not None:
         counts = np.bincount((label + d * np.arange(m)[:, None]).ravel(),

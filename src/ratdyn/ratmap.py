@@ -115,6 +115,7 @@ class RationalMap:
         self.is_polynomial = q.size == 1
         self._w = None
         self._wt = None
+        self._crit = None
         if check:
             self._check_coprime()
 
@@ -256,8 +257,11 @@ def critical_points(R):
 
     Finite critical points are the roots of W = P'Q - PQ' (index = order + 1);
     the chart map covers infinity. The returned data satisfies the branched
-    covering count sum(e - 1) = 2 deg(R) - 2.
+    covering count sum(e - 1) = 2 deg(R) - 2. Computed once per map; each
+    call returns a fresh list.
     """
+    if R._crit is not None:
+        return list(R._crit)
     out = []
     w = R.derivative_numerator()
     if w.size > 1:
@@ -273,6 +277,7 @@ def critical_points(R):
         inf = SpherePoint.infinity()
         out.append(CriticalDatum(inf, k + 1, evaluate(R, inf)))
     out.sort(key=lambda cd: cd.point.sort_key())
+    R._crit = tuple(out)
     return out
 
 
@@ -288,7 +293,8 @@ def _fiber_rows(R, pts, inf):
     sizes of the two terms of each coefficient. Only the first n[j]
     coefficients count: a leading coefficient at most _DROP_TOL times the
     size of its terms drops (w = R(infinity)), and each dropped degree is
-    one more preimage at infinity, d + 1 - n[j] in all.
+    one more preimage at infinity, d + 1 - n[j] in all. n is None when no
+    row drops a coefficient.
     """
     r = np.abs(pts)
     small = r <= 1.0
@@ -297,14 +303,15 @@ def _fiber_rows(R, pts, inf):
     # built as (d + 1, rows) and transposed: numpy loops fast over rows
     f = (a * R._p_pad[:, None] - b * R._q_pad[:, None]).T
     ab = np.empty((r.size, 2))                 # |a| and |b|
-    ab[:, 0] = 1.0 / np.maximum(r, 1.0)
-    ab[:, 1] = np.minimum(r, 1.0)
+    np.divide(1.0, np.maximum(r, 1.0), out=ab[:, 0])
+    np.minimum(r, 1.0, out=ab[:, 1])
     s = ab @ R._pq_abs
-    if inf.any():
+    if np.count_nonzero(inf):
         f[inf], s[inf] = R._q_pad, R._pq_abs[1]
-    n = np.full(f.shape[0], f.shape[1])
+    n = None
     low = np.abs(f[:, -1]) <= _DROP_TOL * s[:, -1]
-    if low.any():
+    if np.count_nonzero(low):
+        n = np.full(f.shape[0], f.shape[1])
         low = np.flatnonzero(low)
         keep = np.abs(f[low]) > _DROP_TOL * s[low]
         keep[:, 0] = True
@@ -330,30 +337,33 @@ def _expand_level(R, pts, inf):
     parent are contiguous, sorted by (re, im), infinity last. Rows are
     grouped by the length n of their fiber polynomial (`_fiber_rows`); each
     group is solved by `_row_roots` in chunks of bounded size, and a group
-    with n <= d adds one child at infinity of index d + 1 - n per row.
+    with n <= d adds one child at infinity of index d + 1 - n per row. When
+    every row keeps length d + 1 and the batch fits one chunk, the common
+    case, one row solve of the whole batch is the answer.
     """
     f, s, n = _fiber_rows(R, pts, inf)
     d = R.degree
     if d == 0:   # a constant map has empty fibers
         none = np.zeros(0, dtype=np.int64)
         return none.astype(complex), none.astype(bool), none, none
+    if n is None:
+        if f.shape[0] <= max(1, _WORK_ENTRIES // (d * d)):   # one chunk
+            centers, counts, row = _cluster_rows(*_row_roots(f, s))
+            return centers, np.zeros(centers.size, dtype=bool), counts, row
+        n = np.full(f.shape[0], d + 1)
     parts = []
-    for k in [d + 1] if (n > d).all() else np.unique(n):
+    for k in np.unique(n):
         group = np.flatnonzero(n == k)
         for sl in _chunks(group.size, k - 1) if k > 1 else ():
             rows = group[sl]
-            if rows.size == n.size:   # every row: no copies
-                rows = slice(None)
             centers, counts, row = _cluster_rows(
                 *_row_roots(f[rows, :k], s[rows, :k]))
             parts.append((centers, np.zeros(centers.size, dtype=bool), counts,
-                          row if isinstance(rows, slice) else rows[row]))
+                          rows[row]))
         if k <= d:
             parts.append((np.zeros(group.size, dtype=complex),
                           np.ones(group.size, dtype=bool),
                           np.full(group.size, d + 1 - k), group))
-    if len(parts) == 1:
-        return parts[0]
     cp, cn, cc, par = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(par, kind="stable")
     return cp[order], cn[order], cc[order], par[order]

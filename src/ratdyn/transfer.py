@@ -9,7 +9,8 @@ Everything runs on arrays. Test functions evaluate (z, isinf) arrays
 through their method `at`, and a scalar call is its one-point case. The
 fibers of all bases of one operator call come from one `_expand_level`
 solve, and a KMS trace expands all its probes as one forest
-(`ratmap._forest`), summed per probe in node order.
+(`ratmap._forest`), summed per probe in node order; its Lyubich value
+continues the first probe's nodes of that forest.
 """
 
 import math
@@ -19,12 +20,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationAtInfinity, TabulationMiss
+from .errors import BudgetExceeded, EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
 from .numkernel import (_as_arrays, _at_point, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
 from .measure import _level_sums
-from .ratmap import _evaluate_arrays, _expand_level, _forest
+from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
+
+
+def _powers(z, j):
+    """The columns z^0 .. z^(j-1), bit for bit as z[:, None] ** arange(j).
+
+    z^0 is 1, and z^1 is z except that numpy's power returns +0 for a zero
+    of any sign, so only the exponents from 2 on go through the power.
+    """
+    out = np.empty((z.size, j), dtype=complex)
+    out[:, 0] = 1.0
+    if j > 1:
+        out[:, 1] = np.where(z == 0, 0j, z)
+    if j > 2:
+        out[:, 2:] = z[:, None] ** np.arange(2, j)
+    return out
 
 
 class TestFunction:
@@ -110,8 +126,8 @@ class TestFunction:
             j, k = self.coeffs.shape
             # einsum, not matmul: BLAS sums a point's terms in an order
             # that depends on the other rows of the batch
-            return np.einsum("nj,jk,nk->n", z[:, None] ** np.arange(j),
-                             self.coeffs, np.conj(z)[:, None] ** np.arange(k))
+            return np.einsum("nj,jk,nk->n", _powers(z, j), self.coeffs,
+                             _powers(np.conj(z), k))
         dist, idx = sphere_nearest(self._atoms, sphere_embed(z, isinf))
         if np.any(dist > self.radius):
             raise TabulationMiss(
@@ -231,10 +247,12 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     sums index * a(x) over each probe's depth-k fiber, left to right,
     scaled d^{-k}. The final level's mean is compared against the
     balanced-measure integral of a, the same level sum over the deepest
-    fiber of probes[0] within lyubich_budget points. An empty probe set
-    raises ValueError. The hypothesis tag looks for critical points near
-    julia_sample (the probes when None), which may be any sequence of
-    points, as for `critical_points_in_julia`, and is read once.
+    fiber of probes[0] within lyubich_budget points: the forest's nodes of
+    probes[0] at that depth, or at depth n expanded further, so that no
+    level is expanded twice. An empty probe set raises ValueError. The
+    hypothesis tag looks for critical points near julia_sample (the probes
+    when None), which may be any sequence of points, as for
+    `critical_points_in_julia`, and is read once.
     """
     z, isinf = _as_arrays(probe_set)
     if not z.size:
@@ -242,20 +260,33 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     sz, sinf = (z, isinf) if julia_sample is None else _as_arrays(julia_sample)
     d = R.degree
     beta = math.log(d)
+    depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
     vals = np.zeros((n + 1, z.size), dtype=complex)
     vals[0] = _values_at(a, z, isinf)
+    # the fiber of probes[0] at depth min(n, depth), whose nodes lead
+    # their forest level
+    lz, lf, lidx = z[:1], isinf[:1], np.ones(1, dtype=np.int64)
     for k, *level in _forest(R, z, isinf, n):
         sums = _level_sums(a, *level, 1.0 / d ** k)
         first = level[3][0]
         vals[k, first:first + sums.size] = sums
+        if k == min(n, depth) and first == 0:
+            lz, lf, lidx = (x[:np.searchsorted(level[3], 1)]
+                            for x in level[:3])
     traces = tuple(
         IterationTrace(k, tuple(complex(v) for v in row), _variation(row))
         for k, row in enumerate(vals))
     final_constant = complex(np.mean(vals[n]))
-    depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
-    for _, *level in _forest(R, z[:1], isinf[:1], depth):
-        pass   # keep the deepest level
-    lyu = complex(_level_sums(a, *level, 1.0 / d ** depth)[0])
+    # continued to the Lyubich depth as one tree within the node budget,
+    # as the tree of probes[0] alone would be
+    for _ in range(n, depth):
+        if lz.size * d > NODE_BUDGET:
+            raise BudgetExceeded(
+                f"preimage tree would exceed {NODE_BUDGET} nodes")
+        lz, lf, cc, par = _expand_level(R, lz, lf)
+        lidx = cc * lidx[par]
+    lyu = complex(_level_sums(a, lz, lf, lidx, np.zeros(lz.size, np.int64),
+                              1.0 / d ** depth)[0])
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     tag = ("outside theorem hypothesis"

@@ -13,6 +13,7 @@ from ratdyn.numkernel import (
     SpherePoint,
     chordal_distance,
     chordal_distances,
+    embed_points,
     local_multiplicity,
     poly_add,
     poly_derivative,
@@ -90,6 +91,26 @@ def test_sphere_embed_unit_vectors(rng):
     emb = sphere_embed(np.array([a, b]))
     assert np.linalg.norm(emb[0] - emb[1]) == pytest.approx(
         chordal_distance(SpherePoint.finite(a), SpherePoint.finite(b)), abs=1e-12)
+
+
+def test_sphere_embed_sends_unflagged_infinities_to_the_pole(rng):
+    # an infinite value is the pole whether or not the mask flags it, as
+    # in embed_points; a NaN part stays NaN and every other row keeps the
+    # bytes it has without the infinite rows
+    inf = math.inf
+    odd = np.array([complex(inf, 0.0), complex(-inf, 2.0), complex(1.0, -inf),
+                    complex(inf, inf), complex(inf, math.nan)])
+    e = sphere_embed(odd)
+    assert e[:4].tolist() == [[0.0, 0.0, 1.0]] * 4
+    assert np.isnan(e[4]).all()
+    assert sphere_embed(odd[:1]).tolist() == embed_points([inf]).tolist()
+    zs = np.concatenate([rng.standard_normal(50) + 1j * rng.standard_normal(50),
+                         [1e200, -1e300j, 0.0]])
+    mask = np.zeros(zs.size, dtype=bool)
+    mask[::7] = True
+    both = sphere_embed(np.concatenate([zs, odd]),
+                        np.concatenate([mask, np.zeros(odd.size, bool)]))
+    assert both[:zs.size].tobytes() == sphere_embed(zs, mask).tobytes()
 
 
 def test_sphere_embed_beyond_the_square_of_float_range(rng):
