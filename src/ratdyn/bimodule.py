@@ -25,7 +25,7 @@ from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
 from .julia import _sample_arrays, critical_points_in_julia
 from .measure import _root_sums, _root_table
-from .numkernel import (SpherePoint, _PointSet, _as_arrays, _at_point,
+from .numkernel import (SpherePoint, _Evaluator, _PointSet, _as_arrays,
                         _values_at, chordal_distances, embed_points,
                         sphere_embed)
 from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
@@ -34,7 +34,7 @@ EXPANSION_BUDGET = 24
 
 
 @dataclass(frozen=True)
-class GraphFunction:
+class GraphFunction(_Evaluator):
     """A function on graph R^n, evaluated at the x-coordinate."""
     arity: int
     body: object
@@ -48,20 +48,14 @@ class GraphFunction:
         """Values at the points (z, isinf): the body's, as an array."""
         return _values_at(self.body, z, isinf)
 
-    def __call__(self, x):
-        return _at_point(self.at, x)
 
-
-class _OnArrays:
+class _OnArrays(_Evaluator):
     """A function given by its array method; a call is the one-point case."""
 
     __slots__ = ("at",)
 
     def __init__(self, at):
         self.at = at
-
-    def __call__(self, x):
-        return _at_point(self.at, x)
 
 
 def _depth_sums(R, z, isinf, n, terms):
@@ -493,7 +487,7 @@ def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
 
 
 @dataclass(frozen=True)
-class ProductOnGraph:
+class ProductOnGraph(_Evaluator):
     """Pointwise product a(x) f(x) as a graph function of f's arity."""
     left: object
     right: object
@@ -505,9 +499,6 @@ class ProductOnGraph:
     def at(self, z, isinf):
         return _values_at(self.left, z, isinf) * _values_at(self.right, z,
                                                              isinf)
-
-    def __call__(self, x):
-        return _at_point(self.at, x)
 
 
 def write_witness_json(path, report):

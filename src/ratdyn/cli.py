@@ -407,7 +407,7 @@ def _cmd_preimage(args, cfg):
     y = _parse_point(args.point)
     depth = _setting(args, cfg, "depth", int, 1, minimum=1)
     fib = preimages(R, y) if depth == 1 else preimage_tree(R, y, depth)
-    lines = ["x_re,x_im,is_infinity,index"]
+    lines = ["re,im,is_infinity,index"]
     for p, e in fib.entries:
         if p.is_infinity:
             lines.append("0,0,1,%d" % e)

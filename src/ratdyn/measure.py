@@ -23,7 +23,7 @@ from .numkernel import (SpherePoint, _PointSet, _as_arrays, _read_points_csv,
                         _values_at, _write_points_csv, chordal_distance,
                         sphere_embed)
 from .julia import BURN_IN, _walk
-from .ratmap import _evaluate_arrays, _forest, evaluate, tree_levels
+from .ratmap import _evaluate_arrays, _forest, tree_levels
 
 
 class WeightedCloud(_PointSet):
@@ -233,8 +233,8 @@ def pushforward(R, cloud, merge_tol=1e-9):
     depth-(n-1) tree with integer weights intact (aggregation only ever
     sums weights of atoms that coincide up to roundoff).
     """
-    imgs = [evaluate(R, p) for p in cloud.points()]
-    z, isinf = _as_arrays(imgs)
+    img = _PointSet(*_evaluate_arrays(R, cloud.z, cloud.isinf))
+    z, isinf, imgs = img.z, img.isinf, img._points
     # the slack covers the roundings of sphere_embed and chordal_distance
     width = 2.0 * merge_tol + 1e-12 if merge_tol > 0 else 1e-12
     grid = {}    # cell key -> positions in `first` of the atoms it holds

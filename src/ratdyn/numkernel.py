@@ -244,10 +244,15 @@ def _read_points_csv(path, weighted=False):
     return z, isinf, [float(r[3]) for r in rows] if weighted else None
 
 
-def _at_point(at, x):
-    """The value at one point of a function given by its array method."""
-    zv, isinf = _as_pair(x)
-    return complex(at(np.array([zv]), np.array([isinf]))[0])
+class _Evaluator:
+    """The base of functions given by an array method `at(z, isinf)`: a
+    call at one point is the one-point case of `at`."""
+
+    __slots__ = ()
+
+    def __call__(self, x):
+        zv, isinf = _as_pair(x)
+        return complex(self.at(np.array([zv]), np.array([isinf]))[0])
 
 
 def chordal_distance(a, b):
@@ -278,18 +283,19 @@ def chordal_distance(a, b):
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 
-def _reciprocal(z):
-    """1 / z of a nonzero complex array, rounded as Python's `1.0 / z`."""
-    br, bi = z.real, z.imag
+def _quotient(a, b):
+    """a / b for complex arrays b and a (or a number a), rounded as
+    Python's complex division: Smith's algorithm in CPython's order of
+    operations. A zero divisor gives non-finite parts, not an error."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
     wide = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(wide, bi / br, br / bi)
         denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-        out = np.empty(z.shape, dtype=complex)
-        out.real = np.where(wide, (1.0 + 0.0 * ratio) / denom,
-                            (1.0 * ratio + 0.0) / denom)
-        out.imag = np.where(wide, (0.0 - 1.0 * ratio) / denom,
-                            (0.0 * ratio - 1.0) / denom)
+        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                       dtype=complex)
+        out.real = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+        out.imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
     return out
 
 
@@ -309,7 +315,7 @@ def chordal_distances(a, zs, isinf):
     both = (isinf | (np.hypot(zs.real, zs.imag) > 1.0)) & far_a
     zb = zs.copy()
     flip = both & ~isinf
-    zb[flip] = _reciprocal(zs[flip])
+    zb[flip] = _quotient(1.0, zs[flip])
     qa = np.where(both, math.hypot(1.0, abs(za_chart)),
                   math.hypot(1.0, abs(za)))
     qb = _HYPOT(1.0, np.hypot(zb.real, zb.imag)).astype(float)
@@ -427,21 +433,31 @@ def poly_trim(coeffs, rel_tol=0.0):
 
 
 def poly_eval(coeffs, z):
-    """Horner evaluation; z may be scalar or ndarray."""
+    """Horner evaluation at z, a number or an array, rounded as Python
+    rounds `acc = acc * z + c[k]` from acc = 0j.
+
+    Each complex product is formed in real arithmetic, in the order of
+    Python's complex product: its bits do not depend on numpy's SIMD
+    dispatch, as those of numpy's complex array product do. coeffs may be
+    a table whose axis 0 runs over the coefficients and whose other axes
+    broadcast against z.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    if np.isscalar(z) or isinstance(z, complex):
-        acc = 0j
-        for k in range(c.size - 1, -1, -1):
-            acc = acc * z + c[k]
-        return acc
-    return npoly.polyval(np.asarray(z, dtype=complex), c)
+    x, y = np.real(z), np.imag(z)
+    re = im = 0.0
+    for ck in c[::-1]:
+        re, im = re * x - im * y + ck.real, re * y + im * x + ck.imag
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out[()]
 
 
 def poly_derivative(coeffs):
     c = np.asarray(coeffs, dtype=complex)
-    if c.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, c.size)
+    if c.shape[0] <= 1:
+        return np.zeros((1,) + c.shape[1:], dtype=complex)
+    k = np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c[1:] * k
 
 
 def poly_mul(a, b):

@@ -6,6 +6,10 @@ local multiplicity of R at x, equal to 1 + (order of x as a zero of the
 derivative numerator W = P'Q - PQ'). Work near infinity happens in the
 reciprocal chart w = 1/z throughout.
 
+Every image goes through one evaluator, `_evaluate_arrays`, on arrays of
+points; `evaluate` is its one-point case. It rounds as Python's complex
+arithmetic does, so its bits do not depend on numpy's SIMD dispatch.
+
 Every fiber goes through one solver, `_expand_level`: it builds the fiber
 polynomials of a whole batch of bases (`_fiber_rows`), groups the rows by
 degree (bases at infinity and degree-drop bases form the groups of lower
@@ -38,6 +42,7 @@ from .numkernel import (
     poly_trim,
     roots_with_multiplicity,
     _cluster_rows,
+    _quotient,
     _row_roots,
 )
 
@@ -110,6 +115,9 @@ class RationalMap:
         self._q_pad[: q.size] = q
         self._rp = self._p_pad[::-1].copy()
         self._rq = self._q_pad[::-1].copy()
+        # (P, Q) and its reversal, as (d + 1, 2, 1) tables for the two charts
+        self._charts = [np.stack(pq, axis=1)[:, :, None] for pq in
+                        ((self._p_pad, self._q_pad), (self._rp, self._rq))]
         # term sizes |P| and |Q| of the fiber polynomials (`_fiber_rows`)
         self._pq_abs = np.abs(np.array((self._p_pad, self._q_pad)))
         self.is_polynomial = q.size == 1
@@ -181,51 +189,42 @@ class RationalMap:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_ratio(num_c, den_c, z):
-    """Evaluate num/den at z with l'Hopital fallback for exact 0/0."""
-    num = poly_eval(num_c, z)
-    den = poly_eval(den_c, z)
-    while num == 0 and den == 0 and (len(num_c) > 1 or len(den_c) > 1):
-        num_c = poly_derivative(num_c)
-        den_c = poly_derivative(den_c)
-        num = poly_eval(num_c, z)
-        den = poly_eval(den_c, z)
-    if den == 0:
-        return SpherePoint.infinity()
-    return SpherePoint.from_value(num / den)
-
-
 def evaluate(R, z):
     """Apply the map; accepts complex or SpherePoint, returns SpherePoint.
 
-    Moduli above 1 are evaluated through the reciprocal chart, so the result
-    is stable arbitrarily close to (and at) infinity.
+    The one-point case of `_evaluate_arrays`.
     """
     zv, isinf = _as_pair(z)
-    if isinf:
-        return _eval_ratio(R._rp, R._rq, 0j)
-    if abs(zv) <= 1.0:
-        return _eval_ratio(R._p_pad, R._q_pad, zv)
-    return _eval_ratio(R._rp, R._rq, 1.0 / zv)
+    w, inf = _evaluate_arrays(R, np.array([zv]), np.array([isinf]))
+    return SpherePoint.infinity() if inf[0] else SpherePoint(w[0].item())
 
 
 def _evaluate_arrays(R, z, isinf):
-    """`evaluate` on (z, isinf) arrays: the images as (values, isinf).
+    """The images of the points (z, isinf), as (values, isinf).
 
-    The same charts as `evaluate`: moduli above 1 and infinity go through
-    the reciprocal chart. An exact 0/0 takes `evaluate`'s l'Hopital route.
+    Moduli up to 1 (by hypot, as Python's abs) evaluate P and Q at z; other
+    points evaluate the reversed coefficients at 1/z (Python's division),
+    infinity at 0, so the result is stable arbitrarily close to (and at)
+    infinity. The polynomials round as Python's complex arithmetic
+    (`poly_eval`) and num / den is numpy's division, so the bits do not
+    depend on numpy's SIMD dispatch. An exact 0/0 differentiates both
+    polynomials until one value is nonzero (l'Hopital).
     """
-    far = isinf | (np.abs(z) > 1.0)
+    far = isinf | (np.hypot(z.real, z.imag) > 1.0)
     u = np.where(far, 0j, z)
-    u[far & ~isinf] = 1.0 / z[far & ~isinf]
-    num = np.where(far, poly_eval(R._rp, u), poly_eval(R._p_pad, u))
-    den = np.where(far, poly_eval(R._rq, u), poly_eval(R._q_pad, u))
+    flip = far & ~isinf
+    u[flip] = _quotient(1.0, z[flip])
+    c = np.where(far, R._charts[1], R._charts[0])   # (d + 1, 2, rows)
+    nd = poly_eval(c, u)
+    hold = np.flatnonzero((nd[0] == 0) & (nd[1] == 0))
+    while hold.size and c.shape[0] > 1:
+        c = poly_derivative(c)
+        nd[:, hold] = poly_eval(c[:, :, hold], u[hold])
+        hold = hold[(nd[0, hold] == 0) & (nd[1, hold] == 0)]
+    num, den = nd
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = num / den
     inf = (den == 0) | ~np.isfinite(w)
-    for i in np.flatnonzero((num == 0) & (den == 0)):
-        p = evaluate(R, SpherePoint(z[i], isinf[i]))
-        w[i], inf[i] = p.z, p.is_infinity
     return np.where(inf, 0j, w), inf
 
 

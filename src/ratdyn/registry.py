@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownExample
-from .numkernel import SpherePoint, embed_points, sphere_nearest
-from .ratmap import RationalMap, _expand_level, critical_points, evaluate
+from .numkernel import _quotient, sphere_embed, sphere_nearest
+from .ratmap import (RationalMap, _evaluate_arrays, _expand_level,
+                     critical_points)
 from .julia import (critical_points_in_julia, render,
                     sample_inverse_iteration, mandelbrot_member)
 from .measure import lyubich_exact, integrate
@@ -335,20 +336,19 @@ def _check_sphere_coverage(rec, R, seed, sample):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v = rng.normal(size=(4000, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    pts = []
-    for x, y, w in v:
-        if w > 1.0 - 1e-12:
-            pts.append(SpherePoint.infinity())
-        else:
-            pts.append(SpherePoint.finite(complex(x, y) / (1.0 - w)))
+    # stereographic projection from the pole, as complex(x, y) / (1 - w)
+    z = np.empty(len(v), dtype=complex)
+    z.real, z.imag = v[:, 0], v[:, 1]
+    isinf = v[:, 2] > 1.0 - 1e-12
+    z = np.where(isinf, 0j, _quotient(z, 1.0 - v[:, 2]))
     for _ in range(3):
-        pts = [evaluate(R, p) for p in pts]
+        z, isinf = _evaluate_arrays(R, z, isinf)
     k = np.arange(200)
     ga = np.pi * (3.0 - np.sqrt(5.0))
     wp = 1.0 - 2.0 * (k + 0.5) / 200.0
     r = np.sqrt(1.0 - wp * wp)
     grid = np.stack([r * np.cos(ga * k), r * np.sin(ga * k), wp], axis=1)
-    d, _ = sphere_nearest(embed_points(pts), grid)
+    d, _ = sphere_nearest(sphere_embed(z, isinf), grid)
     gap = float(np.max(d))
     return {"passed": gap <= 0.2, "max_gap_after_3_steps": gap}
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
-from .numkernel import (_as_arrays, _at_point, _values_at, embed_points,
+from .numkernel import (_Evaluator, _as_arrays, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
 from .measure import _level_sums
 from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
@@ -43,7 +43,7 @@ def _powers(z, j):
     return out
 
 
-class TestFunction:
+class TestFunction(_Evaluator):
     """Polynomial in z and conj(z), or a tabulated point-value lookup.
 
     Monomial tables evaluate exactly anywhere in the finite plane (and at
@@ -134,14 +134,11 @@ class TestFunction:
                 f"no tabulated atom within {self.radius} of the query")
         return self._values[idx]
 
-    def __call__(self, x):
-        return _at_point(self.at, x)
-
     def __repr__(self):
         return f"TestFunction({self.label!r})"
 
 
-class ComposedFunction:
+class ComposedFunction(_Evaluator):
     """x -> a(R(x)): the pullback alpha(a) as a plain evaluator."""
 
     __slots__ = ("map", "inner", "label")
@@ -154,11 +151,8 @@ class ComposedFunction:
     def at(self, z, isinf):
         return _values_at(self.inner, *_evaluate_arrays(self.map, z, isinf))
 
-    def __call__(self, x):
-        return _at_point(self.at, x)
 
-
-class ProductFunction:
+class ProductFunction(_Evaluator):
     """Pointwise product of evaluators."""
 
     __slots__ = ("factors", "label")
@@ -172,9 +166,6 @@ class ProductFunction:
         for f in self.factors:
             out = out * _values_at(f, z, isinf)
         return out
-
-    def __call__(self, x):
-        return _at_point(self.at, x)
 
 
 def alpha(R, a):

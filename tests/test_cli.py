@@ -67,7 +67,7 @@ def test_preimage_table():
     r = run("preimage", "z^2", "--point", "4")
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
-    assert lines[0] == "x_re,x_im,is_infinity,index"
+    assert lines[0] == "re,im,is_infinity,index"
     assert lines[1].startswith("-2,") and lines[2].startswith("2,")
     assert lines[-1].startswith("# index sum 2")
 
@@ -77,7 +77,7 @@ def test_preimage_tiny_point_keeps_every_root():
     r = run("preimage", "z^6", "--point", "1e-18")
     assert r.returncode == 0
     rows = [l.split(",") for l in r.stdout.splitlines()
-            if l and not l.startswith(("x_re", "#"))]
+            if l and not l.startswith(("re,", "#"))]
     assert len(rows) == 6
     assert all(row[2:] == ["0", "1"] for row in rows)
     assert all(abs(abs(complex(float(row[0]), float(row[1]))) - 1e-3)
@@ -87,10 +87,25 @@ def test_preimage_tiny_point_keeps_every_root():
 def test_preimage_critical_value_and_depth():
     r = run("preimage", "z^2", "--point", "0")
     body = [l for l in r.stdout.splitlines()
-            if l and not l.startswith(("x_re", "#"))]
+            if l and not l.startswith(("re,", "#"))]
     assert len(body) == 1 and body[0].endswith(",2")
     r2 = run("preimage", "z^2", "--point", "16", "--depth", "3")
     assert "# index sum 8" in r2.stdout
+
+
+def test_preimage_table_reads_back_as_a_cloud(tmp_path, z2):
+    from ratdyn.julia import read_cloud_csv
+    from ratdyn.ratmap import preimage_tree
+    out = tmp_path / "fiber.csv"
+    r = run("preimage", "z^2", "--point", "0.5", "--depth", "2",
+            "--out", str(out))
+    assert r.returncode == 0
+    pts = read_cloud_csv(out)
+    fib = preimage_tree(z2, 0.5, 2)
+    assert pts.z.view(np.uint64).tolist() == fib.z.view(np.uint64).tolist()
+    assert pts.isinf.tolist() == fib.isinf.tolist() == [False] * 4
+    assert [int(l.split(",")[3]) for l in
+            out.read_text().splitlines()[1:]] == fib.indices()
 
 
 def test_preimage_infinity():
