@@ -11,7 +11,7 @@ from .errors import (BudgetExceeded, CoprimalityError, CoverTooCoarse,
                      EvaluationAtInfinity, FrameUnavailable, NonConvergence,
                      RatdynError, TabulationMiss, UnknownExample,
                      WitnessFailed)
-from .numkernel import (Polynomial, RootSet, SpherePoint, chordal_distance,
+from .numkernel import (RootSet, SpherePoint, chordal_distance,
                         local_multiplicity, roots_with_multiplicity,
                         sphere_embed)
 from .ratmap import (CriticalDatum, Fiber, RationalMap, branch_index,
@@ -29,7 +29,7 @@ from .measure import (WeightedCloud, convergence_diagnostic, integrate,
 from .transfer import (ComposedFunction, Entropy, IterationTrace, KmsRun,
                        ProductFunction, TestFunction, entropy, h_op,
                        kms_defect, kms_iterate, lemma31_defect, transfer_E,
-                       write_defects_json, write_trace_csv)
+                       write_trace_csv)
 from .bimodule import (Frame, GraphFunction, ProductOnGraph, build_frame,
                        expansion_time, frame_delta_defect,
                        frame_reconstruction_defect, inner_product,
@@ -43,7 +43,7 @@ __all__ = [
     "BudgetExceeded", "CoprimalityError", "CoverTooCoarse",
     "EvaluationAtInfinity", "FrameUnavailable", "NonConvergence",
     "RatdynError", "TabulationMiss", "UnknownExample", "WitnessFailed",
-    "Polynomial", "RootSet", "SpherePoint", "chordal_distance",
+    "RootSet", "SpherePoint", "chordal_distance",
     "local_multiplicity", "roots_with_multiplicity", "sphere_embed",
     "CriticalDatum", "Fiber", "RationalMap", "branch_index", "compose",
     "critical_points", "evaluate", "iterate_map", "periodic_points",
@@ -57,8 +57,7 @@ __all__ = [
     "read_weighted_csv", "write_diagnostics_json", "write_weighted_csv",
     "ComposedFunction", "Entropy", "IterationTrace", "KmsRun",
     "ProductFunction", "TestFunction", "entropy", "h_op", "kms_defect",
-    "kms_iterate", "lemma31_defect", "transfer_E", "write_defects_json",
-    "write_trace_csv",
+    "kms_iterate", "lemma31_defect", "transfer_E", "write_trace_csv",
     "Frame", "GraphFunction", "ProductOnGraph", "build_frame",
     "expansion_time", "frame_delta_defect", "frame_reconstruction_defect",
     "inner_product", "ix_distance", "norm_sup", "norm_two",

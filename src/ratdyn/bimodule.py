@@ -249,7 +249,8 @@ def ix_distance(R, a, julia_sample, tol=1e-3):
 
     Zero (within tolerance) exactly when a lies in the ideal of functions
     vanishing on C intersect J; the number of such critical points is the
-    codimension datum the registry records.
+    codimension datum the registry records. The sample must come within
+    tol of each critical point in J, or that point is missed.
     """
     hits = critical_points_in_julia(R, julia_sample, tol=tol)
     if not hits:

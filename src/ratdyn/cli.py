@@ -3,6 +3,10 @@
 Map expressions are polynomials in z with decimal or rational coefficients;
 a top-level `/` separates numerator and denominator, so `(z^3 - 16/27)/z`
 is a degree-3 rational map while `16/27` inside a term is one coefficient.
+Test functions (`kms --test`, `witness --a`) use the same grammar with one
+more atom, conj(z), and no top-level `/`: `(z + conj(z))^2` is the real
+polynomial 4 Re(z)^2. Exponents and the degree in each of z and conj(z)
+are at most 64, and every coefficient must be finite.
 Registry examples are addressed by name, families as name:param=value.
 All numeric output uses 17 significant digits and fixed seeds, so repeated
 runs are byte-identical.
@@ -78,25 +82,47 @@ def _numval(text):
 
 
 class _Poly:
-    """Ascending-coefficient polynomial arithmetic for the parser."""
+    """Coefficient table c[j, k] of z^j conj(z)^k for the parser.
+
+    Each column k is a polynomial in z, and columns combine through
+    `poly_add` and `poly_mul`, so a map (the one column k = 0) keeps the
+    bits of plain polynomial arithmetic. The table's shape follows the
+    written degrees in z and in conj(z), each at most 64.
+    """
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=complex)
 
+    @staticmethod
+    def _from_columns(shape, cols):
+        out = np.zeros(shape, dtype=complex)
+        for k, col in enumerate(cols):
+            out[:col.size, k] = col
+        return _Poly(out)
+
     def __add__(self, o):
-        return _Poly(poly_add(self.c, o.c))
+        shape = np.maximum(self.c.shape, o.c.shape)
+        a, b = (np.pad(p.c, [(0, n) for n in shape - p.c.shape])
+                for p in (self, o))
+        return _Poly._from_columns(
+            shape, [poly_add(x, y) for x, y in zip(a.T, b.T)])
 
     def __neg__(self):
         return _Poly(-self.c)
 
     def __mul__(self, o):
-        out = poly_mul(self.c, o.c)
-        if out.size > 65:
+        shape = np.add(self.c.shape, o.c.shape) - 1
+        if shape.max() > 65:
             raise MapParseError("expression degree exceeds 64")
-        return _Poly(out)
+        cols = [None] * shape[1]
+        for k1, a in enumerate(self.c.T):
+            for k2, b in enumerate(o.c.T):
+                p, k = poly_mul(a, b), k1 + k2
+                cols[k] = p if cols[k] is None else poly_add(cols[k], p)
+        return _Poly._from_columns(shape, cols)
 
     def power(self, k):
-        out = _Poly(np.array([1.0 + 0j]))
+        out = _Poly([[1.0 + 0j]])
         for _ in range(k):
             out = out * self
         return out
@@ -155,15 +181,22 @@ class _ExprParser:
             return self.factor()
         if self._is_num(t):
             self.take()
-            base = _Poly(np.array([complex(float(self._coefficient(t)))]))
+            base = _Poly([[complex(float(self._coefficient(t)))]])
         elif t == "z":
             self.take()
-            base = _Poly(np.array([0j, 1.0 + 0j]))
+            base = _Poly([[0j], [1.0 + 0j]])
+        elif t == "conj":
+            self.take()
+            if [self.take() for _ in range(3)] != ["(", "z", ")"]:
+                raise MapParseError("conj takes the bare variable: conj(z)")
+            base = _Poly([[0j, 1.0 + 0j]])
         elif t == "(":
             self.take()
             base = self.expr()
             if self.take() != ")":
                 raise MapParseError("missing closing parenthesis")
+        elif t is None:
+            raise MapParseError("expression ends where a factor should be")
         else:
             raise MapParseError(f"unexpected token {t!r}")
         if self.peek() == "^":
@@ -172,7 +205,7 @@ class _ExprParser:
         return base
 
     def _starts_factor(self, t):
-        return t in ("z", "(") or self._is_num(t)
+        return t in ("z", "conj", "(") or self._is_num(t)
 
     def term(self):
         val = self.factor()
@@ -195,71 +228,49 @@ class _ExprParser:
         return val
 
 
-def parse_map_expression(text):
-    """Parse `P` or `P/Q` into a RationalMap."""
+def _split(text, what):
+    """The polynomials of text on either side of its top-level `/`."""
     toks = _tokenize(text)
     if not toks:
-        raise MapParseError("empty map expression")
+        raise MapParseError(f"empty {what} expression")
     ps = _ExprParser(toks)
-    num = ps.expr()
-    den = _Poly(np.array([1.0 + 0j]))
+    parts = [ps.expr()]
     if ps.peek() == "/":
         ps.take()
-        den = ps.expr()
+        parts.append(ps.expr())
     if ps.peek() is not None:
         raise MapParseError(f"trailing tokens near {ps.peek()!r}")
+    return parts
+
+
+def parse_map_expression(text):
+    """Parse `P` or `P/Q` into a RationalMap."""
+    num, *den = _split(text, "map")
+    den = den[0] if den else _Poly([[1.0 + 0j]])
+    if num.c[:, 1:].any() or den.c[:, 1:].any():
+        raise MapParseError("a map is a polynomial in z: no conj(z) terms")
     try:
-        return RationalMap(num.c, den.c)
+        return RationalMap(num.c[:, 0], den.c[:, 0])
     except (ValueError, RatdynError) as exc:
         raise MapParseError(str(exc)) from exc
 
 
 def parse_test_function(text):
-    """Sums of real-coefficient monomials z^j conj(z)^k.
+    """A polynomial in z and conj(z) with real, finite coefficients.
 
-    Coefficients and exponents follow the map grammar: NUM/NUM is one
-    coefficient with a nonzero denominator, and an exponent is an integer
-    from 0 to 64. Each sign ahead of a term multiplies it: "2*-z" is -2z.
+    The map grammar with conj(z) as one more atom and no top-level `/`:
+    NUM/NUM is one coefficient with a nonzero denominator, an exponent is
+    an integer from 0 to 64, the degree in each of z and conj(z) is at most
+    64, and each sign ahead of a factor multiplies it, so "2*-z" is -2z.
     """
-    toks = _tokenize(text)
-    if not toks:
-        raise MapParseError("empty test-function expression")
-    ps = _ExprParser(toks)
-    table = {}
-    while ps.peek() is not None:
-        coeff = 1.0
-        j = k = 0
-        saw = False
-        lead = True   # a sign here multiplies the term
-        while ps.peek() not in (None, "+", "-") or lead and ps.peek():
-            t = ps.take()
-            lead = t in ("*", "+", "-")
-            if lead:
-                coeff = -coeff if t == "-" else coeff
-                continue
-            if ps._is_num(t):
-                coeff *= float(ps._coefficient(t))
-            elif t in ("z", "conj"):
-                if t == "conj" and \
-                        [ps.take() for _ in range(3)] != ["(", "z", ")"]:
-                    raise MapParseError("conj takes the bare variable: conj(z)")
-                e = 1
-                if ps.peek() == "^":
-                    ps.take()
-                    e = ps._int_exponent()
-                if t == "z":
-                    j += e
-                else:
-                    k += e
-            else:
-                raise MapParseError(f"unexpected token {t!r} in test function")
-            saw = True
-        if not saw:
-            raise MapParseError("empty term in test function")
-        table[(j, k)] = table.get((j, k), 0.0) + coeff
-    fn = TestFunction.from_table(table)
-    fn.label = text.strip()
-    return fn
+    poly, *den = _split(text, "test-function")
+    if den:
+        raise MapParseError("a test function has no denominator")
+    if not np.isfinite(poly.c).all():
+        raise MapParseError("test-function coefficients must be finite")
+    # real parts; + 0.0 clears the -0.0 a sign leaves: from_table's bits
+    c = (poly.c.real + 0.0).astype(complex)
+    return TestFunction("monomial", coeffs=c, label=text.strip())
 
 
 _FAMILY = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?::([A-Za-z_]+)=(.+))?$")

@@ -79,9 +79,6 @@ class SpherePoint:
             raise EvaluationAtInfinity("point at infinity has no complex value")
         return self.z
 
-    def isclose(self, other, tol=1e-9):
-        return chordal_distance(self, other) <= tol
-
     def sort_key(self):
         return (1 if self.is_infinity else 0, self.z.real, self.z.imag)
 
@@ -468,59 +465,6 @@ def poly_add(a, b):
     return npoly.polyadd(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-class Polynomial:
-    """Polynomial with ascending complex coefficients.
-
-    The zero polynomial is represented by the single coefficient 0. Leading
-    exact zeros are trimmed at construction; pass rel_tol to also strip
-    leading coefficients that are tiny relative to the largest one.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, rel_tol=0.0):
-        self.coeffs = poly_trim(coeffs, rel_tol)
-
-    @property
-    def degree(self):
-        # the zero polynomial reports degree 0 alongside constants
-        return self.coeffs.size - 1
-
-    def __call__(self, z):
-        return poly_eval(self.coeffs, z)
-
-    def derivative(self):
-        return Polynomial(poly_derivative(self.coeffs))
-
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.coeffs) <= tol))
-
-    def __add__(self, other):
-        return Polynomial(poly_add(self.coeffs, _poly_coeffs(other)))
-
-    def __sub__(self, other):
-        return Polynomial(poly_add(self.coeffs, -_poly_coeffs(other)))
-
-    def __mul__(self, other):
-        return Polynomial(poly_mul(self.coeffs, _poly_coeffs(other)))
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)})"
-
-
-def _poly_coeffs(p):
-    if isinstance(p, Polynomial):
-        return p.coeffs
-    if np.isscalar(p) or isinstance(p, complex):
-        return np.array([complex(p)])
-    return np.asarray(p, dtype=complex)
-
-
-
-
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
@@ -857,7 +801,7 @@ def roots_with_multiplicity(poly):
     The one-row case of the fiber solver `_row_roots` and its tie rule.
     Returns a RootSet; multiplicities always sum to the degree.
     """
-    c = poly_trim(_poly_coeffs(poly))
+    c = poly_trim(poly)
     if c.size <= 1:
         return RootSet((), 0.0)
     centers, counts, _ = _cluster_rows(*_row_roots(c[None, :]))

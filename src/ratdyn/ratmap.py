@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, CoprimalityError
 from .numkernel import (
-    Polynomial,
     SpherePoint,
     _Entries,
     _as_arrays,
@@ -92,10 +91,8 @@ class RationalMap:
     """
 
     def __init__(self, numerator, denominator=(1,), check=True):
-        p = numerator.coeffs if isinstance(numerator, Polynomial) else \
-            np.atleast_1d(np.asarray(numerator, dtype=complex))
-        q = denominator.coeffs if isinstance(denominator, Polynomial) else \
-            np.atleast_1d(np.asarray(denominator, dtype=complex))
+        p = np.atleast_1d(np.asarray(numerator, dtype=complex))
+        q = np.atleast_1d(np.asarray(denominator, dtype=complex))
         if not (np.isfinite(p).all() and np.isfinite(q).all()):
             raise ValueError("map coefficients must be finite")
         p = poly_trim(p)
@@ -152,14 +149,6 @@ class RationalMap:
                 "numerator and denominator share a root within tolerance")
 
     # -- basic data ----------------------------------------------------------
-
-    @property
-    def numerator(self):
-        return Polynomial(self._p)
-
-    @property
-    def denominator(self):
-        return Polynomial(self._q)
 
     def derivative_numerator(self):
         """W = P'Q - PQ', whose zero orders are branch indices minus 1."""

@@ -14,7 +14,6 @@ continues the first probe's nodes of that forest.
 """
 
 import math
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -326,9 +325,3 @@ def write_trace_csv(path, traces):
         for tr in traces:
             for i, v in enumerate(tr.values):
                 fh.write("%d,%d,%.17g,%.17g\n" % (tr.level, i, v.real, v.imag))
-
-
-def write_defects_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({"schema": 1, **payload}, fh, sort_keys=True, indent=2)
-        fh.write("\n")

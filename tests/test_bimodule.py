@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ratdyn.errors import BudgetExceeded, FrameUnavailable
+from ratdyn.julia import sample_inverse_iteration
 from ratdyn.numkernel import SpherePoint
 from ratdyn.ratmap import preimage_tree, preimages
 from ratdyn.bimodule import (
@@ -17,6 +18,7 @@ from ratdyn.bimodule import (
     frame_delta_defect,
     frame_reconstruction_defect,
     inner_product,
+    ix_distance,
     norm_sup,
     norm_two,
     normalized_witness,
@@ -254,3 +256,13 @@ def test_empty_samples_fail_cleanly(z2, cloud_z2):
             with pytest.raises(ValueError,
                                match="need a nonempty Julia sample"):
                 call(sample)
+
+
+def test_ix_distance_reads_a_on_critical_points_in_julia(z2, zm2):
+    # the ideal I_X: functions vanishing on the critical points in J. For
+    # z^2 - 2 the critical point 0 lies in J = [-2, 2], so a = 1/2 + z^2
+    # is |a(0)| away from it; for z^2 no critical point lies on the circle.
+    a = TestFunction.from_table({(0, 0): 0.5, (2, 0): 1.0})
+    for R, want in ((zm2, 0.5), (z2, 0.0)):
+        sample = sample_inverse_iteration(R, 0.3 + 0.1j, count=20000, seed=1)
+        assert ix_distance(R, a, sample) == want

@@ -1,12 +1,15 @@
 """End-to-end CLI: grammar, exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CMD = [sys.executable, "-m", "ratdyn.cli"]
 
@@ -54,6 +57,7 @@ def test_info_points_parse_back(lattes):
 def test_parse_errors_exit_2():
     assert run("info", "zz^^").returncode == 2
     assert run("info", "z^").returncode == 2
+    assert run("info", "conj(z)^2").returncode == 2    # a map has no conj(z)
     for expr in ("1e400*z^2", "(1e200*z+1)^2"):   # coefficients overflow
         r = run("info", expr)
         assert r.returncode == 2
@@ -252,6 +256,7 @@ def test_bad_counts_exit_2(args, tmp_path):
 
 @pytest.mark.parametrize("test", [
     "z^", "z^(2)", "conj(z)^", "1/0", "z^1000000000000", "z -",
+    "1e400*z", "(1e200*z+1)^2", "z^64*z^64",
 ])
 def test_bad_test_functions_exit_2(test):
     r = run("kms", "z^2", "--test", test, "--levels", "1")
@@ -267,13 +272,44 @@ def test_bad_test_functions_exit_2(test):
     ("z - -1", {(0, 0): 1.0, (1, 0): 1.0}),
     ("-conj(z)^2 - 3/4 z", {(0, 2): -1.0, (1, 0): -0.75}),
     ("2 + 0.25*z + 0.25*conj(z)", {(0, 0): 2.0, (1, 0): 0.25, (0, 1): 0.25}),
+    ("(z + conj(z))^2", {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}),
+    ("(z+1)*(conj(z)+1)", {(1, 1): 1.0, (1, 0): 1.0, (0, 1): 1.0,
+                           (0, 0): 1.0}),
+    ("z conj(z)", {(1, 1): 1.0}),
 ])
 def test_test_function_signs_multiply_their_term(text, table):
-    # a sign opening a term, or right after `*`, is part of the term
+    # a sign opening a term, or right after `*`, is part of the term;
+    # parentheses and implicit products expand as in the map grammar
     from ratdyn.cli import parse_test_function
     from ratdyn.transfer import TestFunction
     got = parse_test_function(text)
     assert got.label == text
+    assert np.array_equal(got.coeffs, TestFunction.from_table(table).coeffs)
+
+
+def _power(var, e, data):
+    if e > 1 or data.draw(st.booleans()):
+        return [f"{var}^{e}"]
+    return [var] if e else []
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.dictionaries(st.tuples(st.integers(0, 64), st.integers(0, 64)),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=6),
+       st.data())
+def test_test_function_text_parses_to_its_table(table, data):
+    # c z^j conj(z)^k terms written out in any factor order, with `*` or
+    # an implicit product, parse to the table that from_table builds
+    from ratdyn.cli import parse_test_function
+    from ratdyn.transfer import TestFunction
+    text = ""
+    for (j, k), c in table.items():
+        factors = data.draw(st.permutations(
+            [repr(abs(c))] + _power("z", j, data) + _power("conj(z)", k, data)))
+        sign = "-" if math.copysign(1.0, c) < 0 else "+"
+        text += f" {sign} " + data.draw(st.sampled_from(["*", " "])).join(factors)
+    got = parse_test_function(text)
     assert np.array_equal(got.coeffs, TestFunction.from_table(table).coeffs)
 
 
