@@ -23,8 +23,9 @@ import numpy as np
 from .errors import RatdynError, UnknownExample, WitnessFailed
 from .numkernel import SpherePoint, poly_add, poly_mul
 from .ratmap import RationalMap, critical_points, preimages, preimage_tree
-from .julia import (_render_start, critical_points_in_julia, render,
-                    sample_inverse_iteration, write_cloud_csv, write_pgm)
+from .julia import (_STAT_WALKERS, _render_start, critical_points_in_julia,
+                    render, sample_inverse_iteration, write_cloud_csv,
+                    write_pgm)
 from .measure import lyubich_exact, lyubich_mc, write_weighted_csv
 from .transfer import TestFunction, kms_iterate, write_trace_csv
 from .bimodule import normalized_witness, write_witness_json
@@ -289,7 +290,8 @@ def _param_value(text):
 
 
 def resolve_map(spec):
-    """Registry name, name:param=value, or a map expression."""
+    """Registry name, name:param=value, or a map expression; a constant
+    map raises MapParseError."""
     m = _FAMILY.match(spec.strip())
     if m and m.group(1) in registry.list_examples():
         rec = registry.get(m.group(1))
@@ -301,10 +303,14 @@ def resolve_map(spec):
                     f"not {m.group(2)!r}")
             param = _param_value(m.group(3))
         try:
-            return rec.build(param), spec.strip()
+            R = rec.build(param)
         except (ValueError, RatdynError) as exc:
             raise MapParseError(str(exc)) from exc
-    return parse_map_expression(spec), spec.strip()
+    else:
+        R = parse_map_expression(spec)
+    if R.degree < 1:
+        raise MapParseError("a constant map has no dynamics: need degree >= 1")
+    return R, spec.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +412,7 @@ def _cmd_info(args, cfg):
           f"{'ok' if ok else 'FAIL'}")
     if R.degree >= 2:
         cloud = sample_inverse_iteration(R, _render_start(R), count=count,
-                                         seed=seed)
+                                         seed=seed, walkers=_STAT_WALKERS)
         hits = critical_points_in_julia(R, cloud, tol=1e-3)
         names = ", ".join(_fmt_point(c.point) for c in hits) or "none"
         print(f"criticals_near_julia: {len(hits)} ({names})")

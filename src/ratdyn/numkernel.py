@@ -211,14 +211,17 @@ def _values_at(f, z, isinf, points=None):
 def _write_points_csv(path, z, isinf, w=None):
     """One line re,im,is_infinity per point, with a weight column when w
     is given; parts in %.17g, which reads back to the same doubles."""
-    rows = ("0,0,1" if f else "%.17g,%.17g,0" % (re, im)
-            for re, im, f in zip(z.real.tolist(), z.imag.tolist(),
-                                 isinf.tolist()))
+    tail = "\n" if w is None else ",%.17g\n"
+    fin, inf = "%.17g,%.17g,0" + tail, "0,0,1" + tail
+    cols = [z.real.tolist(), z.imag.tolist()]
     if w is not None:
-        rows = (r + ",%.17g" % x for r, x in zip(rows, w.tolist()))
+        cols.append(w.tolist())
+    # one format per row; an infinite row formats only its weight
+    text = "".join(inf % row[2:] if f else fin % row
+                   for row, f in zip(zip(*cols), isinf.tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("re,im,is_infinity" + ("" if w is None else ",weight") + "\n")
-        fh.writelines(r + "\n" for r in rows)
+        fh.write(text)
 
 
 def _read_points_csv(path, weighted=False):

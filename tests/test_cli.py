@@ -62,6 +62,12 @@ def test_parse_errors_exit_2():
         r = run("info", expr)
         assert r.returncode == 2
         assert r.stderr == "error: map coefficients must be finite\n"
+    for args in (["info", "3"], ["preimage", "3", "--point", "1"],
+                 ["measure", "3", "--method", "mc", "--samples", "10",
+                  "--out", os.devnull]):
+        r = run(*args)   # a constant map is malformed input
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: "), r.stderr
     assert run("verify", "no_such_example").returncode == 2
     assert run("preimage", "z^2").returncode == 2      # missing --point
     assert run().returncode == 2                       # no subcommand
@@ -151,8 +157,8 @@ PINNED = {
                  "f430a4a945a382679babc8f382d38fd0",
                  ["witness", "z^2", "--a", "2 + 0.25*z + 0.25*conj(z)",
                   "--eps", "0.2", "--out"]),
-    "verify --all": ("e858e12e7a8bb34b89344d01fe098e58"
-                     "1a38f4dd845bec7f6a67bbf3435f6ca4", ["verify", "--all"]),
+    "verify --all": ("2c7206a5fa2e37cae11479729ce2e7a1"
+                     "10afc4229b0c73e5ee58eef39c7807d7", ["verify", "--all"]),
     "info lattes": ("0290829671b7d9536b60c326867102b6"
                     "41c0d9ab4287251ae0cc46611cacab1d", ["info", "lattes"]),
 }
@@ -167,6 +173,41 @@ def test_artifacts_match_pinned_digests(tmp_path):
         assert r.returncode == 0, r.stderr
         data = path.read_bytes() if path.exists() else r.stdout.encode()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_only_statistic_samples_walk_wide(monkeypatch, tmp_path):
+    # samples that only feed a statistic walk wide; written ones keep the
+    # default, which fixes their bits
+    from ratdyn import cli, julia, registry
+    walk = julia.sample_inverse_iteration
+    seen = []
+
+    def counted(R, start, **kw):
+        seen.append(kw.get("walkers", "default"))
+        return walk(R, start, **kw)
+
+    for mod in (cli, julia, registry):
+        monkeypatch.setattr(mod, "sample_inverse_iteration", counted)
+
+    def walkers(fn, *args, **kw):
+        seen.clear()
+        fn(*args, **kw)
+        assert len(set(seen)) == 1, seen
+        return seen[0]
+
+    wide, out = julia._STAT_WALKERS, str(tmp_path / "out")
+    assert walkers(registry.verify, "z2_minus_2") == wide
+    assert walkers(julia.render, cli.resolve_map("lattes")[0],
+                   (-1.2, 1.2, -1.2, 1.2), 16, mode="density",
+                   samples=500) == wide
+    assert walkers(cli.main, ["info", "lattes", "--count", "200"]) == wide
+    assert walkers(cli.main, ["julia", "lattes", "--render", out,
+                              "--res", "16", "--samples", "500"]) == wide
+    for argv in (["julia", "z^2", "--count", "50", "--out", out],
+                 ["kms", "z^2", "--levels", "2", "--probes", "2"],
+                 ["witness", "z^2", "--a", "2 + 0.25*z + 0.25*conj(z)",
+                  "--eps", "0.2", "--count", "400", "--probes", "4"]):
+        assert walkers(cli.main, argv) == "default", argv
 
 
 def test_julia_render_window_equals_form(tmp_path):

@@ -120,6 +120,15 @@ def test_backward_walk_budget(z2):
         backward_walk(z2, 0.5, 60, 2 ** 30, np.random.default_rng(0))
 
 
+def test_walks_refuse_a_constant_map():
+    from ratdyn.measure import lyubich_mc
+    const = RationalMap([3])
+    with pytest.raises(ValueError, match="nonconstant"):
+        backward_walk(const, 1.0, 5, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nonconstant"):
+        lyubich_mc(const, 1.0, depth=30, samples=10)
+
+
 def test_escape_membership(z2):
     assert escape_membership(z2, 3.0) == "escapes"
     assert escape_membership(z2, 0.2) == "bounded"

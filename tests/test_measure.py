@@ -168,6 +168,23 @@ def test_weighted_csv_roundtrip(tmp_path, zm2):
     assert p.read_bytes() == q.read_bytes()
 
 
+def test_weighted_csv_bytes(tmp_path):
+    # one row format: infinity, -0.0 and subnormal parts, %.17g weights
+    z = np.array([complex(-0.0, 2.0 ** -1074), 0j, complex(1.5, -0.0),
+                  complex(-3.25e300, 0.1)])
+    isinf = np.array([False, True, False, False])
+    mu = WeightedCloud.from_arrays(z, isinf, np.array([0.1, 0.2, 0.3, 0.4]),
+                                   ("test",))
+    p = tmp_path / "mu.csv"
+    write_weighted_csv(p, mu)
+    assert p.read_bytes() == (
+        b"re,im,is_infinity,weight\n"
+        b"-0,4.9406564584124654e-324,0,0.10000000000000001\n"
+        b"0,0,1,0.20000000000000001\n"
+        b"1.5,-0,0,0.29999999999999999\n"
+        b"-3.2499999999999997e+300,0.10000000000000001,0,0.40000000000000002\n")
+
+
 @pytest.mark.parametrize("text,cloud_too", [
     ("re,im,is_infinity,weight\n0.5,nan,0,0.5\n0,0,1,0.5\n", True),
     ("re,im,is_infinity,weight\ninf,0,0,0.5\n0,0,1,0.5\n", True),

@@ -1,5 +1,8 @@
 """Example catalog: metadata, builders, verification checks."""
 
+import math
+
+import numpy as np
 import pytest
 
 from ratdyn.errors import UnknownExample
@@ -111,8 +114,24 @@ def test_verify_walks_each_cloud_once(monkeypatch, name):
     # each check on a walk of its own reports what the shared walk gave
     rec = get(name)
     alone = [dict(registry._CHECKS[c](
-        rec, rec.map, 0, lambda start, count: walk(rec.map, start,
-                                                   count=count, seed=0)),
+        rec, rec.map, 0, lambda start, count: walk(
+            rec.map, start, count=count, seed=0,
+            walkers=registry._STAT_WALKERS)),
         check=c) for c in rec.verifiable_checks]
     assert len(calls) == 1
     assert rep["checks"] == alone
+
+
+@pytest.mark.parametrize("name,start,count,scale", [
+    ("tchebychev_n", 0.3, 12000, 1.0), ("z2_minus_2", 1.0, 8000, 0.5)])
+def test_verify_clouds_follow_the_arcsine_law(name, start, count, scale):
+    # the wide walks verify draws at seed 0 are still unbiased: their
+    # moments are the arcsine law's on [-1, 1], odd 0, even C(k, k/2) / 2^k
+    from ratdyn.julia import _STAT_WALKERS, sample_inverse_iteration
+    cloud = sample_inverse_iteration(get(name).map, start, count=count,
+                                     seed=0, walkers=_STAT_WALKERS)
+    x = scale * cloud.finite_values().real
+    assert x.size == count
+    for k in range(1, 7):
+        want = math.comb(k, k // 2) / 2.0 ** k if k % 2 == 0 else 0.0
+        assert abs(np.mean(x ** k) - want) <= 0.02, k
