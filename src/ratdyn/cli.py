@@ -348,6 +348,9 @@ def _parse_window(text):
         lo, hi, blo, bhi = (float(p) for p in parts)
     except ValueError:
         raise MapParseError(f"bad window {text!r}") from None
+    if not (lo < hi and blo < bhi and np.isfinite([lo, hi, blo, bhi]).all()):
+        raise MapParseError(f"window {text!r} needs finite bounds, each "
+                            "min below its max")
     return lo, hi, blo, bhi
 
 
@@ -450,17 +453,18 @@ def _cmd_julia(args, cfg):
     depth = _setting(args, cfg, "depth", int, 60, minimum=0)
     count = _setting(args, cfg, "count", int, 2000, minimum=1)
     start = _parse_point(args.start) if args.start else _render_start(R)
+    if args.render:   # every setting is checked before anything is written
+        window = _parse_window(_setting(args, cfg, "window", str,
+                                        "-2,2,-2,2"))
+        res = _setting(args, cfg, "res", int, 512, minimum=1)
+        samples = _setting(args, cfg, "samples", int, 40000, minimum=1)
+        max_iter = _setting(args, cfg, "max_iter", int, 96, minimum=1)
     if args.out:
         cloud = sample_inverse_iteration(R, start, depth=depth, count=count,
                                          seed=seed)
         write_cloud_csv(args.out, cloud)
         print(f"wrote {count} points to {args.out}")
     if args.render:
-        window = _parse_window(_setting(args, cfg, "window", str,
-                                        "-2,2,-2,2"))
-        res = _setting(args, cfg, "res", int, 512, minimum=1)
-        samples = _setting(args, cfg, "samples", int, 40000, minimum=1)
-        max_iter = _setting(args, cfg, "max_iter", int, 96)
         img = render(R, window, res, mode=args.mode, max_iter=max_iter,
                      samples=samples, depth=depth, seed=seed)
         write_pgm(args.render, img)

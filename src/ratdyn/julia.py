@@ -3,7 +3,9 @@
 The Julia set is approximated by backward random walks: preimages are dense
 in J, and choosing each preimage x with probability e(x)/d makes the visit
 law consistent with the balanced measure the rest of the package integrates
-against. Escape-time classification covers the polynomial case.
+against. Each step draws a uniform column of ratmap's fiber table, whose
+rows list x e(x) times. Escape-time classification covers the polynomial
+case.
 
 A sample is a `JuliaCloud`, an array-backed point set; `read_cloud_csv`
 reads the point CSV format back to a point tuple that keeps its arrays.
@@ -15,10 +17,9 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .numkernel import (SpherePoint, _PointSet, _as_arrays, _as_pair,
-                        _read_points_csv, _row_roots, _write_points_csv,
-                        embed_points, sphere_embed, sphere_nearest)
-from .ratmap import (_chunks, _expand_level, _fiber_rows, critical_points,
-                     evaluate)
+                        _read_points_csv, _write_points_csv, embed_points,
+                        sphere_embed, sphere_nearest)
+from .ratmap import _fiber_table, critical_points, evaluate
 
 BURN_IN = 20
 
@@ -76,67 +77,36 @@ def backward_walk(R, start, steps, walkers, rng):
     Each chain independently picks one of the d preimages of its current
     point uniformly with multiplicity, i.e. x with probability e(x)/d.
     Also returns the matching is-infinity flags. Each step solves every
-    walker's fiber with the fiber solver of ratmap: a walker whose fiber
-    polynomial keeps degree d picks one of its d roots in solver order,
-    where the tie rule has put an e(x)-fold root's centre in e(x) places;
-    walkers at infinity or over a degree drop pick a fiber point by the
-    indices. Raises BudgetExceeded before allocating when steps * walkers
+    walker's fiber with ratmap's fiber table, whose row lists x e(x)
+    times, and each walker takes the entry of its row in a uniformly drawn
+    column. Raises BudgetExceeded before allocating when steps * walkers
     exceeds WALK_BUDGET.
     """
     return _walk(R, start, steps, walkers, rng, steps)
 
 
 def _walk(R, start, steps, walkers, rng, keep):
-    """`backward_walk`, storing only its last `keep` rows.
-
-    In the common step every walker's fiber polynomial keeps degree d and
-    the batch fits one solve: each walker picks from its row's roots with
-    no row bookkeeping.
-    """
+    """`backward_walk`, storing only its last `keep` rows."""
     if R.degree < 1:
         raise ValueError("backward walks need a nonconstant map")
     if steps * walkers > WALK_BUDGET:
         raise BudgetExceeded(
             f"{steps} steps x {walkers} walkers exceeds the walk budget "
             f"of {WALK_BUDGET} cells")
-    d = R.degree
     zv, zinf = _as_pair(start)
     z = np.full(walkers, zv, dtype=complex)
     isinf = np.full(walkers, zinf, dtype=bool)
     out = np.empty((keep, walkers), dtype=complex)
     out_inf = np.empty((keep, walkers), dtype=bool)
-    whole = len(_chunks(walkers, d)) == 1
     cols = np.arange(walkers)
     for k in range(steps):
-        pick = rng.integers(0, d, size=walkers)
-        f, s, n = _fiber_rows(R, z, isinf)
-        if whole and n is None:
-            z = _row_roots(f, s)[0][cols, pick]
-            isinf[:] = False
-        else:
-            if n is None:
-                n = np.full(walkers, d + 1)
-            fast = np.flatnonzero(n > d)
-            for sl in _chunks(fast.size, d):
-                rows = fast[sl] if fast.size < walkers else sl
-                roots, _ = _row_roots(f[rows], s[rows])
-                z[rows] = roots[np.arange(roots.shape[0]), pick[rows]]
-            isinf[fast] = False
-            rows = np.flatnonzero(n <= d)
-            if rows.size:
-                cp, cn, cc, _ = _expand_level(R, z[rows], isinf[rows])
-                t = _by_counts(cc, rng.integers(d, size=rows.size), d)
-                z[rows], isinf[rows] = cp[t], cn[t]
+        pick = rng.integers(0, R.degree, size=walkers)
+        roots, at, _ = _fiber_table(R, z, isinf)
+        z = roots[cols, pick]
+        isinf = np.zeros(walkers, bool) if at is None else at[cols, pick]
         if k >= steps - keep:
             out[k - steps + keep], out_inf[k - steps + keep] = z, isinf
     return out, out_inf
-
-
-def _by_counts(counts, pick, d):
-    # fiber j's counts sum to d, so it owns [j d, (j + 1) d) of the running
-    # count total: draw pick[j] in [0, d) takes entry x for e(x) of d draws
-    draw = np.arange(pick.size) * d + pick
-    return np.searchsorted(np.cumsum(counts), draw, side="right")
 
 
 def sample_inverse_iteration(R, start, depth=60, count=2000, seed=0,
@@ -238,11 +208,14 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
     window = (re_min, re_max, im_min, im_max); resolution int or (w, h).
     Escape-time shading for polynomial maps (interior white, exterior shaded
     by escape speed); inverse-iteration density histogram otherwise. Row 0
-    is the top of the window. Deterministic for a fixed seed.
+    is the top of the window. Deterministic for a fixed seed. max_iter
+    below 1 raises ValueError.
 
     The density histogram only counts its sample, so the sample walks
     `_STAT_WALKERS` chains, not the 8 of a written cloud.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if isinstance(resolution, int):
         w = h = resolution
     else:

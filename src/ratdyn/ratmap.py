@@ -10,15 +10,15 @@ Every image goes through one evaluator, `_evaluate_arrays`, on arrays of
 points; `evaluate` is its one-point case. It rounds as Python's complex
 arithmetic does, so its bits do not depend on numpy's SIMD dispatch.
 
-Every fiber goes through one solver, `_expand_level`: it builds the fiber
-polynomials of a whole batch of bases (`_fiber_rows`), groups the rows by
-degree (bases at infinity and degree-drop bases form the groups of lower
-degree, with their preimage at infinity) and solves each group with
-numkernel's `_row_roots`, whose tie rule decides the branch indices.
-`preimages` is its one-row case; trees, backward walks and expansion
-times call it on batches. `_forest` expands the preimage trees of many
-bases together, one call per level; `tree_levels` is its one-base case.
-A `Fiber` is an array-backed point set built from the solver's arrays.
+Every fiber goes through one table, `_fiber_table`, built from the fiber
+polynomials of a batch of bases (`_fiber_rows`) and numkernel's row solve
+`_row_roots`, whose tie rule decides the branch indices: row j lists the
+d preimages of base j, x as often as its index e(x). How a batch is solved
+is decided here alone. Backward walks draw from the rows; `_expand_level`
+lists each row's distinct entries, and `preimages` is its one-row case.
+`_forest` expands the preimage trees of many bases together, one call per
+level; `tree_levels` is its one-base case. A `Fiber` is an array-backed
+point set built from the solver's arrays.
 """
 
 from __future__ import annotations
@@ -317,44 +317,60 @@ def _chunks(m, d):
     return [slice(lo, lo + step) for lo in range(0, max(m, 1), step)]
 
 
-def _expand_level(R, pts, inf):
-    """One backward step for a batch of points: the fiber solver.
+def _fiber_table(R, pts, inf):
+    """The fibers of a batch of bases as a table: (roots, isinf, label).
 
-    Returns (points, isinf, counts, parent): the children of every input
-    point with their branch indices and parent positions. Children of one
-    parent are contiguous, sorted by (re, im), infinity last. Rows are
-    grouped by the length n of their fiber polynomial (`_fiber_rows`); each
-    group is solved by `_row_roots` in chunks of bounded size, and a group
-    with n <= d adds one child at infinity of index d + 1 - n per row. When
-    every row keeps length d + 1 and the batch fits one chunk, the common
-    case, one row solve of the whole batch is the answer.
+    Each is (m, d): row j lists the d preimages of base j, x e(x) times,
+    so a uniform column picks x with probability e(x)/d. A row whose fiber
+    polynomial keeps its d + 1 coefficients (`_fiber_rows`) holds
+    `_row_roots`' roots and labels in solver order; a row of length n <= d
+    holds its shorter polynomial's roots, then d + 1 - n entries at
+    infinity (value 0) labelled as one cluster. Rows are solved by length,
+    in chunks of bounded size. isinf is None when no entry is at infinity,
+    label None when none is tied: in the common case, full-length rows in
+    one chunk, the table is one `_row_roots` call.
     """
     f, s, n = _fiber_rows(R, pts, inf)
-    d = R.degree
-    if d == 0:   # a constant map has empty fibers
-        none = np.zeros(0, dtype=np.int64)
-        return none.astype(complex), none.astype(bool), none, none
+    m, d = f.shape[0], R.degree
     if n is None:
-        if f.shape[0] <= max(1, _WORK_ENTRIES // (d * d)):   # one chunk
-            centers, counts, row = _cluster_rows(*_row_roots(f, s))
-            return centers, np.zeros(centers.size, dtype=bool), counts, row
-        n = np.full(f.shape[0], d + 1)
-    parts = []
+        if m <= max(1, _WORK_ENTRIES // (d * d)):   # one chunk
+            roots, label = _row_roots(f, s)
+            return roots, None, label
+        n = np.full(m, d + 1)
+    roots = np.zeros((m, d), dtype=complex)
+    label = np.tile(np.arange(d), (m, 1))
     for k in np.unique(n):
         group = np.flatnonzero(n == k)
         for sl in _chunks(group.size, k - 1) if k > 1 else ():
             rows = group[sl]
-            centers, counts, row = _cluster_rows(
-                *_row_roots(f[rows, :k], s[rows, :k]))
-            parts.append((centers, np.zeros(centers.size, dtype=bool), counts,
-                          rows[row]))
-        if k <= d:
-            parts.append((np.zeros(group.size, dtype=complex),
-                          np.ones(group.size, dtype=bool),
-                          np.full(group.size, d + 1 - k), group))
-    cp, cn, cc, par = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(par, kind="stable")
-    return cp[order], cn[order], cc[order], par[order]
+            roots[rows, :k - 1], tie = _row_roots(f[rows, :k], s[rows, :k])
+            if tie is not None:
+                label[rows, :k - 1] = tie
+        label[group, k - 1:] = k - 1   # the preimage at infinity
+    isinf = np.arange(d) >= n[:, None] - 1
+    return (roots, isinf if isinf.any() else None,
+            label if (label != np.arange(d)).any() else None)
+
+
+def _expand_level(R, pts, inf):
+    """One backward step for a batch: each fiber-table row's distinct points.
+
+    Returns (points, isinf, counts, parent): the children of every input
+    point with their branch indices and parent positions. Children of one
+    parent are contiguous, sorted by (re, im), infinity last.
+    """
+    if R.degree == 0:   # a constant map has empty fibers
+        none = np.zeros(0, dtype=np.int64)
+        return none.astype(complex), none.astype(bool), none, none
+    roots, isinf, label = _fiber_table(R, pts, inf)
+    if isinf is None:
+        centers, counts, row = _cluster_rows(roots, label)
+        return centers, np.zeros(centers.size, dtype=bool), counts, row
+    # infinity sorts after every finite root
+    centers, counts, row = _cluster_rows(np.where(isinf, np.inf, roots),
+                                         label)
+    at = np.isinf(centers)
+    return np.where(at, 0j, centers), at, counts, row
 
 
 def preimages(R, w):

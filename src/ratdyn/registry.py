@@ -9,6 +9,7 @@ fiber sums, Riemann-Hurwitz totals, conjugacy defects, measure moments.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +49,19 @@ class ExampleRecord:
         return self.build(self.default_param)
 
 
-def _power(n):
+def _degree(n, default, what):
+    """n as an int from 2 to 64, the map grammar's degree limit; any other
+    value raises ValueError."""
     if n is None:
-        n = 2
-    n = int(n)
-    if n < 2:
-        raise ValueError("power map needs n >= 2")
-    return RationalMap([0] * n + [1], [1])
+        return default
+    if not (isinstance(n, numbers.Complex) and not isinstance(n, bool)
+            and 2 <= n.real <= 64 and n == int(n.real)):
+        raise ValueError(f"{what} needs an integer n from 2 to 64, got {n!r}")
+    return int(n.real)
+
+
+def _power(n):
+    return RationalMap([0] * _degree(n, 2, "the power map") + [1], [1])
 
 
 def _quadratic(c):
@@ -65,11 +72,7 @@ def _quadratic(c):
 
 def _chebyshev(n):
     """cos(n t) = T_n(cos t), ascending coefficients via the recurrence."""
-    if n is None:
-        n = 3
-    n = int(n)
-    if n < 2:
-        raise ValueError("interval dynamics needs n >= 2")
+    n = _degree(n, 3, "interval dynamics")
     a, b = [1.0], [0.0, 1.0]  # T_0, T_1
     for _ in range(n - 1):
         nxt = [0.0] + [2.0 * x for x in b]
@@ -386,8 +389,11 @@ def verify(name, param=None, seed=0):
     crashed check is reported failed, not raised. Each cloud is walked once
     and shared by the checks; its points feed only the checks' statistics,
     so it walks `julia._STAT_WALKERS` chains, not the 8 of a written cloud.
+    A param for an example that takes none raises ValueError.
     """
     rec = get(name)
+    if param is not None and not rec.param_name:
+        raise ValueError(f"{rec.name} takes no parameter")
     R = rec.build(param if param is not None else rec.default_param)
 
     @functools.cache

@@ -279,13 +279,32 @@ def test_witness_bad_eps_exit_2():
     assert r.returncode == 2
 
 
+_RENDER = ("julia", "z^2", "--res", "8", "--render", "{tmp}")
+
+
 @pytest.mark.parametrize("args", [
     ("kms", "z^2", "--probes", "0"),
     ("witness", "z^2", "--a", "2 + 0.25*z + 0.25*conj(z)", "--eps", "0.2",
      "--probes", "0"),
     ("kms", "z^2", "--levels", "-1"),
     ("julia", "z^2", "--count", "-5", "--out", "{tmp}"),
-], ids=["kms-probes", "witness-probes", "kms-levels", "julia-count"])
+    ("info", "power_map_n:n=2.5"),
+    ("info", "tchebychev_n:n=1e3"),
+    ("info", "power_map_n:n=65"),
+    ("verify", "tchebychev_n", "--param", "2.5"),
+    ("verify", "lattes", "--param", "3"),
+    _RENDER + ("--window=nan,1,0,1",),
+    _RENDER + ("--window=1,0,0,1",),
+    _RENDER + ("--window=-1,1,0,inf",),
+    _RENDER + ("--max-iter", "0"),
+    _RENDER + ("--max-iter", "-3"),
+    # a bad render setting is refused before the cloud is written
+    ("julia", "z^2", "--out", "{tmp}", "--render", "{tmp}.pgm",
+     "--window=0,0,0,1"),
+], ids=["kms-probes", "witness-probes", "kms-levels", "julia-count",
+        "power-fraction", "chebyshev-1e3", "power-65", "verify-fraction",
+        "verify-no-family", "window-nan", "window-empty", "window-inf",
+        "max-iter-0", "max-iter-negative", "cloud-before-bad-window"])
 def test_bad_counts_exit_2(args, tmp_path):
     out = tmp_path / "out.csv"
     r = run(*(a.replace("{tmp}", str(out)) for a in args))

@@ -92,6 +92,17 @@ def test_backward_walk_mixed_scalar_rows():
     _assert_steps_invert(R, 0.0, z, isinf)
 
 
+def test_walk_step_picks_a_preimage_by_its_index():
+    # R = (z + 1)/z^3 over 0: -1 has index 1 and infinity index 2, so one
+    # step of 30000 walkers lands at infinity with probability 2/3
+    R = RationalMap([1, 1], [0, 0, 0, 1])
+    n = 30000
+    z, isinf = backward_walk(R, 0j, 1, n, np.random.default_rng(7))
+    assert np.all(isinf[0] | (z[0] == -1))
+    sigma = (2 / 3 * (1 / 3) / n) ** 0.5
+    assert abs(isinf.mean() - 2 / 3) < 5 * sigma
+
+
 def test_walk_over_critical_value_lands_on_preimage(lattes):
     # the Lattes map's critical values 0, 1, -1 have only double preimages,
     # +-i, 1 +- sqrt 2 and -1 +- sqrt 2: raw eigenvalues sit ~1e-8 off
@@ -173,6 +184,14 @@ def test_render_escape_mode(z2, tmp_path):
     assert len(raw) == len(b"P5\n48 48\n255\n") + 48 * 48
 
 
+@pytest.mark.parametrize("mode", ["escape", "density"])
+def test_render_refuses_max_iter_below_1(z2, mode):
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            render(z2, (-1.0, 1.0, -1.0, 1.0), 8, mode=mode,
+                   max_iter=max_iter)
+
+
 def test_render_density_mode_deterministic(full_shift):
     kw = dict(mode="density", samples=4000, depth=40, seed=9)
     a = render(full_shift, (-2.0, 2.0, -2.0, 2.0), 32, **kw)
@@ -197,17 +216,21 @@ def test_cloud_csv_roundtrip(tmp_path, zm2):
         read_cloud_csv(bad)
 
 
-@pytest.mark.parametrize("start", [0.3 + 0.1j, SpherePoint.infinity()])
+@pytest.mark.parametrize("start", [0.3 + 0.1j, SpherePoint.infinity(), 0j])
 @pytest.mark.parametrize("name", ["z2_minus_2", "tchebychev_n", "lattes",
-                                  "full_shift_example", "ushiki_gasket"])
+                                  "full_shift_example", "ushiki_gasket",
+                                  "(z+1)/z^3", "z/(z^2+1)"])
 @pytest.mark.parametrize("walkers", [8, 100])
 def test_common_step_matches_row_bookkeeping(monkeypatch, name, start,
                                              walkers):
-    # a work cap of one row per solve sends every step through the row
-    # bookkeeping that the common step skips: the walks agree bit for bit
+    # a work cap of one row per solve makes the fiber table solve every
+    # row alone, in groups by fiber length: the walks agree bit for bit
+    # with the one-solve table. Both added maps send infinity to 0, where
+    # the fiber polynomial drops degree, so from 0 (or through it) their
+    # walkers stand on drop rows
     from ratdyn import ratmap
-    from ratdyn.registry import get
-    R = get(name).map
+    from ratdyn.cli import resolve_map
+    R, _ = resolve_map(name)
     fast = backward_walk(R, start, 30, walkers, np.random.default_rng(5))
     monkeypatch.setattr(ratmap, "_WORK_ENTRIES", 1)
     slow = backward_walk(R, start, 30, walkers, np.random.default_rng(5))

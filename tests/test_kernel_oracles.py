@@ -28,7 +28,8 @@ from ratdyn.numkernel import (
     _row_roots,
     _tie,
 )
-from ratdyn.ratmap import RationalMap, _chunks, _expand_level, _fiber_rows
+from ratdyn.ratmap import (RationalMap, _chunks, _expand_level, _fiber_rows,
+                          _fiber_table)
 from ratdyn.registry import get, list_examples
 from ratdyn.transfer import TestFunction, kms_iterate
 
@@ -243,6 +244,81 @@ def test_expand_level_common_path_matches_the_groups(monkeypatch, m,
             for a, b in zip(got, other):
                 assert a.dtype == b.dtype
                 assert bits(a) == bits(b)
+
+
+def _table_bases(R, rng):
+    """Random bases mixed with Lattes' critical values 0, 1, -1 and
+    infinity and with R(infinity), where the fiber polynomial drops."""
+    z, inf = _bases(R, 40, rng, True)
+    extra = np.array([0j, 1 + 0j, -1 + 0j, 0j, 0.5 + 0j])
+    return (np.concatenate([z, extra]),
+            np.concatenate([inf, [False, False, False, True, False]]))
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("R", [LATTES, DROP, get("tchebychev_n").map,
+                               RationalMap([1, 1], [0, 0, 0, 1])])
+def test_fiber_table_rows_are_the_row_solve(monkeypatch, R, capped):
+    # full-length rows hold `_row_roots`' roots and labels bit for bit; a
+    # row of length n holds its shorter polynomial's roots, then d + 1 - n
+    # entries at infinity (value 0) that form one cluster
+    z, inf = _table_bases(R, np.random.default_rng(3))
+    if capped:   # one row per chunk: every row of the table goes alone
+        monkeypatch.setattr(ratmap, "_WORK_ENTRIES", 1)
+    roots, isinf, label = _fiber_table(R, z, inf)
+    f, s, n = _fiber_rows(R, z, inf)
+    d = R.degree
+    n = np.full(z.size, d + 1) if n is None else n
+    assert roots.shape == (z.size, d)
+    assert isinf is not None and isinf.any()   # every batch has a drop
+    label = np.tile(np.arange(d), (z.size, 1)) if label is None else label
+    full = np.flatnonzero(n == d + 1)
+    want, tie = _row_roots(f[full], s[full])
+    assert bits(roots[full]) == bits(want)
+    assert not isinf[full].any()
+    tie = np.tile(np.arange(d), (full.size, 1)) if tie is None else tie
+    assert label[full].tolist() == tie.tolist()
+    for r in np.flatnonzero(n <= d):
+        k = n[r]
+        assert isinf[r].tolist() == [c >= k - 1 for c in range(d)]
+        assert bits(roots[r, k - 1:]) == bits(np.zeros(d + 1 - k, complex))
+        assert label[r, k - 1:].tolist() == [k - 1] * (d + 1 - k)
+        if k > 1:
+            alone, tie = _row_roots(f[r:r + 1, :k], s[r:r + 1, :k])
+            assert bits(roots[r, :k - 1]) == bits(alone[0])
+            if tie is not None:
+                assert label[r, :k - 1].tolist() == tie[0].tolist()
+
+
+def test_fiber_table_lists_a_point_by_its_index():
+    # R = (z + 1)/z^3 over 0: -1 once and infinity, of index 2, twice
+    R = RationalMap([1, 1], [0, 0, 0, 1])
+    roots, isinf, label = _fiber_table(R, np.array([0j]), np.array([False]))
+    assert bits(roots) == bits(np.array([[-1 + 0j, 0j, 0j]]))
+    assert isinf.tolist() == [[False, True, True]]
+    assert label.tolist() == [[0, 1, 1]]
+    pts, pinf, counts, _ = _expand_level(R, np.array([0j]),
+                                         np.array([False]))
+    assert pts.tolist() == [-1, 0] and pinf.tolist() == [False, True]
+    assert counts.tolist() == [1, 2]
+
+
+def test_only_ratmap_and_numkernel_decide_how_fibers_are_solved():
+    # every other module reaches fibers through the fiber table or the
+    # fiber solver, never through the row solve, the rows or the chunking
+    import ast
+    import pathlib
+    import ratdyn
+    hidden = {"_row_roots", "_fiber_rows", "_chunks"}
+    users = set()
+    for path in pathlib.Path(ratdyn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            if names & hidden:
+                users.add(path.stem)
+    assert users == {"ratmap", "numkernel"}
 
 
 # ---------------------------------------------------------------------------

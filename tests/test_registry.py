@@ -49,6 +49,24 @@ def test_family_builders():
     assert evaluate(c, 0.0).z == pytest.approx(0.1 + 0.05j)
 
 
+@pytest.mark.parametrize("n", [2.5, 1e3, 1, 65, 3 + 1j, float("nan"), "3",
+                               True])
+@pytest.mark.parametrize("name", ["power_map_n", "tchebychev_n"])
+def test_family_degree_must_be_an_integer_from_2_to_64(name, n):
+    with pytest.raises(ValueError, match="from 2 to 64"):
+        get(name).build(n)
+
+
+def test_family_degree_accepts_integral_values():
+    for n in (2, 3.0, 64, np.int64(5), 7 + 0j):
+        assert get("power_map_n").build(n).degree == int(n.real)
+
+
+def test_verify_refuses_a_parameter_without_a_family():
+    with pytest.raises(ValueError, match="takes no parameter"):
+        verify("lattes", param=3)
+
+
 def test_default_map_property():
     assert get("lattes").map.degree == 4
     assert get("ushiki_gasket").map.degree == 3
