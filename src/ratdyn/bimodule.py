@@ -9,10 +9,11 @@ chain whose inner products pin a between |a|-eps and |a|.
 
 Everything runs on arrays. Graph functions, frame members and the witness
 bump and f/u evaluate (z, isinf) arrays through their method `at`, and a
-scalar call is its one-point case. Inner products, norms and witness tables
-expand all their bases as one forest (`ratmap._forest`) and sum each base's
-depth-n fiber left to right; frame defects solve all their fibers in one
-`_expand_level` call.
+scalar call is its one-point case. Inner products, norms, witness tables
+and frame reconstructions read all their bases' depth-n leaves
+(`ratmap._leaves`): each base's d^n entries list a preimage x as often as
+e_{R^n}(x), so every weighted sum is a row sum, left to right. The frame's
+Gram matrices are over distinct fiber points, one `_expand_level` call.
 """
 
 import math
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
 from .julia import _sample_arrays, critical_points_in_julia
-from .measure import _root_sums, _root_table
 from .numkernel import (SpherePoint, _Evaluator, _PointSet, _as_arrays,
                         _values_at, chordal_distances, embed_points,
                         sphere_embed)
-from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
+from .ratmap import (NODE_BUDGET, _evaluate_arrays, _expand_level,
+                     _leaf_level, _leaves, _row_sums)
 
 EXPANSION_BUDGET = 24
 
@@ -59,28 +60,26 @@ class _OnArrays(_Evaluator):
 
 
 def _depth_sums(R, z, isinf, n, terms):
-    """Sum of terms(points, isinf, indices) over each base's depth-n fiber.
+    """Sum of terms(points, isinf) over each base's depth-n leaves.
 
-    The bases' trees are expanded as one forest (`ratmap._forest`), and
-    each group's deepest level is summed before the next group is expanded,
-    so no more than one group's nodes are held at a time.
+    Each group of bases (`ratmap._leaves`) is summed before the next is
+    expanded, so no more than one group's leaves are held at a time.
     """
     out = np.zeros(z.size, dtype=complex)
-    for k, pts, inf, idx, root in _forest(R, z, isinf, n):
+    for k, lo, pts, inf in _leaves(R, z, isinf, n):
         if k == n:
-            sums = _root_sums(terms(pts, inf, idx), root)
-            out[root[0]:root[0] + sums.size] = sums
+            sums = _row_sums(terms(pts, inf), R.degree ** n)
+            out[lo:lo + sums.size] = sums
     return out
 
 
 def _inner_products(R, n, f, g, z, isinf):
-    """(f|g)_A at every base (z, isinf), from one forest."""
+    """(f|g)_A at every base (z, isinf), from their depth-n leaves."""
     if f.arity != n or g.arity != n:
         raise ValueError("arity mismatch with the requested depth")
 
-    def terms(pts, inf, idx):
-        return (idx * np.conj(_values_at(f, pts, inf))
-                * _values_at(g, pts, inf))
+    def terms(pts, inf):
+        return np.conj(_values_at(f, pts, inf)) * _values_at(g, pts, inf)
     return _depth_sums(R, z, isinf, n, terms)
 
 
@@ -212,6 +211,21 @@ def build_frame(R, julia_sample, cover_spec=None):
     return Frame(members, tuple((t, w) for t in thetas), center, z.size)
 
 
+def _root_table(values, root):
+    """Node values grouped by root: row r holds root root[0] + r.
+
+    Each root's nodes are contiguous and roots ascend, as in an
+    `_expand_level` output. Rows keep node order and are padded with zeros
+    to the widest root.
+    """
+    count = np.bincount(root - root[0])
+    col = np.arange(root.size) - np.repeat(np.cumsum(count) - count, count)
+    table = np.zeros((count.size, count.max()) + values.shape[1:],
+                     dtype=values.dtype)
+    table[root - root[0], col] = values
+    return table
+
+
 def frame_delta_defect(R, frame, probe_ys):
     """max |sum_l u_l(x) conj(u_l(x')) - delta_{x,x'}| over fibers of probes."""
     z, isinf = _as_arrays(probe_ys)
@@ -231,11 +245,11 @@ def frame_reconstruction_defect(R, frame, f, probe_xs):
     z, isinf = _as_arrays(probe_xs)
     if not z.size:
         return 0.0
-    pts, inf, counts, par = _expand_level(R, *_evaluate_arrays(R, z, isinf))
+    pts, inf = _leaf_level(R, *_evaluate_arrays(R, z, isinf))
     fq = _values_at(f, pts, inf)
     total = np.zeros(z.size, dtype=complex)
     for u in frame.members:
-        ip = _root_sums(counts * np.conj(_values_at(u, pts, inf)) * fq, par)
+        ip = _row_sums(np.conj(_values_at(u, pts, inf)) * fq, R.degree)
         total = total + _values_at(u, z, isinf) * ip
     return float(np.max(np.abs(total - _values_at(f, z, isinf))))
 
@@ -334,17 +348,17 @@ def _bump(x0, inner, outer):
 def _normalized(R, n, g, weight, label):
     """x -> g(x) / sqrt(sum of e g^2 weight over R^{-n}(R^n x)).
 
-    weight None counts 1. The depth-n fibers through all the points are
-    expanded as one forest.
+    weight None counts 1. The sums run over the depth-n leaves of the
+    images R^n x of all the points at once (`_depth_sums`).
     """
     def at(z, isinf):
         y, yinf = z, isinf
         for _ in range(n):
             y, yinf = _evaluate_arrays(R, y, yinf)
 
-        def terms(pts, inf, idx):
+        def terms(pts, inf):
             gv = _values_at(g, pts, inf).real
-            w = idx * (gv * gv)
+            w = gv * gv
             if weight is not None:
                 w = w * _values_at(weight, pts, inf).real
             return w
@@ -358,9 +372,10 @@ def _normalized(R, n, g, weight, label):
 def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     """The bump construction both witnesses share.
 
-    Returns (n, g, report, table). The table holds the arrays (e, g, a,
-    root) over the depth-n fibers of all probes, one forest: each fiber is
-    walked once, and g and a are evaluated once per point.
+    Returns (n, g, report, table). The table holds g and a on the
+    depth-n leaves of all probes, one row of d^n per probe
+    (`ratmap._leaves`): each fiber is walked once, and g and a are
+    evaluated once per leaf.
     """
     z, isinf = _sample_arrays(julia_sample)
     avals = _values_at(a, z, isinf).real
@@ -402,12 +417,11 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
 
     bump = _bump(x0, delta_k, delta_u)
     for attempt in range(4):
-        parts = [level for k, *level in _forest(R, pz, pinf, n) if k == n]
-        pts, inf, idx, root = (np.concatenate(a) for a in zip(*parts))
-        e = idx.astype(float)
-        gv = bump.at(pts, inf)
-        w = e * (gv * gv)
-        b = _root_sums(w, root)  # b(y) = (g|g)(y)
+        parts = [level for k, _, *level in _leaves(R, pz, pinf, n) if k == n]
+        pts, inf = (np.concatenate(a) for a in zip(*parts))
+        gv = bump.at(pts, inf).reshape(pz.size, -1)
+        w = gv * gv
+        b = _row_sums(w, w.shape[1])  # b(y) = (g|g)(y)
         if b.min() >= 1.0 - 1e-9:
             break
         n += 1  # net was marginal: one more expansion level fills the gaps
@@ -415,9 +429,9 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
         raise WitnessFailed(
             f"(g|g) dropped to {b.min():.6f} < 1 despite deeper expansion")
 
-    av = _values_at(a, pts, inf).real
-    ff = _root_sums(w / b[root], root)
-    faf = _root_sums(w * av / b[root], root)
+    av = _values_at(a, pts, inf).real.reshape(gv.shape)
+    ff = _row_sums(w / b[:, None], w.shape[1])
+    faf = _row_sums(w * av / b[:, None], w.shape[1])
     # norm_a is refined over every point the verification touches
     norm_a_refined = max(norm_a, float(np.max(av)))
     passed = (abs(ff.min() - 1.0) <= 1e-8 and abs(ff.max() - 1.0) <= 1e-8
@@ -438,7 +452,7 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     }
     if not passed:
         raise WitnessFailed(f"witness verification missed tolerance: {report}")
-    return n, GraphFunction(n, bump, label="bump"), report, (e, gv, av, root)
+    return n, GraphFunction(n, bump, label="bump"), report, (gv, av)
 
 
 def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
@@ -469,11 +483,12 @@ def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
     u is exact on the whole sphere and caches nothing: each call u(x) sums
     e g^2 a over the depth-n fiber R^{-n}(R^n x).
     """
-    n, g, rep, (e, gv, av, root) = _witness(R, a, eps, julia_sample,
-                                            probe_ys, net_tol, budget)
-    uv = gv / np.sqrt(_root_sums(e * (gv * gv) * av, root))[root]  # u
-    e_uu = e * (uv * uv)
-    uau, uu = _root_sums(e_uu * av, root), _root_sums(e_uu, root)
+    n, g, rep, (gv, av) = _witness(R, a, eps, julia_sample, probe_ys,
+                                   net_tol, budget)
+    width = gv.shape[1]
+    uv = gv / np.sqrt(_row_sums(gv * gv * av, width))[:, None]  # u
+    uu = uv * uv
+    uau, uu = _row_sums(uu * av, width), _row_sums(uu, width)
     ntwo = math.sqrt(max(float(uu.max()), 0.0))
     bound = (rep["norm_a"] - eps) ** -0.5
     passed = (abs(uau.min() - 1.0) <= 1e-8 and abs(uau.max() - 1.0) <= 1e-8

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import RatdynError, UnknownExample, WitnessFailed
 from .numkernel import SpherePoint, poly_add, poly_mul
 from .ratmap import RationalMap, critical_points, preimages, preimage_tree
-from .julia import (_STAT_WALKERS, _render_start, critical_points_in_julia,
-                    render, sample_inverse_iteration, write_cloud_csv,
-                    write_pgm)
+from .julia import (_STAT_WALKERS, _check_window, _render_start,
+                    critical_points_in_julia, render,
+                    sample_inverse_iteration, write_cloud_csv, write_pgm)
 from .measure import lyubich_exact, lyubich_mc, write_weighted_csv
 from .transfer import TestFunction, kms_iterate, write_trace_csv
 from .bimodule import normalized_witness, write_witness_json
@@ -345,13 +345,9 @@ def _parse_window(text):
     if len(parts) != 4:
         raise MapParseError("window must be re_min,re_max,im_min,im_max")
     try:
-        lo, hi, blo, bhi = (float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise MapParseError(f"bad window {text!r}") from None
-    if not (lo < hi and blo < bhi and np.isfinite([lo, hi, blo, bhi]).all()):
-        raise MapParseError(f"window {text!r} needs finite bounds, each "
-                            "min below its max")
-    return lo, hi, blo, bhi
 
 
 def _load_config(path, keys):
@@ -454,8 +450,8 @@ def _cmd_julia(args, cfg):
     count = _setting(args, cfg, "count", int, 2000, minimum=1)
     start = _parse_point(args.start) if args.start else _render_start(R)
     if args.render:   # every setting is checked before anything is written
-        window = _parse_window(_setting(args, cfg, "window", str,
-                                        "-2,2,-2,2"))
+        window = _check_window(_parse_window(
+            _setting(args, cfg, "window", str, "-2,2,-2,2")))
         res = _setting(args, cfg, "res", int, 512, minimum=1)
         samples = _setting(args, cfg, "samples", int, 40000, minimum=1)
         max_iter = _setting(args, cfg, "max_iter", int, 96, minimum=1)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .numkernel import (SpherePoint, _PointSet, _as_arrays, _as_pair,
-                        _read_points_csv, _write_points_csv, embed_points,
-                        sphere_embed, sphere_nearest)
+                        _read_points_csv, _write_points_csv, chordal_distance,
+                        embed_points, sphere_embed, sphere_nearest)
 from .ratmap import _fiber_table, critical_points, evaluate
 
 BURN_IN = 20
@@ -208,12 +208,14 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
     window = (re_min, re_max, im_min, im_max); resolution int or (w, h).
     Escape-time shading for polynomial maps (interior white, exterior shaded
     by escape speed); inverse-iteration density histogram otherwise. Row 0
-    is the top of the window. Deterministic for a fixed seed. max_iter
-    below 1 raises ValueError.
+    is the top of the window. Deterministic for a fixed seed. A window
+    with a non-finite bound or an empty range (`_check_window`) and
+    max_iter below 1 raise ValueError.
 
     The density histogram only counts its sample, so the sample walks
     `_STAT_WALKERS` chains, not the 8 of a written cloud.
     """
+    x0, x1, y0, y1 = _check_window(window)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if isinstance(resolution, int):
@@ -224,9 +226,6 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
         raise BudgetExceeded(f"{w}x{h} exceeds the pixel budget")
     if w <= 0 or h <= 0:
         return np.zeros((max(h, 0), max(w, 0)), dtype=np.uint8)
-    x0, x1, y0, y1 = (float(t) for t in window)
-    if not (x1 > x0 and y1 > y0):
-        return np.zeros((h, w), dtype=np.uint8)
     if mode == "auto":
         mode = "escape" if R.is_polynomial else "density"
     if mode == "escape":
@@ -264,14 +263,43 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
     return np.rint(255.0 * hist / top).astype(np.uint8)
 
 
+def _check_window(window):
+    """The window (re_min, re_max, im_min, im_max) as floats; a bound that
+    is not finite, or a min not below its max, raises ValueError."""
+    x0, x1, y0, y1 = bounds = tuple(float(t) for t in window)
+    if not (x0 < x1 and y0 < y1 and np.isfinite(bounds).all()):
+        raise ValueError(f"window {bounds} needs finite bounds, each min "
+                         "below its max")
+    return bounds
+
+
+# chordal distance within which two points count as one in `_exceptional`
+# and `_render_start`
+_SAME = 1e-9
+
+
+def _exceptional(R):
+    """E_R, the points with a finite grand orbit: the critical points of
+    index d that R fixes or that R swaps in a pair; at most two."""
+    full = [cd for cd in critical_points(R) if cd.index == R.degree]
+    return [a.point for a in full
+            if any(chordal_distance(a.value, b.point) <= _SAME
+                   and chordal_distance(b.value, a.point) <= _SAME
+                   for b in full)]
+
+
 def _render_start(R):
-    # a generic non-exceptional start: a repelling-ish point found by a few
-    # forward iterates of a fixed irrational-angle seed
-    z = SpherePoint.finite(0.4242 + 0.2718j)
+    """A generic start for backward walks: a few forward iterates of a
+    fixed irrational-angle seed, or the seed itself when they escape or
+    end on the exceptional set, where a backward walk stays for ever (the
+    iterates of z^n, n >= 6, underflow to 0)."""
+    seed = z = SpherePoint.finite(0.4242 + 0.2718j)
     for _ in range(4):
         z = evaluate(R, z)
         if z.is_infinity or abs(z.z) > 1e6:
-            return SpherePoint.finite(0.4242 + 0.2718j)
+            return seed
+    if any(chordal_distance(z, e) <= _SAME for e in _exceptional(R)):
+        return seed
     return z
 
 

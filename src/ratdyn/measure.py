@@ -5,9 +5,10 @@ integer weight bookkeeping (index over d^n), and Monte-Carlo backward walks
 whose step law e(x)/d has the same stationary behaviour. Plus integration,
 invariance defects, and convergence diagnostics.
 
-Level sums run on arrays: a function is evaluated on a whole tree or
-forest level at once (`numkernel._values_at`), and each root's nodes are
-summed left to right, as a scalar loop over them adds (`_root_sums`).
+Level sums run on arrays: a function is evaluated on all depth-k leaves
+of a base at once (`numkernel._values_at`), d^k entries that list each
+preimage as often as its index, and summed left to right, as a scalar
+loop over them adds (`ratmap._row_sums`).
 
 A `WeightedCloud` is an array-backed point set with weights; CSV files
 use the point format with its weight column and read back to arrays.
@@ -23,7 +24,7 @@ from .numkernel import (SpherePoint, _PointSet, _as_arrays, _read_points_csv,
                         _values_at, _write_points_csv, chordal_distance,
                         sphere_embed)
 from .julia import BURN_IN, _walk
-from .ratmap import _evaluate_arrays, _forest, tree_levels
+from .ratmap import _evaluate_arrays, _leaves, _row_sums, tree_levels
 
 
 class WeightedCloud(_PointSet):
@@ -141,35 +142,10 @@ def _weighted_sum(w, values):
     return complex(0.0 + np.cumsum(w * values)[-1]) if w.size else 0j
 
 
-def _root_table(values, root):
-    """Node values grouped by root: row r holds root root[0] + r.
-
-    Each root's nodes are contiguous and roots ascend, as in a forest
-    level or an `_expand_level` output. Rows keep node order and are
-    padded with zeros to the widest root.
-    """
-    count = np.bincount(root - root[0])
-    col = np.arange(root.size) - np.repeat(np.cumsum(count) - count, count)
-    table = np.zeros((count.size, count.max()) + values.shape[1:],
-                     dtype=values.dtype)
-    table[root - root[0], col] = values
-    return table
-
-
-def _root_sums(values, root):
-    """Sum of each root's node values, for roots root[0] .. root[-1].
-
-    Each sum adds from 0 in node order, as a scalar loop over the nodes
-    adds; numpy's pairwise sum would differ in the last bits.
-    """
-    if root[0] == root[-1]:   # one root: its nodes are the whole array
-        return 0.0 + np.cumsum(values, axis=0)[-1:]
-    return 0.0 + np.cumsum(_root_table(values, root), axis=1)[:, -1]
-
-
-def _level_sums(a, pts, isinf, idx, root, scale):
-    """scale * sum of index * a(x) over each root's nodes of a level."""
-    return _root_sums(idx * _values_at(a, pts, isinf), root) * scale
+def _level_means(a, pts, isinf, width):
+    """Each base's mean of a over its width = d^k leaves: 1 / width times
+    their sum (`ratmap._row_sums`)."""
+    return _row_sums(_values_at(a, pts, isinf), width) * (1.0 / width)
 
 
 def _test_label(a, i):
@@ -183,14 +159,13 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     I_k integrates a against the depth-k cloud. With a second basepoint y2,
     appends the cross-basepoint gap at depth n for each test.
     """
-    d = R.degree
     labels = [_test_label(a, i) for i, a in enumerate(test_functions)]
     z, isinf = _as_arrays([y])
     # one sequence per test, by position: two tests may share a label
     vals = [[complex(_values_at(a, z, isinf)[0])] for a in test_functions]
-    for k, *level in _forest(R, z, isinf, n):
+    for _, _, pts, inf in _leaves(R, z, isinf, n):
         for seq, a in zip(vals, test_functions):
-            seq.append(complex(_level_sums(a, *level, 1.0 / d ** k)[0]))
+            seq.append(complex(_level_means(a, pts, inf, pts.size)[0]))
     records = []
     for lab, seq in zip(labels, vals):
         for k in range(n):
@@ -199,10 +174,10 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     if y2 is not None:
         if n < 1:
             raise ValueError("depth must be at least 1")
-        for _, *other in _forest(R, *_as_arrays([y2]), n):
+        for _, _, pts, inf in _leaves(R, *_as_arrays([y2]), n):
             pass   # keep the deepest level
         for lab, a, seq in zip(labels, test_functions, vals):
-            want = complex(_level_sums(a, *other, 1.0 / d ** n)[0])
+            want = complex(_level_means(a, pts, inf, pts.size)[0])
             gap = abs(seq[n] - want)
             records.append(
                 {"k": n, "test": lab + " cross-basepoint", "gap": gap})

@@ -6,9 +6,10 @@ distance <= 2 from everything else. Polynomial coefficients are stored in
 ascending order (constant term first).
 
 One solver finds roots: `_row_roots` solves a stack of polynomials of one
-degree at once and decides multiplicities by one tie rule, and
-`_cluster_rows` lists each row's distinct roots with their multiplicities.
-`roots_with_multiplicity` is its one-row case.
+degree at once and decides multiplicities by one tie rule. `_sort_rows`
+orders each row by (re, im), and `_merge_runs` lists each sorted row's
+distinct roots with their multiplicities; `roots_with_multiplicity` is
+the one-row case of both.
 """
 
 from __future__ import annotations
@@ -280,7 +281,35 @@ def chordal_distance(a, b):
     return 2.0 * abs(za - zb) / (qa * qb)
 
 
-_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+def _hypot1(r):
+    """math.hypot(1.0, r) for an array r >= 0, bit for bit.
+
+    CPython 3.11's vector_norm of the coordinates (1, r): both are scaled
+    by 2^-e, e the frexp exponent of max(1, r), squared exactly (Dekker's
+    split) and added into 1.0 by fast two-sums whose errors are kept
+    apart; a square root and one differential correction follow.
+    Infinity passes through and NaN stays NaN.
+    """
+    def square(x):   # x * x as hi + lo, exactly
+        t = x * 134217729.0   # 2^27 + 1
+        hi = t - (t - x)
+        lo = x - hi
+        p, q = hi * hi, hi * lo + lo * hi
+        z = p + q
+        return z, p - z + q + lo * lo
+
+    with np.errstate(invalid="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(r, 1.0))[1])
+        csum, frac1, frac2 = 1.0, 0.0, 0.0
+        for x in (scale, r * scale):
+            hi, lo = square(x)
+            s = csum + hi
+            csum, frac1, frac2 = s, frac1 + lo, frac2 + ((csum - s) + hi)
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        hi, lo = square(h)
+        s = csum - hi
+        x = s - 1.0 + ((frac1 - lo) + (frac2 + ((csum - s) - hi)))
+        return np.where(np.isinf(r), np.inf, (h + x / (2.0 * h)) / scale)
 
 
 def _quotient(a, b):
@@ -303,9 +332,10 @@ def chordal_distances(a, zs, isinf):
     """`chordal_distance` from a to each point of (zs, isinf), bit for bit.
 
     The same charts and roundings as the scalar metric: moduli by hypot,
-    reciprocals as Python's complex division, and math.hypot for the
-    factors sqrt(1 + |z|^2). The scalar metric stays for single pairs,
-    where numpy's per-call overhead would make this path 40 times slower.
+    reciprocals as Python's complex division, and math.hypot's rounding
+    for the factors sqrt(1 + |z|^2) (`_hypot1`). The scalar metric stays
+    for single pairs, where numpy's per-call overhead would make this path
+    40 times slower.
     """
     za, ia = _as_pair(a)
     zs = np.where(isinf, 0j, zs)
@@ -318,7 +348,7 @@ def chordal_distances(a, zs, isinf):
     zb[flip] = _quotient(1.0, zs[flip])
     qa = np.where(both, math.hypot(1.0, abs(za_chart)),
                   math.hypot(1.0, abs(za)))
-    qb = _HYPOT(1.0, np.hypot(zb.real, zb.imag)).astype(float)
+    qb = _hypot1(np.hypot(zb.real, zb.imag))
     d = np.where(both, za_chart, za) - zb
     out = 2.0 * np.hypot(d.real, d.imag) / (qa * qb)
     # one point at infinity and the other inside the unit disc
@@ -771,31 +801,41 @@ def _row_roots(f, s=None):
     return u, label
 
 
-def _cluster_rows(roots, label):
-    """Each row's distinct roots with multiplicities, from `_row_roots`.
-
-    Returns (centers, counts, row): one entry per cluster, sorted by row
-    and then by (re, im), ties in solver order.
-    """
-    m, d = roots.shape
-    if label is None and d == 2:   # one comparison orders each row's pair
+def _sort_rows(roots, label):
+    """`_row_roots`' tables with each row sorted by (re, im), ties in
+    solver order, np.inf last; label (None when nothing is tied) is
+    permuted alike. A cluster's roots share its value and its label, the
+    solver position of its first root, so they end up side by side."""
+    if roots.shape[1] == 2:   # one comparison orders each row's pair
         swap = (roots[:, 1] < roots[:, 0])[:, None]
-        return (np.where(swap, roots[:, ::-1], roots).ravel(),
-                np.ones(2 * m, dtype=np.int64), np.repeat(np.arange(m), 2))
-    centers = roots
-    if label is not None:
-        counts = np.bincount((label + d * np.arange(m)[:, None]).ravel(),
-                             minlength=m * d).reshape(m, d)
-        centers = np.where(counts > 0, roots, np.inf)
-    # numpy orders complex numbers by (re, im); a stable sort keeps ties
-    flat = (np.argsort(centers, axis=1, kind="stable")
-            + d * np.arange(m)[:, None]).ravel()
-    centers, row = centers.ravel()[flat], flat // d
+        return (np.where(swap, roots[:, ::-1], roots), None if label is None
+                else np.where(swap, label[:, ::-1], label))
+    # numpy orders complex numbers by (re, im); equal values go by label
+    order = (np.argsort(roots, axis=1, kind="stable") if label is None
+             else np.lexsort((label, roots.imag, roots.real), axis=1))
+    m, d = roots.shape
+    flat = (order + d * np.arange(m)[:, None]).ravel()
+    return (roots.ravel()[flat].reshape(m, d), None if label is None
+            else label.ravel()[flat].reshape(m, d))
+
+
+def _merge_runs(roots, label):
+    """(centers, counts, row): each sorted row's runs of equal labels as
+    its distinct roots with their multiplicities, in row order."""
+    m, d = roots.shape
     if label is None:
-        return centers, np.ones(flat.size, dtype=np.int64), row
-    counts = counts.ravel()[flat]
-    keep = counts > 0
-    return centers[keep], counts[keep], row[keep]
+        return (roots.ravel(), np.ones(m * d, dtype=np.int64),
+                np.repeat(np.arange(m), d))
+    start = np.ones((m, d), dtype=bool)
+    start[:, 1:] = label[:, 1:] != label[:, :-1]
+    first = np.flatnonzero(start)
+    return roots.ravel()[first], np.diff(first, append=m * d), first // d
+
+
+def _cluster_rows(roots, label):
+    """`_merge_runs` of `_sort_rows`: each row's distinct roots with their
+    multiplicities, sorted by row and then by (re, im)."""
+    return _merge_runs(*_sort_rows(roots, label))
 
 
 def roots_with_multiplicity(poly):

@@ -14,11 +14,14 @@ Every fiber goes through one table, `_fiber_table`, built from the fiber
 polynomials of a batch of bases (`_fiber_rows`) and numkernel's row solve
 `_row_roots`, whose tie rule decides the branch indices: row j lists the
 d preimages of base j, x as often as its index e(x). How a batch is solved
-is decided here alone. Backward walks draw from the rows; `_expand_level`
-lists each row's distinct entries, and `preimages` is its one-row case.
-`_forest` expands the preimage trees of many bases together, one call per
-level; `tree_levels` is its one-base case. A `Fiber` is an array-backed
-point set built from the solver's arrays.
+is decided here alone. Backward walks draw from the rows. `_sorted_table`
+sorts each row by (re, im), infinity last: `_expand_level` merges its
+runs into distinct points, and `preimages` is its one-row case. `_forest`
+expands the distinct-point trees of many bases together, one call per
+level, and `tree_levels` is its one-base case. Callers that only sum read
+`_leaves` instead: each base's depth-k leaves as d^k sorted entries, so a
+sum with branch-index weights is a plain row sum (`_row_sums`). A `Fiber`
+is an array-backed point set built from the solver's arrays.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from .numkernel import (
     poly_mul,
     poly_trim,
     roots_with_multiplicity,
-    _cluster_rows,
+    _merge_runs,
     _quotient,
     _row_roots,
+    _sort_rows,
 )
 
 # budget for polynomial degrees produced by composition
@@ -352,8 +356,18 @@ def _fiber_table(R, pts, inf):
             label if (label != np.arange(d)).any() else None)
 
 
+def _sorted_table(R, pts, inf):
+    """(roots, label, far): the fiber table with each row sorted by
+    (re, im), stably (`_sort_rows`), and its entries at infinity last,
+    holding np.inf; far says whether there are any."""
+    roots, isinf, label = _fiber_table(R, pts, inf)
+    if isinf is None:
+        return (*_sort_rows(roots, label), False)
+    return (*_sort_rows(np.where(isinf, np.inf, roots), label), True)
+
+
 def _expand_level(R, pts, inf):
-    """One backward step for a batch: each fiber-table row's distinct points.
+    """One backward step for a batch: each sorted table row's runs merged.
 
     Returns (points, isinf, counts, parent): the children of every input
     point with their branch indices and parent positions. Children of one
@@ -362,13 +376,10 @@ def _expand_level(R, pts, inf):
     if R.degree == 0:   # a constant map has empty fibers
         none = np.zeros(0, dtype=np.int64)
         return none.astype(complex), none.astype(bool), none, none
-    roots, isinf, label = _fiber_table(R, pts, inf)
-    if isinf is None:
-        centers, counts, row = _cluster_rows(roots, label)
+    roots, label, far = _sorted_table(R, pts, inf)
+    centers, counts, row = _merge_runs(roots, label)
+    if not far:
         return centers, np.zeros(centers.size, dtype=bool), counts, row
-    # infinity sorts after every finite root
-    centers, counts, row = _cluster_rows(np.where(isinf, np.inf, roots),
-                                         label)
     at = np.isinf(centers)
     return np.where(at, 0j, centers), at, counts, row
 
@@ -386,16 +397,9 @@ def preimages(R, w):
                               depth=1)
 
 
-def _forest(R, pts, inf, n, node_budget=NODE_BUDGET):
-    """Yield (k, points, isinf, indices, root) for the trees of many bases.
-
-    The bases (pts, inf) are expanded together, one `_expand_level` call
-    per level; root gives each node's base. A base's nodes are contiguous
-    and in the order its tree has alone (`tree_levels`). Bases go in
-    groups of as many trees as fit in node_budget at d^n nodes each, and
-    each group yields its levels k = 1..n before the next group starts, so
-    a group exceeds the budget exactly when one of its trees would alone.
-    """
+def _groups(R, pts, inf, n, node_budget):
+    """The bases in groups (lo, z, isinf), from base lo on, of as many
+    trees as fit in node_budget at d^n nodes each."""
     d = R.degree
     if d < 1:
         raise ValueError("preimage trees need a nonconstant map")
@@ -406,16 +410,66 @@ def _forest(R, pts, inf, n, node_budget=NODE_BUDGET):
         group //= d
     group = max(1, group)
     for lo in range(0, pts.size, group):
-        z, f = pts[lo:lo + group], inf[lo:lo + group]
+        yield lo, pts[lo:lo + group], inf[lo:lo + group]
+
+
+def _within(size, node_budget):
+    """Refuse a tree level of size nodes beyond node_budget."""
+    if size > node_budget:
+        raise BudgetExceeded(f"preimage tree would exceed {node_budget} nodes")
+
+
+def _forest(R, pts, inf, n, node_budget=NODE_BUDGET):
+    """Yield (k, points, isinf, indices, root) for the trees of many bases.
+
+    The bases (pts, inf) are expanded together, one `_expand_level` call
+    per level; root gives each node's base. A base's nodes are contiguous
+    and in the order its tree has alone (`tree_levels`). Each group of
+    bases (`_groups`) yields its levels k = 1..n before the next group
+    starts, so a group exceeds the budget exactly when one of its trees
+    would alone.
+    """
+    for lo, z, f in _groups(R, pts, inf, n, node_budget):
         idx = np.ones(z.size, dtype=np.int64)
         root = np.arange(lo, lo + z.size)
         for k in range(1, n + 1):
-            if z.size * d > node_budget:
-                raise BudgetExceeded(
-                    f"preimage tree would exceed {node_budget} nodes")
+            _within(z.size * R.degree, node_budget)
             z, f, cc, par = _expand_level(R, z, f)
             idx, root = cc * idx[par], root[par]
             yield k, z, f, idx, root
+
+
+def _leaf_level(R, z, isinf):
+    """The sorted fiber-table rows of the points (z, isinf), end to end:
+    d leaves per point, each preimage x listed e(x) times."""
+    roots, _, far = _sorted_table(R, z, isinf)
+    roots = roots.ravel()
+    if not far:
+        return roots, np.zeros(roots.size, dtype=bool)
+    at = np.isinf(roots)
+    return np.where(at, 0j, roots), at
+
+
+def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET):
+    """Yield (k, lo, points, isinf): the depth-k leaves of bases lo, ...
+
+    Base lo + j owns the d^k leaves from j d^k on, its depth-(k - 1)
+    leaves' rows (`_leaf_level`) in turn, so a preimage x of R^k appears
+    as often as its chain-rule index and a sum over them is a plain row
+    sum (`_row_sums`). Bases go in groups as in `_forest`; m bases at
+    depth k are m d^k leaves, whatever their fibers' ties.
+    """
+    for lo, z, f in _groups(R, pts, inf, n, node_budget):
+        for k in range(1, n + 1):
+            _within(z.size * R.degree, node_budget)
+            z, f = _leaf_level(R, z, f)
+            yield k, lo, z, f
+
+
+def _row_sums(values, width):
+    """Sum of each row of `width` values, from 0 and left to right, as a
+    scalar loop adds; numpy's pairwise sum would differ in the last bits."""
+    return 0.0 + np.cumsum(values.reshape(-1, width), axis=1)[:, -1]
 
 
 def tree_levels(R, y, n, node_budget=NODE_BUDGET):

@@ -70,9 +70,20 @@ def _quadratic(c):
     return RationalMap([complex(c), 0, 1], [1])
 
 
+# the largest n whose monomial T_n still gives every critical point
+# cos(k pi / n) within 1e-6 (6.9e-7 at 36, 1.2e-6 at 37); the monomial
+# basis loses them beyond, and only 39 of 47 come back at n = 48
+CHEBYSHEV_TOP = 36
+
+
 def _chebyshev(n):
-    """cos(n t) = T_n(cos t), ascending coefficients via the recurrence."""
+    """cos(n t) = T_n(cos t), ascending coefficients via the recurrence.
+
+    n above CHEBYSHEV_TOP raises ValueError."""
     n = _degree(n, 3, "interval dynamics")
+    if n > CHEBYSHEV_TOP:
+        raise ValueError(f"interval dynamics keeps its critical points only "
+                         f"up to n = {CHEBYSHEV_TOP}, got {n}")
     a, b = [1.0], [0.0, 1.0]  # T_0, T_1
     for _ in range(n - 1):
         nxt = [0.0] + [2.0 * x for x in b]

@@ -6,11 +6,13 @@ beta = log(deg) drives test functions to the constant given by the balanced
 measure, which is the fixed-point statement this module verifies.
 
 Everything runs on arrays. Test functions evaluate (z, isinf) arrays
-through their method `at`, and a scalar call is its one-point case. The
-fibers of all bases of one operator call come from one `_expand_level`
-solve, and a KMS trace expands all its probes as one forest
-(`ratmap._forest`), summed per probe in node order; its Lyubich value
-continues the first probe's nodes of that forest.
+through their method `at`, and a scalar call is its one-point case. Every
+operator is a row sum: a fiber-table row lists x as often as e(x), so
+sum e(x) a(x) over a fiber adds a over the row's d entries, left to right
+(`ratmap._row_sums`). The fibers of all bases of one operator call come
+from one table (`ratmap._leaf_level`). A KMS trace reads all its probes'
+depth-k leaves (`ratmap._leaves`), d^k per probe; its Lyubich value
+continues the first probe's leaves.
 """
 
 import math
@@ -19,12 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, EvaluationAtInfinity, TabulationMiss
+from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
 from .numkernel import (_Evaluator, _as_arrays, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
-from .measure import _level_sums
-from .ratmap import NODE_BUDGET, _evaluate_arrays, _expand_level, _forest
+from .measure import _level_means
+from .ratmap import (NODE_BUDGET, _evaluate_arrays, _leaf_level, _leaves,
+                     _row_sums, _within)
 
 
 def _powers(z, j):
@@ -174,8 +177,8 @@ def alpha(R, a):
 
 def transfer_E(R, a, y):
     """Branch-index-weighted fiber average: d^{-1} sum e(x) a(x)."""
-    fiber = _expand_level(R, *_as_arrays([y]))
-    return complex(_level_sums(a, *fiber, 1.0)[0]) / R.degree
+    leaves = _leaf_level(R, *_as_arrays([y]))
+    return complex(_row_sums(_values_at(a, *leaves), R.degree)[0]) / R.degree
 
 
 def h_op(R, a, y):
@@ -192,10 +195,10 @@ def lemma31_defect(R, a, b, probe_ys):
     z, isinf = _as_arrays(probe_ys)
     if not z.size:
         return 0.0
-    fiber = _expand_level(R, z, isinf)
+    leaves = _leaf_level(R, z, isinf)
 
     def expect(f):
-        return _level_sums(f, *fiber, 1.0 / R.degree)
+        return _level_means(f, *leaves, R.degree)
 
     aR = alpha(R, a)
     ay = _values_at(a, z, isinf)
@@ -233,16 +236,16 @@ def _variation(vals):
 def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     """Traces of (e^{-beta} h)^k (a) on the probes, beta = log(deg R).
 
-    All probes' depth-n preimage trees are expanded as one forest: level k
-    sums index * a(x) over each probe's depth-k fiber, left to right,
-    scaled d^{-k}. The final level's mean is compared against the
-    balanced-measure integral of a, the same level sum over the deepest
-    fiber of probes[0] within lyubich_budget points: the forest's nodes of
-    probes[0] at that depth, or at depth n expanded further, so that no
-    level is expanded twice. An empty probe set raises ValueError. The
-    hypothesis tag looks for critical points near julia_sample (the probes
-    when None), which may be any sequence of points, as for
-    `critical_points_in_julia`, and is read once.
+    All probes' depth-k leaves are expanded together (`ratmap._leaves`):
+    level k sums a over each probe's d^k leaves, left to right, scaled
+    d^{-k}. The final level's mean is compared against the
+    balanced-measure integral of a, the same sum over the deepest leaves
+    of probes[0] within lyubich_budget points: its leaves at that depth,
+    or at depth n expanded further, so that no level is expanded twice.
+    An empty probe set raises ValueError. The hypothesis tag looks for
+    critical points near julia_sample (the probes when None), which may
+    be any sequence of points, as for `critical_points_in_julia`, and is
+    read once.
     """
     z, isinf = _as_arrays(probe_set)
     if not z.size:
@@ -253,16 +256,13 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
     vals = np.zeros((n + 1, z.size), dtype=complex)
     vals[0] = _values_at(a, z, isinf)
-    # the fiber of probes[0] at depth min(n, depth), whose nodes lead
-    # their forest level
-    lz, lf, lidx = z[:1], isinf[:1], np.ones(1, dtype=np.int64)
-    for k, *level in _forest(R, z, isinf, n):
-        sums = _level_sums(a, *level, 1.0 / d ** k)
-        first = level[3][0]
-        vals[k, first:first + sums.size] = sums
-        if k == min(n, depth) and first == 0:
-            lz, lf, lidx = (x[:np.searchsorted(level[3], 1)]
-                            for x in level[:3])
+    # the leaves of probes[0] at depth min(n, depth), which lead their level
+    lz, lf = z[:1], isinf[:1]
+    for k, lo, pts, inf in _leaves(R, z, isinf, n):
+        sums = _level_means(a, pts, inf, d ** k)
+        vals[k, lo:lo + sums.size] = sums
+        if k == min(n, depth) and lo == 0:
+            lz, lf = pts[:d ** k], inf[:d ** k]
     traces = tuple(
         IterationTrace(k, tuple(complex(v) for v in row), _variation(row))
         for k, row in enumerate(vals))
@@ -270,13 +270,9 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     # continued to the Lyubich depth as one tree within the node budget,
     # as the tree of probes[0] alone would be
     for _ in range(n, depth):
-        if lz.size * d > NODE_BUDGET:
-            raise BudgetExceeded(
-                f"preimage tree would exceed {NODE_BUDGET} nodes")
-        lz, lf, cc, par = _expand_level(R, lz, lf)
-        lidx = cc * lidx[par]
-    lyu = complex(_level_sums(a, lz, lf, lidx, np.zeros(lz.size, np.int64),
-                              1.0 / d ** depth)[0])
+        _within(lz.size * d, NODE_BUDGET)
+        lz, lf = _leaf_level(R, lz, lf)
+    lyu = complex(_level_means(a, lz, lf, lz.size)[0])
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     tag = ("outside theorem hypothesis"
@@ -297,10 +293,10 @@ def kms_defect(R, mu_cloud, test_functions, beta=None):
     scale = math.exp(-beta)
     z, isinf = _as_arrays(mu_cloud)
     w = mu_cloud.weights()
-    fiber = _expand_level(R, z, isinf)
+    leaves = _leaf_level(R, z, isinf)
     worst = 0.0
     for a in test_functions:
-        ha = _level_sums(a, *fiber, scale)
+        ha = _row_sums(_values_at(a, *leaves), R.degree) * scale
         worst = max(worst, abs(complex(np.sum(w * ha))
                                - complex(np.sum(w * _values_at(a, z, isinf)))))
     return worst

@@ -39,6 +39,16 @@ def test_info_registry_name_and_family():
     assert "degree: 3" in run("info", "tchebychev_n:n=3").stdout
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_info_power_maps_start_off_the_exceptional_set(n, capsys):
+    # the forward iterates that pick the sample's start underflow to the
+    # exceptional point 0 from n = 6 on; the start stays off it, so the
+    # sample traces the unit circle and meets no critical point
+    from ratdyn.cli import main
+    assert main(["info", f"power_map_n:n={n}"]) == 0
+    assert "criticals_near_julia: 0 (none)" in capsys.readouterr().out
+
+
 def test_info_points_parse_back(lattes):
     # each printed critical point and image reads back as a complex number
     from ratdyn.ratmap import critical_points
@@ -291,19 +301,25 @@ _RENDER = ("julia", "z^2", "--res", "8", "--render", "{tmp}")
     ("info", "power_map_n:n=2.5"),
     ("info", "tchebychev_n:n=1e3"),
     ("info", "power_map_n:n=65"),
+    ("info", "tchebychev_n:n=37"),
+    ("info", "tchebychev_n:n=64"),
+    ("verify", "tchebychev_n", "--param", "37"),
     ("verify", "tchebychev_n", "--param", "2.5"),
     ("verify", "lattes", "--param", "3"),
     _RENDER + ("--window=nan,1,0,1",),
     _RENDER + ("--window=1,0,0,1",),
     _RENDER + ("--window=-1,1,0,inf",),
+    _RENDER + ("--window=0,inf,0,1",),
     _RENDER + ("--max-iter", "0"),
     _RENDER + ("--max-iter", "-3"),
     # a bad render setting is refused before the cloud is written
     ("julia", "z^2", "--out", "{tmp}", "--render", "{tmp}.pgm",
      "--window=0,0,0,1"),
 ], ids=["kms-probes", "witness-probes", "kms-levels", "julia-count",
-        "power-fraction", "chebyshev-1e3", "power-65", "verify-fraction",
+        "power-fraction", "chebyshev-1e3", "power-65", "chebyshev-37",
+        "chebyshev-64", "verify-chebyshev-37", "verify-fraction",
         "verify-no-family", "window-nan", "window-empty", "window-inf",
+        "window-inf-re",
         "max-iter-0", "max-iter-negative", "cloud-before-bad-window"])
 def test_bad_counts_exit_2(args, tmp_path):
     out = tmp_path / "out.csv"

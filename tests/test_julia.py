@@ -192,6 +192,16 @@ def test_render_refuses_max_iter_below_1(z2, mode):
                    max_iter=max_iter)
 
 
+@pytest.mark.parametrize("window", [
+    (float("nan"), 1.0, 0.0, 1.0), (0.0, float("inf"), 0.0, 1.0),
+    (1.0, 0.0, 0.0, 1.0)], ids=["nan", "inf", "empty"])
+@pytest.mark.parametrize("mode", ["escape", "density"])
+def test_render_refuses_a_bad_window(z2, mode, window):
+    # a non-finite bound or an empty range is an error, not a blank image
+    with pytest.raises(ValueError, match="window"):
+        render(z2, window, 8, mode=mode)
+
+
 def test_render_density_mode_deterministic(full_shift):
     kw = dict(mode="density", samples=4000, depth=40, seed=9)
     a = render(full_shift, (-2.0, 2.0, -2.0, 2.0), 32, **kw)

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratdyn import ratmap, transfer
+from ratdyn import bimodule, ratmap, transfer
 from ratdyn.errors import BudgetExceeded, NonConvergence
-from ratdyn.measure import _level_sums
 from ratdyn.numkernel import (
     EPS,
     LINK,
@@ -27,11 +26,21 @@ from ratdyn.numkernel import (
     _pairs,
     _row_roots,
     _tie,
+    SpherePoint,
+    _PointSet,
+    _as_arrays,
+    sphere_embed,
 )
+from ratdyn.bimodule import (Frame, GraphFunction, _OnArrays, _root_table,
+                             frame_reconstruction_defect, inner_product,
+                             norm_two)
+from ratdyn.measure import WeightedCloud, convergence_diagnostic
 from ratdyn.ratmap import (RationalMap, _chunks, _expand_level, _fiber_rows,
                           _fiber_table)
 from ratdyn.registry import get, list_examples
-from ratdyn.transfer import TestFunction, kms_iterate
+from ratdyn.transfer import (ProductFunction, TestFunction, alpha, h_op,
+                             kms_defect, kms_iterate, lemma31_defect,
+                             transfer_E)
 
 DROP = RationalMap([1, 0, 0, 1], [0, -1, 0, 2])   # R(infinity) = 1/2
 LATTES = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4])
@@ -107,6 +116,19 @@ def _ref_row_roots(f, s=None):
     if e is not None:
         u = _ldexp(u, e[:, None])
     return u, label
+
+
+def _root_sums(values, root):
+    """Sum of each root's node values, for roots root[0] .. root[-1],
+    from 0 in node order (the grouped sums the row sums replace)."""
+    if root[0] == root[-1]:   # one root: its nodes are the whole array
+        return 0.0 + np.cumsum(values, axis=0)[-1:]
+    return 0.0 + np.cumsum(_root_table(values, root), axis=1)[:, -1]
+
+
+def _level_sums(a, pts, isinf, idx, root, scale):
+    """scale * sum of index * a(x) over each root's nodes of a level."""
+    return _root_sums(idx * a.at(pts, isinf), root) * scale
 
 
 def _grouped_expand_level(R, pts, inf):
@@ -356,20 +378,49 @@ def test_power_table_matches_power():
 # ---------------------------------------------------------------------------
 
 def _two_forest_kms(R, a, n, probes, lyubich_budget, forest):
-    """The trace levels and the Lyubich value, each forest built apart."""
+    """The trace levels and the Lyubich value, each forest built apart and
+    summed by the grouped sums, as (sum, tied, size) triples
+    (`_grouped_level`), levels stacked."""
     z = np.array([complex(p) for p in probes])
     isinf = np.zeros(z.size, dtype=bool)
     d = R.degree
-    vals = np.zeros((n + 1, z.size), dtype=complex)
-    vals[0] = a.at(z, isinf)
+    vals = np.zeros((3, n + 1, z.size), dtype=complex)
+    vals[0, 0] = a.at(z, isinf)
+    vals[2, 0] = np.abs(vals[0, 0])
     for k, *level in forest(R, z, isinf, n):
-        sums = _level_sums(a, *level, 1.0 / d ** k)
         first = level[3][0]
-        vals[k, first:first + sums.size] = sums
+        for row, got in zip(vals, _grouped_level(a.at, *level, d ** k)):
+            row[k, first:first + got.size] = got
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
     for _, *level in ratmap._forest(R, z[:1], isinf[:1], depth):
         pass
-    return vals, complex(_level_sums(a, *level, 1.0 / d ** depth)[0])
+    lyu = _grouped_level(a.at, *level, d ** depth)
+    return vals[0], vals[1].real > 0, vals[2].real, [x[0] for x in lyu]
+
+
+def _grouped_level(terms, pts, isinf, idx, root, width):
+    """The grouped sums of one level, each root's scaled by 1 / width.
+
+    Returns (sum, tied, size) per root: the sum of index * terms, whether
+    a node of the root carries an index above 1, and the sum of index *
+    |terms|, the size the rounding of a sum is measured against.
+    """
+    v = terms(pts, isinf)
+    scale = 1.0 / width
+    return (_root_sums(idx * v, root) * scale,
+            _root_sums((idx > 1).astype(float), root) > 0,
+            _root_sums(idx * np.abs(v), root) * scale)
+
+
+def _assert_row_sums(got, want, tied, size, leaves):
+    """got equals the grouped sums bit for bit where no node is tied; where
+    one is, within leaves * EPS * size, the rounding bound of two
+    left-to-right sums of the same leaves (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 4.2)."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    tied = np.atleast_1d(tied)
+    assert bits(got[~tied]) == bits(want[~tied])
+    assert np.all(np.abs(got - want) <= leaves * EPS * np.atleast_1d(size))
 
 
 @pytest.mark.parametrize("R,probes,budget", [
@@ -394,22 +445,29 @@ def test_kms_one_forest_matches_two(monkeypatch, R, probes, budget, n,
     if split:
         def forest(*args):
             return ratmap._forest(*args, node_budget=40)
-        monkeypatch.setattr(transfer, "_forest", forest)
+
+        def leaves(*args):
+            return ratmap._leaves(*args, node_budget=40)
+        monkeypatch.setattr(transfer, "_leaves", leaves)
     a = TestFunction.from_table({(0, 0): 0.5, (1, 0): 1.0, (1, 1): 0.25,
                                  (0, 2): 0.125j})
     if R is LATTES or R is DROP:
         a = TestFunction.monomial(1)
     try:
-        vals, lyu = _two_forest_kms(R, a, n, probes, budget, forest)
+        vals, tied, size, lyu = _two_forest_kms(R, a, n, probes, budget,
+                                                forest)
     except BudgetExceeded:   # a trace tree alone exceeds the budget
         with pytest.raises(BudgetExceeded):
             kms_iterate(R, a, n, probes, lyubich_budget=budget)
         return
     run = kms_iterate(R, a, n, probes, lyubich_budget=budget)
     assert len(run.traces) == n + 1
+    d = R.degree
     for k, t in enumerate(run.traces):
-        assert bits(np.array(t.values)) == bits(vals[k])
-    assert bits(np.array([run.lyubich_value])) == bits(np.array([lyu]))
+        _assert_row_sums(np.array(t.values), vals[k], tied[k], size[k],
+                         d ** k)
+    depth = max(1, int(math.floor(math.log(budget) / math.log(d))))
+    _assert_row_sums(run.lyubich_value, *lyu, d ** depth)
 
 
 def test_kms_lyubich_tree_keeps_its_node_budget(monkeypatch):
@@ -421,6 +479,226 @@ def test_kms_lyubich_tree_keeps_its_node_budget(monkeypatch):
     kms_iterate(z2, a, 2, [0.9 + 0.3j, -0.4j], lyubich_budget=64)
     with pytest.raises(BudgetExceeded, match="100 nodes"):
         kms_iterate(z2, a, 2, [0.9 + 0.3j, -0.4j], lyubich_budget=256)
+
+
+# ---------------------------------------------------------------------------
+# operators: row sums over the leaves against the grouped sums over the
+# forest, bit for bit on bases whose trees hold no tie
+# ---------------------------------------------------------------------------
+
+Z2 = RationalMap([0, 0, 1])
+POLE3 = RationalMap([1, 1], [0, 0, 0, 1])   # (z + 1)/z^3, R(oo) = 0
+T3 = get("tchebychev_n").map
+
+
+def _sphere_fn(seed):
+    """A complex function of the sphere coordinates: smooth everywhere,
+    infinity included, so it can be summed over drop rows."""
+    c = np.random.default_rng(seed).standard_normal((2, 3))
+
+    def at(z, isinf):
+        e = sphere_embed(z, isinf)
+        return 1.5 + e @ c[0] + 1j * ((e * e) @ c[1])
+    return _OnArrays(at)
+
+
+def _grouped(R, z, isinf, k, terms):
+    """(sum, tied, size) per base over the depth-k forest level
+    (`_grouped_level`), groups joined."""
+    parts = [level for j, *level in ratmap._forest(R, z, isinf, k) if j == k]
+    return _grouped_level(terms, *(np.concatenate(a) for a in zip(*parts)),
+                          1)
+
+
+def _sum_cases():
+    """(R, bases) pairs: random bases with R(oo), -0 parts and infinity
+    (`_bases`), and the critical values where the fibers are tied."""
+    rng = np.random.default_rng(8)
+    cases = [(R, _bases(R, 12, rng, True)) for R in
+             (Z2, RationalMap([0.2, 0, 1]), T3, get("ushiki_gasket").map,
+              LATTES, POLE3)]
+    for R, w in ((T3, [1, -1]), (LATTES, [0, 1, -1, math.inf]), (Z2, [0])):
+        cases.append((R, _as_arrays(np.array(w, dtype=complex))))
+    return cases
+
+
+SUM_CASES = _sum_cases()
+SUM_IDS = ["z2", "z2+0.2", "t3", "ushiki", "lattes", "pole3",
+           "t3-tied", "lattes-tied", "z2-tied"]
+
+
+@pytest.mark.parametrize("R,bases", SUM_CASES, ids=SUM_IDS)
+def test_fiber_operators_match_the_grouped_sums(R, bases):
+    z, isinf = bases
+    d = R.degree
+    a, b = _sphere_fn(1), _sphere_fn(2)
+    ref = _grouped(R, z, isinf, 1, a.at)
+    for j in range(z.size):
+        y = SpherePoint.infinity() if isinf[j] else SpherePoint(z[j])
+        want = complex(ref[0][j]) / d
+        _assert_row_sums(transfer_E(R, a, y), want, ref[1][j],
+                         ref[2][j] / d, d)
+        _assert_row_sums(h_op(R, a, y), d * want, ref[1][j], ref[2][j], d)
+    # E(alpha(a) b) - a E(b) and E(alpha(a)) - a, each summed the old way
+    ay = a.at(z, isinf)
+    ab = _grouped(R, z, isinf, 1, ProductFunction(alpha(R, a), b).at)
+    eb = _grouped(R, z, isinf, 1, b.at)
+    ea = _grouped(R, z, isinf, 1, alpha(R, a).at)
+    e = 1.0 / d
+    want = float(max(np.max(np.abs(ab[0] * e - ay * (eb[0] * e))),
+                     np.max(np.abs(ea[0] * e - ay))))
+    size = np.max(ab[2] + np.abs(ay) * eb[2] + ea[2]) * e
+    _assert_row_sums(lemma31_defect(R, a, b, _PointSet(z, isinf)), want,
+                     ref[1].any(), size, d)
+    # kms_defect off beta, with weights from the bases
+    w = np.linspace(1.0, 2.0, z.size)
+    cloud = WeightedCloud.from_arrays(z, isinf, w / w.sum(), ("test",))
+    beta = math.log(d) + 0.1
+    scale = math.exp(-beta)
+    want = 0.0
+    for f in (a, b):
+        ha = _grouped(R, z, isinf, 1, f.at)[0] * scale
+        want = max(want, abs(complex(np.sum(cloud.w * ha))
+                             - complex(np.sum(cloud.w * f.at(z, isinf)))))
+    size = float(np.sum(cloud.w * (ref[2] + _grouped(R, z, isinf, 1,
+                                                     b.at)[2])))
+    _assert_row_sums(kms_defect(R, cloud, [a, b], beta), want,
+                     ref[1].any(), size, d)
+
+
+@pytest.mark.parametrize("R,bases", SUM_CASES, ids=SUM_IDS)
+@pytest.mark.parametrize("n", [1, 3])
+def test_depth_sums_match_the_grouped_sums(R, bases, n):
+    z, isinf = bases
+    d = R.degree
+    f, g = GraphFunction(n, _sphere_fn(3)), GraphFunction(n, _sphere_fn(4))
+    # inner products and the module norm
+    want = _grouped(R, z, isinf, n,
+                    lambda p, q: np.conj(f.at(p, q)) * g.at(p, q))
+    for j in range(z.size):
+        y = SpherePoint.infinity() if isinf[j] else SpherePoint(z[j])
+        _assert_row_sums(inner_product(R, n, f, g, y), want[0][j],
+                         want[1][j], want[2][j], d ** n)
+    ff = _grouped(R, z, isinf, n, lambda p, q: np.abs(f.at(p, q)) ** 2)
+    got = norm_two(R, n, f, _PointSet(z, isinf))
+    _assert_row_sums(got, float(np.max(np.sqrt(np.maximum(ff[0].real, 0)))),
+                     ff[1].any(), np.max(np.sqrt(ff[2])), d ** n)
+    # the normalized function x -> g(x) / sqrt(sum of e g^2 w over the
+    # fiber of R^n(x)), taken at the leaves of the bases
+    x, xinf = next(level for k, *level in ratmap._forest(R, z, isinf, n)
+                   if k == n)[:2]
+    weight = _sphere_fn(5)
+    got = bimodule._normalized(R, n, g, weight, "u").at(x, xinf)
+    y, yinf = x, xinf
+    for _ in range(n):
+        y, yinf = ratmap._evaluate_arrays(R, y, yinf)
+
+    def terms(p, q):
+        gv = g.at(p, q).real
+        return gv * gv * weight.at(p, q).real
+    want = _grouped(R, y, yinf, n, terms)
+    gx = g.at(x, xinf)
+    tied = want[1].astype(bool)
+    assert bits(got[~tied]) == bits(gx[~tied] / np.sqrt(want[0].real[~tied]))
+    assert np.allclose(got, gx / np.sqrt(want[0].real),
+                       rtol=d ** n * EPS, atol=0.0)
+
+
+@pytest.mark.parametrize("R,bases", SUM_CASES, ids=SUM_IDS)
+def test_diagnostics_and_frames_match_the_grouped_sums(R, bases):
+    z, isinf = bases
+    d = R.degree
+    tests = [_sphere_fn(6), _sphere_fn(7)]
+    first, last = 0, z.size - 1
+    y = SpherePoint.infinity() if isinf[first] else SpherePoint(z[first])
+    y2 = SpherePoint.infinity() if isinf[last] else SpherePoint(z[last])
+    n = 3
+    got = convergence_diagnostic(R, y, n, tests, y2)
+    seqs = []
+    for base in (first, last):
+        zz, ii = z[base:base + 1], isinf[base:base + 1]
+        seqs.append([[(t.at(zz, ii), np.zeros(1, bool), np.abs(t.at(zz, ii)))]
+                     + [_grouped(R, zz, ii, k, t.at) for k in range(1, n + 1)]
+                     for t in tests])
+    records = iter(got)
+    for seq in seqs[0]:
+        for k in range(n):
+            r = next(records)
+            lo, hi = seq[k], seq[k + 1]
+            want = abs(hi[0][0] / d ** (k + 1) - lo[0][0] / d ** k)
+            _assert_row_sums(r["gap"], want, lo[1][0] or hi[1][0],
+                             lo[2][0] / d ** k + hi[2][0] / d ** (k + 1),
+                             d ** (k + 1))
+    for seq, other in zip(seqs[0], seqs[1]):
+        r = next(records)
+        lo, hi = seq[n], other[n]
+        want = abs(lo[0][0] / d ** n - hi[0][0] / d ** n)
+        _assert_row_sums(r["gap"], want, lo[1][0] or hi[1][0],
+                         (lo[2][0] + hi[2][0]) / d ** n, d ** n)
+    # frame reconstruction at the preimages of the bases, summed over the
+    # fibers of their images: any arity-1 members will do
+    x, xinf = _expand_level(R, z, isinf)[:2]
+    members = tuple(GraphFunction(1, _sphere_fn(s)) for s in (8, 9))
+    frame = Frame(members, (), 0j, 0)
+    f = GraphFunction(1, _sphere_fn(10))
+    y, yinf = ratmap._evaluate_arrays(R, x, xinf)
+    total = np.zeros(x.size, dtype=complex)
+    size = np.zeros(x.size)
+    tied = np.zeros(x.size, dtype=bool)
+    for u in members:
+        ip = _grouped(R, y, yinf, 1, lambda p, q: np.conj(u.at(p, q))
+                      * f.at(p, q))
+        total = total + u.at(x, xinf) * ip[0]
+        size = size + np.abs(u.at(x, xinf)) * ip[2]
+        tied |= ip[1]
+    want = float(np.max(np.abs(total - f.at(x, xinf))))
+    _assert_row_sums(frame_reconstruction_defect(R, frame, f,
+                                                 _PointSet(x, xinf)),
+                     want, tied.any(), np.max(size), d)
+
+
+@pytest.mark.parametrize("R", [Z2, RationalMap([0.2, 0, 1])],
+                         ids=["z2", "z2+0.2"])
+def test_witness_tables_match_the_grouped_sums(R):
+    from ratdyn.julia import sample_inverse_iteration
+    cloud = sample_inverse_iteration(R, 0.9 + 0.3j, count=1000, seed=2)
+    a = TestFunction.from_table({(0, 0): 2.0, (1, 0): 0.25, (0, 1): 0.25})
+    eps = 0.2
+    probes = cloud.points[::50]
+    n, g, rep, _ = bimodule._witness(R, a, eps, cloud, probes, None,
+                                     bimodule.EXPANSION_BUDGET)
+    _, urep = bimodule.normalized_witness(R, a, eps, cloud, probe_ys=probes)
+    pz, pinf = _as_arrays(probes)
+    parts = [level for k, *level in ratmap._forest(R, pz, pinf, n) if k == n]
+    pts, inf, idx, root = (np.concatenate(x) for x in zip(*parts))
+    e = idx.astype(float)
+    gv, av = g.at(pts, inf), a.at(pts, inf).real
+    w = e * (gv * gv)
+    b = _root_sums(w, root)
+    ff, faf = _root_sums(w / b[root], root), _root_sums(w * av / b[root], root)
+    uv = gv / np.sqrt(_root_sums(e * (gv * gv) * av, root))[root]
+    e_uu = e * (uv * uv)
+    uau, uu = _root_sums(e_uu * av, root), _root_sums(e_uu, root)
+    assert (idx == 1).all()   # Julia-set probes: no tie, so the same bits
+    want = {"ff_min": ff.min(), "ff_max": ff.max(), "faf_min": faf.min(),
+            "faf_max": faf.max(), "uau_min": uau.min(), "uau_max": uau.max(),
+            "norm_two_u": math.sqrt(max(float(uu.max()), 0.0))}
+    for key, v in want.items():
+        assert bits(np.array([urep[key]])) == bits(np.array([float(v)]))
+    assert urep["n"] == rep["n"] == n
+
+
+def test_leaves_count_every_index_against_the_budget():
+    # a base on an exceptional point keeps one distinct node per level,
+    # but its leaves double: z^2 over 0 is refused past depth 19
+    f = GraphFunction(19, TestFunction.from_table({(0, 0): 1.0, (1, 0): 1.0}))
+    assert inner_product(Z2, 19, f, f, 0j) == 2 ** 19
+    g = GraphFunction(20, f.body)
+    with pytest.raises(BudgetExceeded, match="1000000 nodes"):
+        inner_product(Z2, 20, g, g, 0j)
+    # the distinct-point forest keeps its one node per level
+    assert sum(1 for _ in ratmap._forest(Z2, np.array([0j]),
+                                         np.array([False]), 40)) == 40
 
 
 # ---------------------------------------------------------------------------

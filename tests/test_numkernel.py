@@ -79,6 +79,27 @@ def test_chordal_distances_bit_for_bit(rng):
         assert got.tolist() == want
 
 
+def test_vector_hypot_matches_math_hypot():
+    # the array factor sqrt(1 + r^2) against the running interpreter's
+    # math.hypot(1.0, r): moderate, wide, tiny and near-1 values, and the
+    # edges of the range
+    from ratdyn.numkernel import _hypot1
+    rng = np.random.default_rng(11)
+    n = 50_000
+    edges = [0.0, 5e-324, 1e-300, 1.0, math.nextafter(1.0, 0.0),
+             math.nextafter(1.0, 2.0), 1e150, 1e154, 1e300,
+             np.finfo(float).max, math.inf, math.nan]
+    for r in (rng.uniform(0.0, 4.0, n), rng.lognormal(0.0, 8.0, n),
+              rng.uniform(0.0, 1e-9, n), 1.0 + rng.uniform(-5e-7, 5e-7, n),
+              np.array(edges)):
+        got = _hypot1(r)
+        want = np.array([math.hypot(1.0, x) for x in r.tolist()])
+        nan = np.isnan(want)   # any NaN, whatever its sign bit
+        assert np.isnan(got).tolist() == nan.tolist()
+        assert got[~nan].view(np.uint64).tolist() == \
+            want[~nan].view(np.uint64).tolist()
+
+
 def test_sphere_embed_unit_vectors(rng):
     zs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     e = sphere_embed(zs)

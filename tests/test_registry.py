@@ -62,6 +62,21 @@ def test_family_degree_accepts_integral_values():
         assert get("power_map_n").build(n).degree == int(n.real)
 
 
+def test_chebyshev_keeps_its_critical_points_up_to_the_bound():
+    # at the largest n it builds, every cos(k pi / n) comes back within
+    # 1e-6; one more is refused
+    from ratdyn.ratmap import critical_points
+    from ratdyn.registry import CHEBYSHEV_TOP
+    n = CHEBYSHEV_TOP
+    crit = [c.point.z for c in critical_points(get("tchebychev_n").build(n))
+            if not c.point.is_infinity]
+    assert len(crit) == n - 1
+    for k in range(1, n):
+        assert min(abs(z - math.cos(k * math.pi / n)) for z in crit) <= 1e-6
+    with pytest.raises(ValueError, match=f"up to n = {n}"):
+        get("tchebychev_n").build(n + 1)
+
+
 def test_verify_refuses_a_parameter_without_a_family():
     with pytest.raises(ValueError, match="takes no parameter"):
         verify("lattes", param=3)

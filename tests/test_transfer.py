@@ -121,9 +121,9 @@ def test_kms_monotone_for_z(z2, t2, t3):
 def test_kms_iterate_rejects_empty_probes(z2, monkeypatch):
     import ratdyn.transfer as transfer
 
-    def no_forest(*args):
-        raise AssertionError("a forest was built")
-    monkeypatch.setattr(transfer, "_forest", no_forest)
+    def no_leaves(*args):
+        raise AssertionError("leaves were expanded")
+    monkeypatch.setattr(transfer, "_leaves", no_leaves)
     with pytest.raises(ValueError, match="at least one probe"):
         kms_iterate(z2, TestFunction.monomial(1), 3, [])
 
