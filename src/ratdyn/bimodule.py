@@ -28,8 +28,8 @@ from .julia import _sample_arrays, critical_points_in_julia
 from .numkernel import (SpherePoint, _Evaluator, _PointSet, _as_arrays,
                         _values_at, chordal_distances, embed_points,
                         sphere_embed)
-from .ratmap import (NODE_BUDGET, _evaluate_arrays, _expand_level,
-                     _leaf_level, _leaves, _row_sums)
+from .ratmap import (NODE_BUDGET, _evaluate_arrays, _expand_level, _leaves,
+                     _row_sums, _sorted_table)
 
 EXPANSION_BUDGET = 24
 
@@ -211,33 +211,24 @@ def build_frame(R, julia_sample, cover_spec=None):
     return Frame(members, tuple((t, w) for t in thetas), center, z.size)
 
 
-def _root_table(values, root):
-    """Node values grouped by root: row r holds root root[0] + r.
-
-    Each root's nodes are contiguous and roots ascend, as in an
-    `_expand_level` output. Rows keep node order and are padded with zeros
-    to the widest root.
-    """
-    count = np.bincount(root - root[0])
-    col = np.arange(root.size) - np.repeat(np.cumsum(count) - count, count)
-    table = np.zeros((count.size, count.max()) + values.shape[1:],
-                     dtype=values.dtype)
-    table[root - root[0], col] = values
-    return table
-
-
 def frame_delta_defect(R, frame, probe_ys):
-    """max |sum_l u_l(x) conj(u_l(x')) - delta_{x,x'}| over fibers of probes."""
+    """max |sum_l u_l(x) conj(u_l(x')) - delta_{x,x'}| over fibers of probes.
+
+    Each fiber is a sorted table row: a point x listed e(x) times repeats
+    its Gram row and column, which leaves the maximum as it is over
+    distinct points. Entries of one point share its label.
+    """
     z, isinf = _as_arrays(probe_ys)
     if not z.size:
         return 0.0
-    pts, inf, _, par = _expand_level(R, z, isinf)
-    vals = _root_table(
-        np.array([_values_at(u, pts, inf) for u in frame.members]).T, par)
+    pts, inf, label = _sorted_table(R, z, isinf)
+    d = R.degree
+    vals = np.array([_values_at(u, pts, inf) for u in frame.members])
+    vals = vals.T.reshape(z.size, d, -1)
     gram = np.einsum("mil,mjl->mij", vals, np.conj(vals))
-    live = np.arange(gram.shape[1]) < np.bincount(par)[:, None]
-    return float(np.max(np.abs(gram - np.eye(gram.shape[1])), initial=0.0,
-                        where=live[:, :, None] & live[:, None, :]))
+    same = (np.eye(d) if label is None
+            else label[:, :, None] == label[:, None, :])
+    return float(np.max(np.abs(gram - same)))
 
 
 def frame_reconstruction_defect(R, frame, f, probe_xs):
@@ -245,7 +236,7 @@ def frame_reconstruction_defect(R, frame, f, probe_xs):
     z, isinf = _as_arrays(probe_xs)
     if not z.size:
         return 0.0
-    pts, inf = _leaf_level(R, *_evaluate_arrays(R, z, isinf))
+    pts, inf, _ = _sorted_table(R, *_evaluate_arrays(R, z, isinf))
     fq = _values_at(f, pts, inf)
     total = np.zeros(z.size, dtype=complex)
     for u in frame.members:

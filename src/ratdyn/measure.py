@@ -142,12 +142,6 @@ def _weighted_sum(w, values):
     return complex(0.0 + np.cumsum(w * values)[-1]) if w.size else 0j
 
 
-def _level_means(a, pts, isinf, width):
-    """Each base's mean of a over its width = d^k leaves: 1 / width times
-    their sum (`ratmap._row_sums`)."""
-    return _row_sums(_values_at(a, pts, isinf), width) * (1.0 / width)
-
-
 def _test_label(a, i):
     return getattr(a, "label", None) or f"test{i}"
 
@@ -165,7 +159,8 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
     vals = [[complex(_values_at(a, z, isinf)[0])] for a in test_functions]
     for _, _, pts, inf in _leaves(R, z, isinf, n):
         for seq, a in zip(vals, test_functions):
-            seq.append(complex(_level_means(a, pts, inf, pts.size)[0]))
+            seq.append(complex(_row_sums(_values_at(a, pts, inf), pts.size)[0]
+                               * (1.0 / pts.size)))
     records = []
     for lab, seq in zip(labels, vals):
         for k in range(n):
@@ -177,7 +172,8 @@ def convergence_diagnostic(R, y, n, test_functions, y2=None):
         for _, _, pts, inf in _leaves(R, *_as_arrays([y2]), n):
             pass   # keep the deepest level
         for lab, a, seq in zip(labels, test_functions, vals):
-            want = complex(_level_means(a, pts, inf, pts.size)[0])
+            want = complex(_row_sums(_values_at(a, pts, inf), pts.size)[0]
+                           * (1.0 / pts.size))
             gap = abs(seq[n] - want)
             records.append(
                 {"k": n, "test": lab + " cross-basepoint", "gap": gap})

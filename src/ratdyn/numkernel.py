@@ -288,7 +288,10 @@ def _hypot1(r):
     by 2^-e, e the frexp exponent of max(1, r), squared exactly (Dekker's
     split) and added into 1.0 by fast two-sums whose errors are kept
     apart; a square root and one differential correction follow.
-    Infinity passes through and NaN stays NaN.
+    Infinity passes through and NaN stays NaN. math.hypot(1.0, r) of
+    CPython 3.10, 3.11, 3.12 and 3.13 gives the same bits on four million
+    r (the value sets of `test_vector_hypot_matches_math_hypot`), though
+    3.10 adds up its error terms in another order.
     """
     def square(x):   # x * x as hi + lo, exactly
         t = x * 134217729.0   # 2^27 + 1
@@ -819,23 +822,29 @@ def _sort_rows(roots, label):
             else label.ravel()[flat].reshape(m, d))
 
 
-def _merge_runs(roots, label):
-    """(centers, counts, row): each sorted row's runs of equal labels as
-    its distinct roots with their multiplicities, in row order."""
-    m, d = roots.shape
+def _merge_runs(label, d, *columns):
+    """(counts, row, *picked): the runs of equal labels in sorted rows of
+    d entries, each run's length and row, and each flat column (entries
+    row after row) at the runs' first entries; a None label makes every
+    entry a run of one."""
+    size = columns[0].size
     if label is None:
-        return (roots.ravel(), np.ones(m * d, dtype=np.int64),
-                np.repeat(np.arange(m), d))
-    start = np.ones((m, d), dtype=bool)
+        return (np.ones(size, dtype=np.int64),
+                np.repeat(np.arange(size // d), d), *columns)
+    start = np.ones(label.shape, dtype=bool)
     start[:, 1:] = label[:, 1:] != label[:, :-1]
     first = np.flatnonzero(start)
-    return roots.ravel()[first], np.diff(first, append=m * d), first // d
+    return (np.diff(first, append=size), first // d,
+            *(c[first] for c in columns))
 
 
 def _cluster_rows(roots, label):
-    """`_merge_runs` of `_sort_rows`: each row's distinct roots with their
-    multiplicities, sorted by row and then by (re, im)."""
-    return _merge_runs(*_sort_rows(roots, label))
+    """Each row's distinct roots with multiplicities, sorted by row and
+    then by (re, im): (centers, counts, row), `_merge_runs` of
+    `_sort_rows`."""
+    roots, label = _sort_rows(roots, label)
+    counts, row, centers = _merge_runs(label, roots.shape[1], roots.ravel())
+    return centers, counts, row
 
 
 def roots_with_multiplicity(poly):

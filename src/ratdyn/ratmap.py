@@ -15,13 +15,13 @@ polynomials of a batch of bases (`_fiber_rows`) and numkernel's row solve
 `_row_roots`, whose tie rule decides the branch indices: row j lists the
 d preimages of base j, x as often as its index e(x). How a batch is solved
 is decided here alone. Backward walks draw from the rows. `_sorted_table`
-sorts each row by (re, im), infinity last: `_expand_level` merges its
-runs into distinct points, and `preimages` is its one-row case. `_forest`
-expands the distinct-point trees of many bases together, one call per
-level, and `tree_levels` is its one-base case. Callers that only sum read
-`_leaves` instead: each base's depth-k leaves as d^k sorted entries, so a
-sum with branch-index weights is a plain row sum (`_row_sums`). A `Fiber`
-is an array-backed point set built from the solver's arrays.
+sorts each row by (re, im), infinity last. Callers that only sum read
+`_leaves`: each base's depth-k leaves as d^k table entries, so a sum
+with branch-index weights is a plain row sum (`_row_sums`). Callers
+that list distinct points read `_expand_level`, which merges each sorted
+row's runs; `preimages` is its one-row case, and `tree_levels` expands
+one base's tree, one call per level. A `Fiber` is an array-backed point
+set built from the solver's arrays.
 """
 
 from __future__ import annotations
@@ -332,10 +332,13 @@ def _fiber_table(R, pts, inf):
     infinity (value 0) labelled as one cluster. Rows are solved by length,
     in chunks of bounded size. isinf is None when no entry is at infinity,
     label None when none is tied: in the common case, full-length rows in
-    one chunk, the table is one `_row_roots` call.
+    one chunk, the table is one `_row_roots` call. A constant map, whose
+    fibers are empty, raises ValueError.
     """
+    m, d = pts.size, R.degree
+    if d < 1:
+        raise ValueError("fibers need a nonconstant map")
     f, s, n = _fiber_rows(R, pts, inf)
-    m, d = f.shape[0], R.degree
     if n is None:
         if m <= max(1, _WORK_ENTRIES // (d * d)):   # one chunk
             roots, label = _row_roots(f, s)
@@ -357,13 +360,17 @@ def _fiber_table(R, pts, inf):
 
 
 def _sorted_table(R, pts, inf):
-    """(roots, label, far): the fiber table with each row sorted by
-    (re, im), stably (`_sort_rows`), and its entries at infinity last,
-    holding np.inf; far says whether there are any."""
+    """(points, isinf, label): the fiber table with each row sorted by
+    (re, im), stably (`_sort_rows`), infinity last. points and isinf run
+    row after row, d entries per base; label stays (m, d), None when
+    nothing is tied."""
     roots, isinf, label = _fiber_table(R, pts, inf)
     if isinf is None:
-        return (*_sort_rows(roots, label), False)
-    return (*_sort_rows(np.where(isinf, np.inf, roots), label), True)
+        roots, label = _sort_rows(roots, label)
+        return roots.ravel(), np.zeros(roots.size, dtype=bool), label
+    roots, label = _sort_rows(np.where(isinf, np.inf, roots), label)
+    at = np.isinf(roots).ravel()
+    return np.where(at, 0j, roots.ravel()), at, label
 
 
 def _expand_level(R, pts, inf):
@@ -373,15 +380,9 @@ def _expand_level(R, pts, inf):
     point with their branch indices and parent positions. Children of one
     parent are contiguous, sorted by (re, im), infinity last.
     """
-    if R.degree == 0:   # a constant map has empty fibers
-        none = np.zeros(0, dtype=np.int64)
-        return none.astype(complex), none.astype(bool), none, none
-    roots, label, far = _sorted_table(R, pts, inf)
-    centers, counts, row = _merge_runs(roots, label)
-    if not far:
-        return centers, np.zeros(centers.size, dtype=bool), counts, row
-    at = np.isinf(centers)
-    return np.where(at, 0j, centers), at, counts, row
+    pts, inf, label = _sorted_table(R, pts, inf)
+    counts, row, pts, inf = _merge_runs(label, R.degree, pts, inf)
+    return pts, inf, counts, row
 
 
 def preimages(R, w):
@@ -397,72 +398,32 @@ def preimages(R, w):
                               depth=1)
 
 
-def _groups(R, pts, inf, n, node_budget):
-    """The bases in groups (lo, z, isinf), from base lo on, of as many
-    trees as fit in node_budget at d^n nodes each."""
-    d = R.degree
-    if d < 1:
-        raise ValueError("preimage trees need a nonconstant map")
-    group = node_budget
-    for _ in range(n):
-        if group <= 1:
-            break
-        group //= d
-    group = max(1, group)
-    for lo in range(0, pts.size, group):
-        yield lo, pts[lo:lo + group], inf[lo:lo + group]
-
-
 def _within(size, node_budget):
     """Refuse a tree level of size nodes beyond node_budget."""
     if size > node_budget:
         raise BudgetExceeded(f"preimage tree would exceed {node_budget} nodes")
 
 
-def _forest(R, pts, inf, n, node_budget=NODE_BUDGET):
-    """Yield (k, points, isinf, indices, root) for the trees of many bases.
-
-    The bases (pts, inf) are expanded together, one `_expand_level` call
-    per level; root gives each node's base. A base's nodes are contiguous
-    and in the order its tree has alone (`tree_levels`). Each group of
-    bases (`_groups`) yields its levels k = 1..n before the next group
-    starts, so a group exceeds the budget exactly when one of its trees
-    would alone.
-    """
-    for lo, z, f in _groups(R, pts, inf, n, node_budget):
-        idx = np.ones(z.size, dtype=np.int64)
-        root = np.arange(lo, lo + z.size)
-        for k in range(1, n + 1):
-            _within(z.size * R.degree, node_budget)
-            z, f, cc, par = _expand_level(R, z, f)
-            idx, root = cc * idx[par], root[par]
-            yield k, z, f, idx, root
-
-
-def _leaf_level(R, z, isinf):
-    """The sorted fiber-table rows of the points (z, isinf), end to end:
-    d leaves per point, each preimage x listed e(x) times."""
-    roots, _, far = _sorted_table(R, z, isinf)
-    roots = roots.ravel()
-    if not far:
-        return roots, np.zeros(roots.size, dtype=bool)
-    at = np.isinf(roots)
-    return np.where(at, 0j, roots), at
-
-
 def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET):
     """Yield (k, lo, points, isinf): the depth-k leaves of bases lo, ...
 
     Base lo + j owns the d^k leaves from j d^k on, its depth-(k - 1)
-    leaves' rows (`_leaf_level`) in turn, so a preimage x of R^k appears
-    as often as its chain-rule index and a sum over them is a plain row
-    sum (`_row_sums`). Bases go in groups as in `_forest`; m bases at
-    depth k are m d^k leaves, whatever their fibers' ties.
+    leaves' sorted table rows (`_sorted_table`) in turn, so a preimage x
+    of R^k appears as often as its chain-rule index and a sum over them
+    is a plain row sum (`_row_sums`). Bases go in groups of as many as
+    fit in node_budget at d^n leaves each, and each group yields its
+    levels k = 1..n before the next group starts, so a group exceeds the
+    budget exactly when one of its bases would alone.
     """
-    for lo, z, f in _groups(R, pts, inf, n, node_budget):
+    d = R.degree
+    if d < 1:
+        raise ValueError("fibers need a nonconstant map")
+    group = max(1, node_budget // d ** n)
+    for lo in range(0, pts.size, group):
+        z, f = pts[lo:lo + group], inf[lo:lo + group]
         for k in range(1, n + 1):
-            _within(z.size * R.degree, node_budget)
-            z, f = _leaf_level(R, z, f)
+            _within(z.size * d, node_budget)
+            z, f, _ = _sorted_table(R, z, f)
             yield k, lo, z, f
 
 
@@ -476,12 +437,17 @@ def tree_levels(R, y, n, node_budget=NODE_BUDGET):
     """Yield the depth-k fibers of y for k = 1..n as parallel arrays.
 
     Each yielded triple is (points, isinf, indices): the full preimage set of
-    y under R^k with chain-rule indices (integer arrays). Order within a
-    level is deterministic: parents in order, children sorted by (re, im)
-    with infinity last. This is the one-base case of the forest `_forest`.
+    y under R^k with chain-rule indices (integer arrays), one `_expand_level`
+    call per level. Order within a level is deterministic: parents in
+    order, children sorted by (re, im) with infinity last.
     """
-    for _, pts, inf, idx, _ in _forest(R, *_as_arrays([y]), n, node_budget):
-        yield pts, inf, idx
+    z, f = _as_arrays([y])
+    idx = np.ones(1, dtype=np.int64)
+    for _ in range(n):
+        _within(z.size * R.degree, node_budget)
+        z, f, cc, par = _expand_level(R, z, f)
+        idx = cc * idx[par]
+        yield z, f, idx
 
 
 def preimage_tree(R, y, n, node_budget=NODE_BUDGET):

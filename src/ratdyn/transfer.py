@@ -10,9 +10,9 @@ through their method `at`, and a scalar call is its one-point case. Every
 operator is a row sum: a fiber-table row lists x as often as e(x), so
 sum e(x) a(x) over a fiber adds a over the row's d entries, left to right
 (`ratmap._row_sums`). The fibers of all bases of one operator call come
-from one table (`ratmap._leaf_level`). A KMS trace reads all its probes'
-depth-k leaves (`ratmap._leaves`), d^k per probe; its Lyubich value
-continues the first probe's leaves.
+from one sorted table (`ratmap._sorted_table`). A KMS trace reads all
+its probes' depth-k leaves (`ratmap._leaves`), d^k per probe; its
+Lyubich value continues the first probe's leaves.
 """
 
 import math
@@ -25,9 +25,8 @@ from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
 from .numkernel import (_Evaluator, _as_arrays, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
-from .measure import _level_means
-from .ratmap import (NODE_BUDGET, _evaluate_arrays, _leaf_level, _leaves,
-                     _row_sums, _within)
+from .ratmap import (NODE_BUDGET, _evaluate_arrays, _leaves, _row_sums,
+                     _sorted_table, _within)
 
 
 def _powers(z, j):
@@ -177,8 +176,8 @@ def alpha(R, a):
 
 def transfer_E(R, a, y):
     """Branch-index-weighted fiber average: d^{-1} sum e(x) a(x)."""
-    leaves = _leaf_level(R, *_as_arrays([y]))
-    return complex(_row_sums(_values_at(a, *leaves), R.degree)[0]) / R.degree
+    pts, inf, _ = _sorted_table(R, *_as_arrays([y]))
+    return complex(_row_sums(_values_at(a, pts, inf), R.degree)[0]) / R.degree
 
 
 def h_op(R, a, y):
@@ -195,10 +194,11 @@ def lemma31_defect(R, a, b, probe_ys):
     z, isinf = _as_arrays(probe_ys)
     if not z.size:
         return 0.0
-    leaves = _leaf_level(R, z, isinf)
+    pts, inf, _ = _sorted_table(R, z, isinf)
+    d = R.degree
 
     def expect(f):
-        return _level_means(f, *leaves, R.degree)
+        return _row_sums(_values_at(f, pts, inf), d) * (1.0 / d)
 
     aR = alpha(R, a)
     ay = _values_at(a, z, isinf)
@@ -259,7 +259,7 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     # the leaves of probes[0] at depth min(n, depth), which lead their level
     lz, lf = z[:1], isinf[:1]
     for k, lo, pts, inf in _leaves(R, z, isinf, n):
-        sums = _level_means(a, pts, inf, d ** k)
+        sums = _row_sums(_values_at(a, pts, inf), d ** k) * (1.0 / d ** k)
         vals[k, lo:lo + sums.size] = sums
         if k == min(n, depth) and lo == 0:
             lz, lf = pts[:d ** k], inf[:d ** k]
@@ -271,8 +271,9 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     # as the tree of probes[0] alone would be
     for _ in range(n, depth):
         _within(lz.size * d, NODE_BUDGET)
-        lz, lf = _leaf_level(R, lz, lf)
-    lyu = complex(_level_means(a, lz, lf, lz.size)[0])
+        lz, lf, _ = _sorted_table(R, lz, lf)
+    lyu = complex(_row_sums(_values_at(a, lz, lf), lz.size)[0]
+                  * (1.0 / lz.size))
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     tag = ("outside theorem hypothesis"
@@ -293,10 +294,10 @@ def kms_defect(R, mu_cloud, test_functions, beta=None):
     scale = math.exp(-beta)
     z, isinf = _as_arrays(mu_cloud)
     w = mu_cloud.weights()
-    leaves = _leaf_level(R, z, isinf)
+    pts, inf, _ = _sorted_table(R, z, isinf)
     worst = 0.0
     for a in test_functions:
-        ha = _row_sums(_values_at(a, *leaves), R.degree) * scale
+        ha = _row_sums(_values_at(a, pts, inf), R.degree) * scale
         worst = max(worst, abs(complex(np.sum(w * ha))
                                - complex(np.sum(w * _values_at(a, z, isinf)))))
     return worst

@@ -8,6 +8,7 @@ comparison is on float bits (`view(np.uint64)`).
 import math
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from ratdyn.numkernel import (
     _as_arrays,
     sphere_embed,
 )
-from ratdyn.bimodule import (Frame, GraphFunction, _OnArrays, _root_table,
+from ratdyn.bimodule import (Frame, GraphFunction, _OnArrays,
                              frame_reconstruction_defect, inner_product,
                              norm_two)
 from ratdyn.measure import WeightedCloud, convergence_diagnostic
@@ -118,6 +119,18 @@ def _ref_row_roots(f, s=None):
     return u, label
 
 
+def _root_table(values, root):
+    """Node values grouped by root: row r holds root root[0] + r, in node
+    order, padded with zeros to the widest root. Each root's nodes are
+    contiguous and roots ascend, as in a forest level."""
+    count = np.bincount(root - root[0])
+    col = np.arange(root.size) - np.repeat(np.cumsum(count) - count, count)
+    table = np.zeros((count.size, count.max()) + values.shape[1:],
+                     dtype=values.dtype)
+    table[root - root[0], col] = values
+    return table
+
+
 def _root_sums(values, root):
     """Sum of each root's node values, for roots root[0] .. root[-1],
     from 0 in node order (the grouped sums the row sums replace)."""
@@ -126,9 +139,73 @@ def _root_sums(values, root):
     return 0.0 + np.cumsum(_root_table(values, root), axis=1)[:, -1]
 
 
-def _level_sums(a, pts, isinf, idx, root, scale):
-    """scale * sum of index * a(x) over each root's nodes of a level."""
-    return _root_sums(idx * a.at(pts, isinf), root) * scale
+def _forest(R, pts, inf, n, node_budget=ratmap.NODE_BUDGET):
+    """Yield (k, points, isinf, indices, root, leaf) per level: the
+    distinct-point trees of many bases, one `_expand_level` call per
+    level, as the sums read them before they read the leaves.
+
+    root gives each node's base. leaf lists the level's nodes in leaf
+    order: each node of the level above, once per leaf of it, hands down
+    its sorted children, each repeated by its count. So leaf indexes the
+    d^k leaves of each base in `ratmap._leaves` order without reading
+    them. Bases go in groups, and the budget counts leaves, as there.
+    """
+    d = R.degree
+    group = max(1, node_budget // d ** n)
+    for lo in range(0, pts.size, group):
+        z, f = pts[lo:lo + group], inf[lo:lo + group]
+        idx = np.ones(z.size, dtype=np.int64)
+        root = np.arange(lo, lo + z.size)
+        leaf = np.arange(z.size)
+        for k in range(1, n + 1):
+            if leaf.size * d > node_budget:
+                raise BudgetExceeded(
+                    f"preimage tree would exceed {node_budget} nodes")
+            z, f, cc, par = _expand_level(R, z, f)
+            idx, root = cc * idx[par], root[par]
+            # parents' children end to end are d entries per parent
+            leaf = np.repeat(np.arange(z.size), cc).reshape(-1, d)[leaf]
+            leaf = leaf.ravel()
+            yield k, z, f, idx, root, leaf
+
+
+class _Sums(NamedTuple):
+    """A level's sums per base, both ways, and what tells them apart."""
+    leaf: np.ndarray      # left to right over the leaves, in leaf order
+    grouped: np.ndarray   # index * value over the distinct nodes
+    tied: np.ndarray      # whether a node of the base has index above 1
+    size: np.ndarray      # sum of index * |value|, the scale of rounding
+
+
+def _level(terms, pts, isinf, idx, root, leaf, width):
+    """`_Sums` of terms over one forest level, scaled by 1 / width."""
+    v = terms(pts, isinf)
+    scale = 1.0 / width
+    return _Sums(_root_sums(v[leaf], root[leaf]) * scale,
+                 _root_sums(idx * v, root) * scale,
+                 _root_sums((idx > 1).astype(float), root) > 0,
+                 _root_sums(idx * np.abs(v), root) * scale)
+
+
+# the gap allowed between a row sum and the grouped sum of a tied base,
+# relative to its size: the grouped sum adds a k-fold root's k a(x) as
+# one term where the row adds k terms a(x)
+TIED = 1e-15
+# the same through eight KMS levels: T3 over its critical value 1 moves
+# by 2.1e-15 of its size at depth 8, every other tied probe by less
+# than 1e-16
+KMS_TIED = 4e-15
+
+
+def _assert_row_sums(got, leaf, grouped, tied, size, rel=TIED):
+    """got equals the leaf-order sums bit for bit, and the grouped sums
+    bit for bit where no node is tied and within rel * size where one
+    is."""
+    got, leaf, grouped = (np.atleast_1d(x) for x in (got, leaf, grouped))
+    tied = np.atleast_1d(tied)
+    assert bits(got) == bits(leaf)
+    assert bits(got[~tied]) == bits(grouped[~tied])
+    assert np.all(np.abs(got - grouped) <= rel * np.atleast_1d(size))
 
 
 def _grouped_expand_level(R, pts, inf):
@@ -377,50 +454,26 @@ def test_power_table_matches_power():
 # KMS: one forest against the trace forest plus a separate Lyubich forest
 # ---------------------------------------------------------------------------
 
-def _two_forest_kms(R, a, n, probes, lyubich_budget, forest):
-    """The trace levels and the Lyubich value, each forest built apart and
-    summed by the grouped sums, as (sum, tied, size) triples
-    (`_grouped_level`), levels stacked."""
+def _two_forest_kms(R, a, n, probes, lyubich_budget, node_budget):
+    """The trace levels and the Lyubich value, each forest built apart
+    and summed both ways (`_level`): `_Sums` with a row per level, and
+    the Lyubich value's `_Sums`."""
     z = np.array([complex(p) for p in probes])
     isinf = np.zeros(z.size, dtype=bool)
     d = R.degree
-    vals = np.zeros((3, n + 1, z.size), dtype=complex)
-    vals[0, 0] = a.at(z, isinf)
-    vals[2, 0] = np.abs(vals[0, 0])
-    for k, *level in forest(R, z, isinf, n):
+    vals = np.zeros((4, n + 1, z.size), dtype=complex)
+    vals[0, 0] = vals[1, 0] = a.at(z, isinf)
+    vals[3, 0] = np.abs(vals[0, 0])
+    for k, *level in _forest(R, z, isinf, n, node_budget):
         first = level[3][0]
-        for row, got in zip(vals, _grouped_level(a.at, *level, d ** k)):
+        for row, got in zip(vals, _level(a.at, *level, d ** k)):
             row[k, first:first + got.size] = got
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
-    for _, *level in ratmap._forest(R, z[:1], isinf[:1], depth):
+    for _, *level in _forest(R, z[:1], isinf[:1], depth):
         pass
-    lyu = _grouped_level(a.at, *level, d ** depth)
-    return vals[0], vals[1].real > 0, vals[2].real, [x[0] for x in lyu]
-
-
-def _grouped_level(terms, pts, isinf, idx, root, width):
-    """The grouped sums of one level, each root's scaled by 1 / width.
-
-    Returns (sum, tied, size) per root: the sum of index * terms, whether
-    a node of the root carries an index above 1, and the sum of index *
-    |terms|, the size the rounding of a sum is measured against.
-    """
-    v = terms(pts, isinf)
-    scale = 1.0 / width
-    return (_root_sums(idx * v, root) * scale,
-            _root_sums((idx > 1).astype(float), root) > 0,
-            _root_sums(idx * np.abs(v), root) * scale)
-
-
-def _assert_row_sums(got, want, tied, size, leaves):
-    """got equals the grouped sums bit for bit where no node is tied; where
-    one is, within leaves * EPS * size, the rounding bound of two
-    left-to-right sums of the same leaves (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, section 4.2)."""
-    got, want = np.atleast_1d(got), np.atleast_1d(want)
-    tied = np.atleast_1d(tied)
-    assert bits(got[~tied]) == bits(want[~tied])
-    assert np.all(np.abs(got - want) <= leaves * EPS * np.atleast_1d(size))
+    lyu = _level(a.at, *level, d ** depth)
+    return (_Sums(vals[0], vals[1], vals[2].real > 0, vals[3].real),
+            _Sums(*(x[0] for x in lyu)))
 
 
 @pytest.mark.parametrize("R,probes,budget", [
@@ -441,10 +494,9 @@ def test_kms_one_forest_matches_two(monkeypatch, R, probes, budget, n,
     rng = np.random.default_rng(4)
     probes = probes + list(0.8 * rng.standard_normal(5)
                            + 0.8j * rng.standard_normal(5))
-    forest = ratmap._forest
+    node_budget = ratmap.NODE_BUDGET
     if split:
-        def forest(*args):
-            return ratmap._forest(*args, node_budget=40)
+        node_budget = 40
 
         def leaves(*args):
             return ratmap._leaves(*args, node_budget=40)
@@ -454,20 +506,17 @@ def test_kms_one_forest_matches_two(monkeypatch, R, probes, budget, n,
     if R is LATTES or R is DROP:
         a = TestFunction.monomial(1)
     try:
-        vals, tied, size, lyu = _two_forest_kms(R, a, n, probes, budget,
-                                                forest)
+        levels, lyu = _two_forest_kms(R, a, n, probes, budget, node_budget)
     except BudgetExceeded:   # a trace tree alone exceeds the budget
         with pytest.raises(BudgetExceeded):
             kms_iterate(R, a, n, probes, lyubich_budget=budget)
         return
     run = kms_iterate(R, a, n, probes, lyubich_budget=budget)
     assert len(run.traces) == n + 1
-    d = R.degree
     for k, t in enumerate(run.traces):
-        _assert_row_sums(np.array(t.values), vals[k], tied[k], size[k],
-                         d ** k)
-    depth = max(1, int(math.floor(math.log(budget) / math.log(d))))
-    _assert_row_sums(run.lyubich_value, *lyu, d ** depth)
+        _assert_row_sums(np.array(t.values), *(x[k] for x in levels),
+                         rel=KMS_TIED)
+    _assert_row_sums(run.lyubich_value, *lyu, rel=KMS_TIED)
 
 
 def test_kms_lyubich_tree_keeps_its_node_budget(monkeypatch):
@@ -503,11 +552,15 @@ def _sphere_fn(seed):
 
 
 def _grouped(R, z, isinf, k, terms):
-    """(sum, tied, size) per base over the depth-k forest level
-    (`_grouped_level`), groups joined."""
-    parts = [level for j, *level in ratmap._forest(R, z, isinf, k) if j == k]
-    return _grouped_level(terms, *(np.concatenate(a) for a in zip(*parts)),
-                          1)
+    """`_Sums` per base over the depth-k forest level, groups joined."""
+    parts = [_level(terms, *level, 1)
+             for j, *level in _forest(R, z, isinf, k) if j == k]
+    return _Sums(*(np.concatenate(x) for x in zip(*parts)))
+
+
+def _both(f, *sums):
+    """f of the leaf-order sums and f of the grouped sums."""
+    return f(*(x.leaf for x in sums)), f(*(x.grouped for x in sums))
 
 
 def _sum_cases():
@@ -535,57 +588,62 @@ def test_fiber_operators_match_the_grouped_sums(R, bases):
     ref = _grouped(R, z, isinf, 1, a.at)
     for j in range(z.size):
         y = SpherePoint.infinity() if isinf[j] else SpherePoint(z[j])
-        want = complex(ref[0][j]) / d
-        _assert_row_sums(transfer_E(R, a, y), want, ref[1][j],
-                         ref[2][j] / d, d)
-        _assert_row_sums(h_op(R, a, y), d * want, ref[1][j], ref[2][j], d)
-    # E(alpha(a) b) - a E(b) and E(alpha(a)) - a, each summed the old way
+        want = [complex(x[j]) / d for x in ref[:2]]
+        _assert_row_sums(transfer_E(R, a, y), *want, ref.tied[j],
+                         ref.size[j] / d)
+        _assert_row_sums(h_op(R, a, y), *(d * w for w in want), ref.tied[j],
+                         ref.size[j])
+    # E(alpha(a) b) - a E(b) and E(alpha(a)) - a
     ay = a.at(z, isinf)
     ab = _grouped(R, z, isinf, 1, ProductFunction(alpha(R, a), b).at)
     eb = _grouped(R, z, isinf, 1, b.at)
     ea = _grouped(R, z, isinf, 1, alpha(R, a).at)
     e = 1.0 / d
-    want = float(max(np.max(np.abs(ab[0] * e - ay * (eb[0] * e))),
-                     np.max(np.abs(ea[0] * e - ay))))
-    size = np.max(ab[2] + np.abs(ay) * eb[2] + ea[2]) * e
-    _assert_row_sums(lemma31_defect(R, a, b, _PointSet(z, isinf)), want,
-                     ref[1].any(), size, d)
+
+    def lemma31(ab, eb, ea):
+        return float(max(np.max(np.abs(ab * e - ay * (eb * e))),
+                         np.max(np.abs(ea * e - ay))))
+    size = np.max(ab.size + np.abs(ay) * eb.size + ea.size) * e
+    _assert_row_sums(lemma31_defect(R, a, b, _PointSet(z, isinf)),
+                     *_both(lemma31, ab, eb, ea), ref.tied.any(), size)
     # kms_defect off beta, with weights from the bases
     w = np.linspace(1.0, 2.0, z.size)
     cloud = WeightedCloud.from_arrays(z, isinf, w / w.sum(), ("test",))
     beta = math.log(d) + 0.1
     scale = math.exp(-beta)
-    want = 0.0
-    for f in (a, b):
-        ha = _grouped(R, z, isinf, 1, f.at)[0] * scale
-        want = max(want, abs(complex(np.sum(cloud.w * ha))
-                             - complex(np.sum(cloud.w * f.at(z, isinf)))))
-    size = float(np.sum(cloud.w * (ref[2] + _grouped(R, z, isinf, 1,
-                                                     b.at)[2])))
-    _assert_row_sums(kms_defect(R, cloud, [a, b], beta), want,
-                     ref[1].any(), size, d)
+    hs = [_grouped(R, z, isinf, 1, f.at) for f in (a, b)]
+
+    def defect(*sums):
+        return max(abs(complex(np.sum(cloud.w * (h * scale)))
+                       - complex(np.sum(cloud.w * f.at(z, isinf))))
+                   for h, f in zip(sums, (a, b)))
+    size = float(np.sum(cloud.w * (hs[0].size + hs[1].size)))
+    _assert_row_sums(kms_defect(R, cloud, [a, b], beta), *_both(defect, *hs),
+                     ref.tied.any(), size)
 
 
 @pytest.mark.parametrize("R,bases", SUM_CASES, ids=SUM_IDS)
 @pytest.mark.parametrize("n", [1, 3])
 def test_depth_sums_match_the_grouped_sums(R, bases, n):
     z, isinf = bases
-    d = R.degree
     f, g = GraphFunction(n, _sphere_fn(3)), GraphFunction(n, _sphere_fn(4))
     # inner products and the module norm
     want = _grouped(R, z, isinf, n,
                     lambda p, q: np.conj(f.at(p, q)) * g.at(p, q))
     for j in range(z.size):
         y = SpherePoint.infinity() if isinf[j] else SpherePoint(z[j])
-        _assert_row_sums(inner_product(R, n, f, g, y), want[0][j],
-                         want[1][j], want[2][j], d ** n)
+        _assert_row_sums(inner_product(R, n, f, g, y),
+                         *(x[j] for x in want))
     ff = _grouped(R, z, isinf, n, lambda p, q: np.abs(f.at(p, q)) ** 2)
-    got = norm_two(R, n, f, _PointSet(z, isinf))
-    _assert_row_sums(got, float(np.max(np.sqrt(np.maximum(ff[0].real, 0)))),
-                     ff[1].any(), np.max(np.sqrt(ff[2])), d ** n)
+
+    def norm(v):
+        return float(np.max(np.sqrt(np.maximum(v.real, 0))))
+    _assert_row_sums(norm_two(R, n, f, _PointSet(z, isinf)),
+                     *_both(norm, ff), ff.tied.any(),
+                     np.max(np.sqrt(ff.size)))
     # the normalized function x -> g(x) / sqrt(sum of e g^2 w over the
-    # fiber of R^n(x)), taken at the leaves of the bases
-    x, xinf = next(level for k, *level in ratmap._forest(R, z, isinf, n)
+    # fiber of R^n(x)), taken at the distinct depth-n preimages of the bases
+    x, xinf = next(level for k, *level in _forest(R, z, isinf, n)
                    if k == n)[:2]
     weight = _sphere_fn(5)
     got = bimodule._normalized(R, n, g, weight, "u").at(x, xinf)
@@ -598,10 +656,10 @@ def test_depth_sums_match_the_grouped_sums(R, bases, n):
         return gv * gv * weight.at(p, q).real
     want = _grouped(R, y, yinf, n, terms)
     gx = g.at(x, xinf)
-    tied = want[1].astype(bool)
-    assert bits(got[~tied]) == bits(gx[~tied] / np.sqrt(want[0].real[~tied]))
-    assert np.allclose(got, gx / np.sqrt(want[0].real),
-                       rtol=d ** n * EPS, atol=0.0)
+    # g / sqrt(b) moves by |g| |db| / (2 b^1.5) when b moves by db
+    _assert_row_sums(got, *_both(lambda b: gx / np.sqrt(b.real), want),
+                     want.tied, np.abs(gx) * want.size
+                     / np.abs(want.grouped) ** 1.5)
 
 
 @pytest.mark.parametrize("R,bases", SUM_CASES, ids=SUM_IDS)
@@ -617,24 +675,27 @@ def test_diagnostics_and_frames_match_the_grouped_sums(R, bases):
     seqs = []
     for base in (first, last):
         zz, ii = z[base:base + 1], isinf[base:base + 1]
-        seqs.append([[(t.at(zz, ii), np.zeros(1, bool), np.abs(t.at(zz, ii)))]
-                     + [_grouped(R, zz, ii, k, t.at) for k in range(1, n + 1)]
-                     for t in tests])
+        seqs.append([])
+        for t in tests:
+            v = t.at(zz, ii)
+            levels = [_Sums(v, v, np.zeros(1, bool), np.abs(v))]
+            for k in range(1, n + 1):   # the level means, as the code scales
+                lv, m = _grouped(R, zz, ii, k, t.at), 1.0 / d ** k
+                levels.append(_Sums(lv.leaf * m, lv.grouped * m, lv.tied,
+                                    lv.size * m))
+            seqs[-1].append(levels)
     records = iter(got)
     for seq in seqs[0]:
         for k in range(n):
-            r = next(records)
             lo, hi = seq[k], seq[k + 1]
-            want = abs(hi[0][0] / d ** (k + 1) - lo[0][0] / d ** k)
-            _assert_row_sums(r["gap"], want, lo[1][0] or hi[1][0],
-                             lo[2][0] / d ** k + hi[2][0] / d ** (k + 1),
-                             d ** (k + 1))
+            _assert_row_sums(next(records)["gap"],
+                             *_both(lambda u, v: abs(v[0] - u[0]), lo, hi),
+                             lo.tied[0] or hi.tied[0], lo.size[0] + hi.size[0])
     for seq, other in zip(seqs[0], seqs[1]):
-        r = next(records)
         lo, hi = seq[n], other[n]
-        want = abs(lo[0][0] / d ** n - hi[0][0] / d ** n)
-        _assert_row_sums(r["gap"], want, lo[1][0] or hi[1][0],
-                         (lo[2][0] + hi[2][0]) / d ** n, d ** n)
+        _assert_row_sums(next(records)["gap"],
+                         *_both(lambda u, v: abs(u[0] - v[0]), lo, hi),
+                         lo.tied[0] or hi.tied[0], lo.size[0] + hi.size[0])
     # frame reconstruction at the preimages of the bases, summed over the
     # fibers of their images: any arity-1 members will do
     x, xinf = _expand_level(R, z, isinf)[:2]
@@ -642,19 +703,18 @@ def test_diagnostics_and_frames_match_the_grouped_sums(R, bases):
     frame = Frame(members, (), 0j, 0)
     f = GraphFunction(1, _sphere_fn(10))
     y, yinf = ratmap._evaluate_arrays(R, x, xinf)
-    total = np.zeros(x.size, dtype=complex)
-    size = np.zeros(x.size)
-    tied = np.zeros(x.size, dtype=bool)
-    for u in members:
-        ip = _grouped(R, y, yinf, 1, lambda p, q: np.conj(u.at(p, q))
-                      * f.at(p, q))
-        total = total + u.at(x, xinf) * ip[0]
-        size = size + np.abs(u.at(x, xinf)) * ip[2]
-        tied |= ip[1]
-    want = float(np.max(np.abs(total - f.at(x, xinf))))
+    ips = [_grouped(R, y, yinf, 1, lambda p, q, u=u: np.conj(u.at(p, q))
+                    * f.at(p, q)) for u in members]
+
+    def defect(*ips):
+        total = np.zeros(x.size, dtype=complex)
+        for u, ip in zip(members, ips):
+            total = total + u.at(x, xinf) * ip
+        return float(np.max(np.abs(total - f.at(x, xinf))))
+    size = sum(np.abs(u.at(x, xinf)) * ip.size for u, ip in zip(members, ips))
     _assert_row_sums(frame_reconstruction_defect(R, frame, f,
                                                  _PointSet(x, xinf)),
-                     want, tied.any(), np.max(size), d)
+                     *_both(defect, *ips), ips[0].tied.any(), np.max(size))
 
 
 @pytest.mark.parametrize("R", [Z2, RationalMap([0.2, 0, 1])],
@@ -669,8 +729,8 @@ def test_witness_tables_match_the_grouped_sums(R):
                                      bimodule.EXPANSION_BUDGET)
     _, urep = bimodule.normalized_witness(R, a, eps, cloud, probe_ys=probes)
     pz, pinf = _as_arrays(probes)
-    parts = [level for k, *level in ratmap._forest(R, pz, pinf, n) if k == n]
-    pts, inf, idx, root = (np.concatenate(x) for x in zip(*parts))
+    parts = [level for k, *level in _forest(R, pz, pinf, n) if k == n]
+    pts, inf, idx, root, _ = (np.concatenate(x) for x in zip(*parts))
     e = idx.astype(float)
     gv, av = g.at(pts, inf), a.at(pts, inf).real
     w = e * (gv * gv)
@@ -696,9 +756,9 @@ def test_leaves_count_every_index_against_the_budget():
     g = GraphFunction(20, f.body)
     with pytest.raises(BudgetExceeded, match="1000000 nodes"):
         inner_product(Z2, 20, g, g, 0j)
-    # the distinct-point forest keeps its one node per level
-    assert sum(1 for _ in ratmap._forest(Z2, np.array([0j]),
-                                         np.array([False]), 40)) == 40
+    # its distinct-point tree keeps its one node per level
+    assert [idx.tolist() for *_, idx in ratmap.tree_levels(Z2, 0j, 40)] \
+        == [[2 ** k] for k in range(1, 41)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from ratdyn.numkernel import SpherePoint, chordal_distance
 from ratdyn.ratmap import (
     RationalMap,
     _expand_level,
-    _forest,
     _fiber_rows,
+    _leaves,
     branch_index,
     compose,
     critical_points,
@@ -430,18 +430,29 @@ def test_tree_node_budget(z2):
 
 
 def _assert_forest_is_trees(R, bases, n, node_budget=10 ** 6):
-    # the forest over many bases, level by level and node for node, is
-    # each base's own tree: same points, infinity flags, indices and order
-    trees = [list(tree_levels(R, y, n, node_budget)) for y in bases]
+    # the leaves of many bases, level by level and entry for entry, are
+    # each base's leaves alone, and they list each node of its tree as
+    # often as its index
+    d = R.degree
     pts = np.array([SpherePoint.from_value(y).z for y in bases])
     inf = np.array([SpherePoint.from_value(y).is_infinity for y in bases])
+    alone = [list(_leaves(R, pts[j:j + 1], inf[j:j + 1], n))
+             for j in range(len(bases))]
+    trees = [list(tree_levels(R, y, n)) for y in bases]
     seen = set()
-    for k, *level, root in _forest(R, pts, inf, n, node_budget):
-        assert np.array_equal(root, np.sort(root))
-        for j in np.unique(root):
-            for got, want in zip(level, trees[j][k - 1]):
-                assert np.array_equal(got[root == j], want)
-            seen.add((k, int(j)))
+    for k, lo, z, f in _leaves(R, pts, inf, n, node_budget):
+        w = d ** k
+        for i in range(z.size // w):
+            got = z[i * w:(i + 1) * w], f[i * w:(i + 1) * w]
+            _, _, *want = alone[lo + i][k - 1]
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+            tz, tinf, tidx = trees[lo + i][k - 1]
+            assert (sorted(zip(got[1], got[0].real, got[0].imag))
+                    == sorted(zip(np.repeat(tinf, tidx),
+                                  np.repeat(tz.real, tidx),
+                                  np.repeat(tz.imag, tidx))))
+            seen.add((k, lo + i))
     assert seen == {(k, j) for k in range(1, n + 1)
                     for j in range(len(bases))}
 
@@ -462,13 +473,13 @@ def test_forest_matches_per_base_trees(R, n, rng):
 
 
 def test_forest_groups_within_the_budget(z2):
-    # five depth-4 trees of 16 nodes each fit a budget of 40 alone but not
-    # together: the forest still succeeds, group by group
+    # five depth-4 trees of 16 leaves each fit a budget of 40 alone but
+    # not together: the leaves still come, group by group
     bases = [0.73, -0.4 + 0.8j, 1.3, INF, 0.2j]
     _assert_forest_is_trees(z2, bases, 4, node_budget=40)
-    # a tree over the budget alone still raises inside the forest
+    # a tree over the budget alone still raises among the others
     with pytest.raises(BudgetExceeded):
-        for _ in _forest(z2, np.array([0.73, 0.1]), np.zeros(2, bool), 4,
+        for _ in _leaves(z2, np.array([0.73, 0.1]), np.zeros(2, bool), 4,
                          node_budget=10):
             pass
 
