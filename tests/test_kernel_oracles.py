@@ -1,8 +1,12 @@
 """The lean fiber-kernel paths against the routes they replace, bit for bit.
 
 The references below are the straightforward forms of the row solve, the
-grouped fiber solver, the power table and the two-forest KMS run. Every
-comparison is on float bits (`view(np.uint64)`).
+grouped fiber solver, the power table, the two-forest KMS run and the
+sums over a distinct-point forest. Every comparison is on float bits
+(`view(np.uint64)`), except one: on a base whose fibers are tied, the
+grouped sums add a k-fold root once with weight k, so there the row sums
+match them within a bound and match the same forest summed in leaf order
+bit for bit.
 """
 
 import math

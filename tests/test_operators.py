@@ -19,7 +19,7 @@ from ratdyn.errors import (CoverTooCoarse, EvaluationAtInfinity,
 from ratdyn.julia import _render_start, sample_inverse_iteration
 from ratdyn.measure import lyubich_exact
 from ratdyn.numkernel import SpherePoint, _as_arrays, chordal_distance
-from ratdyn.ratmap import evaluate, preimage_tree, preimages
+from ratdyn.ratmap import critical_points, evaluate, preimage_tree, preimages
 from ratdyn.registry import get, list_examples
 from ratdyn.transfer import (ProductFunction, TestFunction, alpha, h_op,
                              kms_defect, kms_iterate, lemma31_defect,
@@ -181,38 +181,19 @@ def test_frames_against_scalar_loops():
         except (CoverTooCoarse, FrameUnavailable):
             continue
         built += 1
-        probes = cloud.points[::50]
-        _close(frame_delta_defect(R, frame, probes),
-               _delta_defect(R, frame, probes))
+        # the critical values add fibers that list a double point twice
+        probes = list(cloud.points[::50]) + [
+            cd.value for cd in critical_points(R)
+            if not cd.value.is_infinity]
+        want = 0.0
+        for y in probes:
+            xs = [q.z for q in preimages(R, y).points()]
+            u = np.array([_members(frame, x) for x in xs])   # (points, arcs)
+            _close([[m(x) for m in frame.members] for x in xs], u)
+            gram = u @ u.T
+            want = max(want, float(np.max(np.abs(gram - np.eye(len(xs))))))
+        _close(frame_delta_defect(R, frame, probes), want)
     assert built >= 3
-
-
-def _delta_defect(R, frame, probes):
-    """`frame_delta_defect` as a loop over the distinct fiber points."""
-    want = 0.0
-    for y in probes:
-        xs = [q.z for q in preimages(R, y).points()]
-        u = np.array([_members(frame, x) for x in xs])   # (points, arcs)
-        _close([[m(x) for m in frame.members] for x in xs], u)
-        gram = u @ u.T
-        want = max(want, float(np.max(np.abs(gram - np.eye(len(xs))))))
-    return want
-
-
-def test_frame_delta_defect_over_tied_fibers():
-    # a fiber listing its double point twice has the defect of its
-    # distinct points: z^2 over 0, z^2 + 0.2 over 0.2, and the full-shift
-    # map over its critical values +-2 sqrt(2) i
-    for name, probes in (("power_map_n", [0.0, 0.3 + 0.2j]),
-                         ("quadratic_family", [0.2, -0.5]),
-                         ("full_shift_example", [8 ** 0.5 * 1j,
-                                                 -(8 ** 0.5) * 1j, 0.5])):
-        R = get(name).map
-        cloud = sample_inverse_iteration(R, _render_start(R), count=1000,
-                                         seed=0)
-        frame = build_frame(R, cloud)
-        _close(frame_delta_defect(R, frame, probes),
-               _delta_defect(R, frame, probes))
 
 
 # the Lattes map's Julia set is the sphere: no polynomial a keeps its witness
