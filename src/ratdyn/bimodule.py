@@ -226,6 +226,8 @@ def frame_delta_defect(R, frame, probe_ys):
     vals = np.array([_values_at(u, pts, inf) for u in frame.members])
     vals = vals.T.reshape(z.size, d, -1)
     gram = np.einsum("mil,mjl->mij", vals, np.conj(vals))
+    if label is not None:
+        label = label.reshape(z.size, d)
     same = (np.eye(d) if label is None
             else label[:, :, None] == label[:, None, :])
     return float(np.max(np.abs(gram - same)))

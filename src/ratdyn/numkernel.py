@@ -6,17 +6,21 @@ distance <= 2 from everything else. Polynomial coefficients are stored in
 ascending order (constant term first).
 
 One solver finds roots: `_row_roots` solves a stack of polynomials of one
-degree at once and decides multiplicities by one tie rule. `_sort_rows`
-orders each row by (re, im), and `_merge_runs` lists each sorted row's
-distinct roots with their multiplicities; `roots_with_multiplicity` is
-the one-row case of both.
+degree at once and decides multiplicities by one tie rule. Degrees up to
+4 take closed forms (`_quadratic`, `_cardano` and `_ferrari`, through
+`_closed_roots`, which deflates rows whose roots spread), degree 5 and up
+the companion eigenvalues. `_sort_rows` orders each row by (re, im), and
+`_merge_runs` lists each sorted row's distinct roots with their
+multiplicities; `roots_with_multiplicity` is the one-row case of both.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -40,7 +44,7 @@ LINK = 1e5
 # sphere points and the chordal metric
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpherePoint:
     """A point of the Riemann sphere: finite complex value or infinity."""
 
@@ -87,6 +91,10 @@ class SpherePoint:
         if self.is_infinity:
             return "SpherePoint(inf)"
         return f"SpherePoint({self.z!r})"
+
+
+# the slot setters of SpherePoint, which bypass its frozen __setattr__
+_SET_Z, _SET_INF = SpherePoint.z.__set__, SpherePoint.is_infinity.__set__
 
 
 def _as_pair(p):
@@ -138,8 +146,9 @@ class _PointSet:
 
     def __init__(self, z, isinf):
         isinf = np.array(isinf, dtype=bool)
-        z = np.where(isinf, 0j, np.asarray(z, dtype=complex))
-        if not np.isfinite(z).all():
+        z = np.array(z, dtype=complex)
+        np.copyto(z, 0j, where=isinf)
+        if np.count_nonzero(np.isfinite(z)) < z.size:
             raise ValueError("finite point with non-finite components")
         z.flags.writeable = isinf.flags.writeable = False
         self.__dict__.update(z=z, isinf=isinf)
@@ -149,16 +158,16 @@ class _PointSet:
 
     @functools.cached_property
     def _points(self):
-        # the arrays are checked, so each point is filled in directly,
-        # without SpherePoint's own check
-        inf, pts, put = SpherePoint.infinity(), [], object.__setattr__
-        for v, f in zip(self.z.tolist(), self.isinf.tolist()):
-            p = inf
-            if not f:
-                p = object.__new__(SpherePoint)
-                put(p, "z", v)
-                put(p, "is_infinity", False)
-            pts.append(p)
+        # the arrays are checked, so each point's slots are filled in
+        # directly, without SpherePoint's own check
+        n = self.z.size
+        pts = list(map(object.__new__, repeat(SpherePoint, n)))
+        deque(map(_SET_Z, pts, self.z.tolist()), 0)
+        deque(map(_SET_INF, pts, repeat(False, n)), 0)
+        if np.count_nonzero(self.isinf):
+            inf = SpherePoint.infinity()
+            for k in np.flatnonzero(self.isinf).tolist():
+                pts[k] = inf
         pts = _Points(pts)
         pts.z, pts.isinf = self.z, self.isinf
         return pts
@@ -206,7 +215,7 @@ def _values_at(f, z, isinf, points=None):
     if at is not None:
         return at(z, isinf)
     pts = (_PointSet(z, isinf) if points is None else points)._points
-    return np.array([complex(f(p)) for p in pts], dtype=complex)
+    return np.fromiter(map(f, pts), complex, len(pts))
 
 
 def _write_points_csv(path, z, isinf, w=None):
@@ -534,12 +543,10 @@ def _horner(c, s, x):
     sum_k s_k |x|^k bounding the rounding noise of the value (times a small
     multiple of EPS).
     """
-    val = np.zeros(x.shape, dtype=complex)
-    der = np.zeros(x.shape, dtype=complex)
-    mag = np.zeros(x.shape)
     ax = np.abs(x)
-    for k in range(c.shape[1] - 1, -1, -1):
-        der = der * x + val
+    val, der, mag = c[:, -1:], None, s[:, -1:]   # the first step from 0
+    for k in range(c.shape[1] - 2, -1, -1):
+        der = val if der is None else der * x + val
         val = val * x + c[:, k, None]
         mag = mag * ax + s[:, k, None]
     return val, der, mag
@@ -586,8 +593,10 @@ def local_multiplicity(coeffs, x):
 
 @functools.lru_cache(maxsize=None)
 def _pairs(d):
-    """Index pairs i < j of d roots, cached per degree."""
-    return np.triu_indices(d, 1)
+    """Index pairs i < j of d roots, and i and j end to end, cached per
+    degree."""
+    i, j = np.triu_indices(d, 1)
+    return i, j, np.concatenate((i, j))
 
 
 @functools.lru_cache(maxsize=None)
@@ -597,6 +606,116 @@ def _companion(d):
     skel[np.arange(1, d), np.arange(d - 1)] = 1.0
     skel.flags.writeable = False
     return skel
+
+
+# the cube roots of unity 1, w, w^2 and their conjugates
+_CUBE = np.array([1.0, complex(-0.5, 0.8660254037844386),
+                  complex(-0.5, -0.8660254037844386)])
+_CUBE_BAR = _CUBE.conj()
+
+
+def _quadratic(c0, c1, c2=None):
+    """The roots (q / c2, c0 / q) of c2 u^2 + c1 u + c0 (c2 None: 1),
+    stacked on a last axis: q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the
+    sign that avoids cancellation; q = 0 is a double root at the origin,
+    0 twice."""
+    sq = np.sqrt(c1 * c1 - (4.0 * c0 if c2 is None else 4.0 * c2 * c0))
+    sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
+    q = -0.5 * (c1 + sq)
+    u = np.empty(c0.shape + (2,), dtype=complex)
+    if c2 is None:
+        u[..., 0] = q
+    else:
+        np.divide(q, c2, out=u[..., 0])
+    np.divide(c0, q, out=u[..., 1])
+    if np.count_nonzero(np.isfinite(u[..., 1])) < q.size:   # c0 / q = 0 / 0
+        np.copyto(u[..., 1], 0j, where=q == 0)
+    return u
+
+
+# the maximum along an axis, without the ndarray.max wrapper's cost on
+# small arrays
+_MAX = np.maximum.reduce
+
+
+# complex constants for the closed forms: numpy takes a complex array
+# times a complex 0-d array at half the cost of a complex array times a
+# Python float
+_PLUS_MINUS = np.array([1.0 + 0j, -1.0])
+_C = {x: np.array(complex(x)) for x in (0.125, 0.25, 0.5, 1 / 3, 2, 3, 4,
+                                         6, 8)}
+
+# a closed-form row whose smallest root is below this times its largest is
+# deflated by its largest root (`_closed_roots`); against 40-digit roots,
+# one Newton step repairs the undeflated small roots of cubics down to
+# about 2^-14 and of quartics down to about 2^-10
+_SPREAD = 2.0 ** -8
+
+
+def _cardano(c0, c1, c2):
+    """The roots (m, 3) of u^3 + c2 u^2 + c1 u + c0: Cardano's formula in
+    t = u + c2 / 3, with the sign of the square root that avoids
+    cancellation in the cube w^3 and the other term v = -p / (3 w) set to
+    0 at w = 0."""
+    a = c2 / _C[3]
+    sq = a * a
+    k = c1 / _C[3] - sq                            # p / 3
+    h = _C[0.5] * (c0 - a * (c1 - _C[2] * sq))     # q / 2
+    s = np.sqrt(h * h + k * k * k)
+    s = s * np.copysign(1.0, h.real * s.real + h.imag * s.imag)
+    w = (h + s) ** _C[1 / 3]   # -w is a cube root of -q/2 - s
+    v = k / (w + (w == 0))
+    return v[:, None] * _CUBE_BAR - (w[:, None] * _CUBE + a[:, None])
+
+
+def _ferrari(c0, c1, c2, c3):
+    """The roots (m, 4) of u^4 + c3 u^3 + c2 u^2 + c1 u + c0: Ferrari's
+    formula in t = u + c3 / 4, through the largest root z of the resolvent
+    cubic and the two stable quadratics t^2 -+ s t + p / 2 + z +- q / (2 s),
+    s = sqrt(2 z)."""
+    a = c3 / _C[4]
+    sq = a * a
+    p = c2 - _C[6] * sq
+    q = c1 - a * (_C[2] * c2 - _C[8] * sq)
+    r = c0 - a * (c1 - a * (c2 - _C[3] * sq))
+    z = _cardano(-(_C[0.125] * (q * q)), _C[0.25] * (p * p) - r, p)
+    z = z[np.arange(z.shape[0]), np.abs(z).argmax(axis=1)]   # the largest
+    s = np.sqrt(_C[2] * z)
+    h = q / (_C[2] * s + (s == 0))
+    t = _quadratic((_C[0.5] * p + z)[:, None] + h[:, None] * _PLUS_MINUS,
+                   s[:, None] * -_PLUS_MINUS)
+    return t.reshape(-1, 4) - a[:, None]
+
+
+def _closed_roots(c):
+    """The roots (m, d) of monic rows of degree d = 2, 3 or 4 given by
+    their other coefficients c = [c_0, ..., c_(d-1)], arrays of m.
+
+    The cubic's and the quartic's shift costs the small roots accuracy
+    relative to the largest, which the Newton step of `_row_roots`
+    repairs unless a root is far smaller. In a row whose smallest root is
+    below _SPREAD times its largest, only the largest root of `_cardano`
+    or `_ferrari` is kept; the rest come from the row deflated by it
+    backward, from the constant term, as W. Kahan does ("To solve a real
+    cubic equation", 1986): the quotient keeps the small roots' products.
+    """
+    d = len(c)
+    if d == 2:
+        return _quadratic(c[0], c[1])
+    u = _cardano(*c) if d == 3 else _ferrari(*c)
+    # the moduli root by root, each a contiguous run over the rows: numpy
+    # reduces along such runs many times faster than along short rows
+    au = np.abs(u.T, order="C")
+    far = np.minimum.reduce(au) < _SPREAD * _MAX(au)
+    if np.count_nonzero(far):
+        rows = np.flatnonzero(far)
+        top = u[rows, au[:, rows].argmax(axis=0)]
+        low = [-c[0][rows] / top]
+        for n in range(1, d - 1):
+            low.append((low[-1] - c[n][rows]) / top)
+        u[rows, 0] = top
+        u[rows, 1:] = _closed_roots(low)
+    return u
 
 
 def _labels(link):
@@ -664,8 +783,8 @@ def _tie(roots, g, size, near, i, j):
     return label, out[np.arange(t)[:, None], label]
 
 
-# a monic row with a coefficient above this is scaled to its root bound
-# before the eigenvalue solve
+# a monic row of degree 3 or more with a coefficient above this is scaled
+# to its root bound before the solve
 _UNBALANCED = 2.0 ** 32
 
 
@@ -676,6 +795,7 @@ def _ldexp(z, n):
     return np.ldexp(z, n)
 
 
+@np.errstate(all="ignore")   # non-finite results raise NonConvergence
 def _row_roots(f, s=None):
     """The roots of every row of f, multiplicities decided by one tie rule.
 
@@ -687,15 +807,15 @@ def _row_roots(f, s=None):
     Every root of a k-fold cluster holds the cluster's centre, so a row
     lists each distinct root as often as its multiplicity.
 
-    d <= 2 uses the stable closed form, d >= 3 the eigenvalues of the
-    companion matrices followed by one Newton step on each simple root.
-    A d >= 3 row with a monic coefficient above _UNBALANCED is solved in
-    u = z / 2^e, with e the integer nearest to log2 of the root bound
-    max_k |f_k / f_d|^(1/(d-k)), so that its companion matrix stays
-    balanced and its Horner sums stay in range. The decision is made row
-    by row, so a row's roots never depend on the other rows of its batch.
-    The tie rule follows Z. Zeng, "Computing multiple roots of inexact
-    polynomials", Math. Comp. 74 (2005):
+    d <= 4 uses closed forms (`_quadratic`, `_closed_roots`), d >= 5 the
+    eigenvalues of the companion matrices; for d >= 3 one Newton step on
+    each simple root follows. A d >= 3 row with a monic coefficient above
+    _UNBALANCED is solved in u = z / 2^e, with e the integer nearest to
+    log2 of the root bound max_k |f_k / f_d|^(1/(d-k)), so that the solve
+    sees roots of size about 1 and its Horner sums stay in range. The
+    decision is made row by row, so a row's roots never depend on the
+    other rows of its batch. The tie rule follows Z. Zeng, "Computing
+    multiple roots of inexact polynomials", Math. Comp. 74 (2005):
 
     - candidates: two roots x, y of a row whose distance is at most the sum
       of their noise radii LINK * EPS * mag / |f'| (mag the Horner
@@ -710,32 +830,23 @@ def _row_roots(f, s=None):
     m, d = f.shape[0], f.shape[1] - 1
     g, size, e = f, (np.abs(f) if s is None else s), None
     if d == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = -f[:, :1] / f[:, 1:]
+        u = -f[:, :1] / f[:, 1:]
     elif d == 2:
-        # q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the sign that avoids
-        # cancellation; the roots are q / c2 and c0 / q
-        c0, c1, c2 = f[:, 0], f[:, 1], f[:, 2]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-            sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
-            q = -0.5 * (c1 + sq)
-            u = np.empty((m, 2), dtype=complex)
-            np.divide(q, c2, out=u[:, 0])
-            np.divide(c0, q, out=u[:, 1])
+        u = _quadratic(f[:, 0], f[:, 1], f[:, 2])
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            g, size = f / f[:, -1:], size / np.abs(f[:, -1:])
-        if not (np.isfinite(g).all() and np.isfinite(size).all()):
+        lead = f[:, -1:]
+        g, size = f / lead, size / np.abs(lead)
+        ag = np.abs(g)
+        top = _MAX(ag, axis=None)
+        if not (math.isfinite(top) and math.isfinite(_MAX(size, axis=None))):
             raise NonConvergence(
                 "a fiber polynomial leaves the floating-point range once "
                 "normalized")
-        wide = np.abs(g).max(axis=1) > _UNBALANCED
-        if wide.any():
+        if top > _UNBALANCED:
+            wide = _MAX(ag, axis=1) > _UNBALANCED
             gw = g[wide]
-            with np.errstate(divide="ignore"):
-                bound = np.max(np.log2(np.abs(gw[:, :-1]))
-                               / np.arange(d, 0, -1), axis=1)
+            bound = np.max(np.log2(ag[wide, :-1]) / np.arange(d, 0, -1),
+                           axis=1)
             e = np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
             power = e[:, None] * (np.arange(d + 1) - d)
             scaled = _ldexp(gw, power)
@@ -745,20 +856,20 @@ def _row_roots(f, s=None):
                     "fiber roots spread over more scales than floating "
                     "point holds")
             g[wide], size[wide] = scaled, _ldexp(size[wide], power)
-        comp = np.empty((m, d, d), dtype=complex)
-        comp[:] = _companion(d)
-        np.negative(g[:, :-1], out=comp[:, :, -1])
-        u = np.linalg.eigvals(comp)
+        if d <= 4:
+            u = _closed_roots([g[:, k] for k in range(d)])
+        else:
+            comp = np.empty((m, d, d), dtype=complex)
+            comp[:] = _companion(d)
+            np.negative(g[:, :-1], out=comp[:, :, -1])
+            u = np.linalg.eigvals(comp)
     if np.count_nonzero(np.isfinite(u)) < u.size:
-        if d == 2:   # q = 0: a double root at the origin, where c0 / q is 0/0
-            u[q == 0, 1] = 0j
-        if not np.isfinite(u).all():
-            raise NonConvergence("fiber roots beyond the floating-point range")
+        raise NonConvergence("fiber roots beyond the floating-point range")
     if d == 1:
         return u, None
     # candidates: |x - y| <= r_x + r_y, multiplied out so that a root with
     # a vanishing derivative (an infinite radius) links to everything
-    i, j = _pairs(d)
+    i, j, ij = _pairs(d)
     if d == 2:
         # |f'| at either root of a quadratic is |c2| times their distance
         au = np.abs(u)
@@ -766,18 +877,18 @@ def _row_roots(f, s=None):
         mag = (2.0 * size[:, 0] + size[:, 1] * (a1 + a2)
                + size[:, 2] * (a1 * a1 + a2 * a2))    # at both roots
         gap = np.abs(u[:, 0] - u[:, 1])
-        tied = np.abs(f[:, 2]) * gap * gap <= LINK * EPS * mag
-        near = tied[:, None]
+        near = (np.abs(f[:, 2]) * gap * gap <= LINK * EPS * mag)[:, None]
     else:
         val, der, mag = _horner(g, size, u)
-        slope = np.abs(der)
-        near = (np.abs(u[:, i] - u[:, j]) * slope[:, i] * slope[:, j]
-                <= LINK * EPS * (mag[:, i] * slope[:, j]
-                                 + mag[:, j] * slope[:, i]))
-        tied = near.any(axis=1)
+        # one gather per array: columns ij hold every pair's x, then its y
+        n = i.size
+        x, slope, xm = u[:, ij], np.abs(der)[:, ij], mag[:, ij]
+        near = (np.abs(x[:, :n] - x[:, n:]) * slope[:, :n] * slope[:, n:]
+                <= LINK * EPS * (xm[:, :n] * slope[:, n:]
+                                 + xm[:, n:] * slope[:, :n]))
     label = None
-    if np.count_nonzero(tied):
-        tied = np.flatnonzero(tied)
+    if np.count_nonzero(near):
+        tied = np.flatnonzero(near.any(axis=1))
         label = np.tile(np.arange(d), (m, 1))
         label[tied], centre = _tie(u[tied], g[tied], size[tied], near[tied],
                                    i, j)
@@ -785,18 +896,17 @@ def _row_roots(f, s=None):
         u = u.copy()
         u[tied] = np.where(merged, centre, u[tied])
     if d >= 3:
-        ok = der != 0
+        step = val / der
         if label is not None:
-            ok[tied] &= ~merged
-        step = val / np.where(ok, der, 1.0)
-        u = np.where(ok & np.isfinite(step), u - step, u)
-        # an eigenvalue far from any root that Newton did not bring in means
-        # the row's roots spread over more scales than the companion holds
-        far = (np.abs(val) > 1e-3 * mag).any(axis=1)
-        if far.any():
+            step[tied] = np.where(merged, np.nan, step[tied])
+        np.subtract(u, step, out=u, where=np.isfinite(step))
+        # a root far from any root that Newton did not bring in means the
+        # row's roots spread over more scales than the solve resolves
+        if np.count_nonzero(np.abs(val) > 1e-3 * mag):
+            far = (np.abs(val) > 1e-3 * mag).any(axis=1)
             val, _, mag = _horner(g[far], size[far], u[far])
             if np.any(np.abs(val) > 1e-3 * mag):
-                raise NonConvergence("companion eigenvalues missed roots")
+                raise NonConvergence("the root solve missed roots")
     if e is not None:
         u[wide] = _ldexp(u[wide], e[:, None])
         if not np.isfinite(u[wide]).all():
@@ -806,57 +916,54 @@ def _row_roots(f, s=None):
 
 def _sort_rows(roots, label):
     """`_row_roots`' tables with each row sorted by (re, im), ties in
-    solver order, np.inf last; label (None when nothing is tied) is
-    permuted alike. A cluster's roots share its value and its label, the
-    solver position of its first root, so they end up side by side."""
-    if roots.shape[1] == 2:   # one comparison orders each row's pair
+    solver order, np.inf last, as flat arrays (rows one after another);
+    label (None when nothing is tied) is permuted alike. A cluster's roots
+    share its value and its label, the solver position of its first root,
+    so they end up side by side."""
+    m, d = roots.shape
+    if d == 2:   # one comparison orders each row's pair
         swap = (roots[:, 1] < roots[:, 0])[:, None]
-        return (np.where(swap, roots[:, ::-1], roots), None if label is None
-                else np.where(swap, label[:, ::-1], label))
+        return (np.where(swap, roots[:, ::-1], roots).ravel(),
+                None if label is None
+                else np.where(swap, label[:, ::-1], label).ravel())
     # numpy orders complex numbers by (re, im); equal values go by label
     order = (np.argsort(roots, axis=1, kind="stable") if label is None
              else np.lexsort((label, roots.imag, roots.real), axis=1))
-    m, d = roots.shape
-    flat = (order + d * np.arange(m)[:, None]).ravel()
-    return (roots.ravel()[flat].reshape(m, d), None if label is None
-            else label.ravel()[flat].reshape(m, d))
+    if m > 1:
+        order += d * np.arange(m)[:, None]
+    order = order.ravel()
+    return roots.ravel()[order], None if label is None else label.ravel()[order]
 
 
 def _merge_runs(label, d, *columns):
     """(counts, row, *picked): the runs of equal labels in sorted rows of
-    d entries, each run's length and row, and each flat column (entries
-    row after row) at the runs' first entries; a None label makes every
-    entry a run of one."""
+    d entries (flat, row after row), each run's length and row, and each
+    flat column at the runs' first entries; a None label makes every entry
+    a run of one."""
     size = columns[0].size
     if label is None:
         return (np.ones(size, dtype=np.int64),
-                np.repeat(np.arange(size // d), d), *columns)
-    start = np.ones(label.shape, dtype=bool)
-    start[:, 1:] = label[:, 1:] != label[:, :-1]
+                np.arange(size) // d, *columns)
+    start = np.ones(size, dtype=bool)
+    start[1:] = label[1:] != label[:-1]
+    start[::d] = True
     first = np.flatnonzero(start)
     return (np.diff(first, append=size), first // d,
             *(c[first] for c in columns))
 
 
-def _cluster_rows(roots, label):
-    """Each row's distinct roots with multiplicities, sorted by row and
-    then by (re, im): (centers, counts, row), `_merge_runs` of
-    `_sort_rows`."""
-    roots, label = _sort_rows(roots, label)
-    counts, row, centers = _merge_runs(label, roots.shape[1], roots.ravel())
-    return centers, counts, row
-
-
 def roots_with_multiplicity(poly):
     """All roots of a polynomial with multiplicities.
 
-    The one-row case of the fiber solver `_row_roots` and its tie rule.
-    Returns a RootSet; multiplicities always sum to the degree.
+    The one-row case of the fiber solver `_row_roots` and its tie rule,
+    its roots sorted (`_sort_rows`) and merged (`_merge_runs`). Returns a
+    RootSet; multiplicities always sum to the degree.
     """
     c = poly_trim(poly)
     if c.size <= 1:
         return RootSet((), 0.0)
-    centers, counts, _ = _cluster_rows(*_row_roots(c[None, :]))
+    roots, label = _sort_rows(*_row_roots(c[None, :]))
+    counts, _, centers = _merge_runs(label, c.size - 1, roots)
     centers = centers + 0.0   # report a root at 0 as 0, not -0
     residual = float(np.max(np.abs(poly_eval(c / c[-1], centers))))
     return RootSet._from_arrays(centers, np.zeros(centers.size, dtype=bool),

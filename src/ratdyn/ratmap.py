@@ -361,16 +361,15 @@ def _fiber_table(R, pts, inf):
 
 def _sorted_table(R, pts, inf):
     """(points, isinf, label): the fiber table with each row sorted by
-    (re, im), stably (`_sort_rows`), infinity last. points and isinf run
-    row after row, d entries per base; label stays (m, d), None when
-    nothing is tied."""
+    (re, im), stably (`_sort_rows`), infinity last. All three run row
+    after row, d entries per base; label is None when nothing is tied."""
     roots, isinf, label = _fiber_table(R, pts, inf)
     if isinf is None:
         roots, label = _sort_rows(roots, label)
-        return roots.ravel(), np.zeros(roots.size, dtype=bool), label
+        return roots, np.zeros(roots.size, dtype=bool), label
     roots, label = _sort_rows(np.where(isinf, np.inf, roots), label)
-    at = np.isinf(roots).ravel()
-    return np.where(at, 0j, roots.ravel()), at, label
+    at = np.isinf(roots)
+    return np.where(at, 0j, roots), at, label
 
 
 def _expand_level(R, pts, inf):

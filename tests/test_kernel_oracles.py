@@ -24,16 +24,21 @@ from ratdyn.errors import BudgetExceeded, NonConvergence
 from ratdyn.numkernel import (
     EPS,
     LINK,
+    _SPREAD,
     _UNBALANCED,
-    _cluster_rows,
+    _closed_roots,
     _horner,
+    _merge_runs,
     _ldexp,
     _pairs,
     _row_roots,
+    _sort_rows,
     _tie,
     SpherePoint,
     _PointSet,
     _as_arrays,
+    _values_at,
+    roots_with_multiplicity,
     sphere_embed,
 )
 from ratdyn.bimodule import (Frame, GraphFunction, _OnArrays,
@@ -49,6 +54,7 @@ from ratdyn.transfer import (ProductFunction, TestFunction, alpha, h_op,
 
 DROP = RationalMap([1, 0, 0, 1], [0, -1, 0, 2])   # R(infinity) = 1/2
 LATTES = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4])
+T3 = get("tchebychev_n").map
 MAPS = [get(name).map for name in list_examples()] + [DROP]
 
 
@@ -57,8 +63,10 @@ def bits(x):
     return x.view(np.uint64).tolist() if x.dtype.kind in "fc" else x.tolist()
 
 
-def _ref_row_roots(f, s=None):
-    """`_row_roots` in its plain form: one rescaling decision per batch."""
+def _ref_row_roots(f, s=None, eigvals=False):
+    """`_row_roots` in its plain form: one rescaling decision per batch.
+    With eigvals, d = 3 and d = 4 rows take the companion eigenvalues, as
+    every d >= 3 row did before the closed forms."""
     m, d = f.shape[0], f.shape[1] - 1
     g, size, e = f, (np.abs(f) if s is None else s), None
     if d == 1:
@@ -84,13 +92,17 @@ def _ref_row_roots(f, s=None):
             e = np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
             power = e[:, None] * (np.arange(d + 1) - d)
             g, size = _ldexp(g, power), _ldexp(size, power)
-        comp = np.zeros((m, d, d), dtype=complex)
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] = -g[:, :-1]
-        u = np.linalg.eigvals(comp)
+        if d <= 4 and not eigvals:
+            with np.errstate(all="ignore"):
+                u = _closed_roots([g[:, k] for k in range(d)])
+        else:
+            comp = np.zeros((m, d, d), dtype=complex)
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[:, :, -1] = -g[:, :-1]
+            u = np.linalg.eigvals(comp)
     if d == 1:
         return u, None
-    i, j = _pairs(d)
+    i, j, _ = _pairs(d)
     if d == 2:
         a1, a2 = np.abs(u[:, 0]), np.abs(u[:, 1])
         mag = (2.0 * size[:, 0] + size[:, 1] * (a1 + a2)
@@ -121,6 +133,16 @@ def _ref_row_roots(f, s=None):
     if e is not None:
         u = _ldexp(u, e[:, None])
     return u, label
+
+
+def _cluster_rows(roots, label):
+    """Each row's distinct roots with multiplicities, sorted by row and
+    then by (re, im): (centers, counts, row), `_merge_runs` of
+    `_sort_rows`, as `roots_with_multiplicity` reads one row."""
+    d = roots.shape[1]
+    roots, label = _sort_rows(roots, label)
+    counts, row, centers = _merge_runs(label, d, roots)
+    return centers, counts, row
 
 
 def _root_table(values, root):
@@ -323,6 +345,205 @@ def test_row_roots_rescale_row_by_row(R, near):
     # a batch that trips the bound everywhere solves as before
     wide = _ref_row_roots(f[1:2], s[1:2])
     assert bits(_row_roots(f[1:2], s[1:2])[0]) == bits(wide[0])
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the companion eigenvalues and mpmath
+# ---------------------------------------------------------------------------
+
+USHIKI = get("ushiki_gasket").map   # (z^3 - 16/27) / z
+
+
+def _critical_rows():
+    """Fiber rows of T3 over +-1, Ushiki over its critical values
+    (4/3) w^k, Lattes over 0 and +-1, and of bases 1e-15 to 1e-6 away
+    from each, along the real and the imaginary axis."""
+    cases = [(T3, [1, -1]),
+             (USHIKI, [4 / 3 * np.exp(2j * np.pi * k / 3) for k in range(3)]),
+             (LATTES, [0, 1, -1])]
+    out = []
+    for R, values in cases:
+        z = np.array([v + dz for v in values
+                      for dz in [0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-12j, 1e-6j]],
+                     dtype=complex)
+        f, s, n = _fiber_rows(R, z, np.zeros(z.size, dtype=bool))
+        assert n is None
+        out.append((f, s))
+    return out
+
+
+def _closed_form_rows():
+    """(f, s) batches of d = 3 and d = 4 rows: random rows, rows above
+    _UNBALANCED, z^3 and z^4 over 0 and the rows of `_critical_rows`."""
+    rng = np.random.default_rng(26)
+    out = [(rng.standard_normal((200, d + 1))
+            + 1j * rng.standard_normal((200, d + 1)), None) for d in (3, 4)]
+    for R in (T3, USHIKI, LATTES):
+        z = np.array([1e11, -3e12 + 1e12j, 2e14j, 5e10])
+        f, s, _ = _fiber_rows(R, z, np.zeros(z.size, dtype=bool))
+        g = f / f[:, -1:]
+        assert np.all(np.abs(g).max(axis=1) > _UNBALANCED)
+        out.append((f, s))
+    out += [(np.array([[0, 0, 0, 1]], dtype=complex), None),
+            (np.array([[0, 0, 0, 0, 1]], dtype=complex), None)]
+    return out + _spread_rows(rng) + _critical_rows()
+
+
+def _spread_rows(rng):
+    """d = 3 and d = 4 rows whose smallest root is 2^-4 to 2^-20 times
+    their largest, on both sides of _SPREAD: the rows solved by the closed
+    forms alone and the rows deflated by their largest root."""
+    out = []
+    for d in (3, 4):
+        rows = []
+        for e in (4, 6, 7, 8, 9, 10, 12, 16, 20):
+            for _ in range(8):
+                mod = np.exp(rng.uniform(-e * np.log(2), 0, d))
+                mod[:2] = 1.0, 2.0 ** -e
+                roots = mod * np.exp(2j * np.pi * rng.uniform(size=d))
+                rows.append(np.poly(roots)[::-1] * 10.0 ** rng.uniform(-3, 3))
+        f = np.array(rows)
+        au = np.abs(_closed_roots([f[:, k] / f[:, -1] for k in range(d)]))
+        far = au.min(axis=1) < _SPREAD * au.max(axis=1)
+        assert 0 < np.count_nonzero(far) < far.size
+        out.append((f, None))
+    return out
+
+
+CLOSED_ROWS = _closed_form_rows()
+CLOSED_IDS = ["random3", "random4", "wide-t3", "wide-ushiki", "wide-lattes",
+              "z3", "z4", "spread3", "spread4", "t3-crit", "ushiki-crit",
+              "lattes-crit"]
+
+
+def _radius(f, s, x):
+    """The noise radius EPS * mag / |f'| of each root x[r, k] of row r of
+    f (term sizes s), in f's own scale."""
+    val, der, mag = _horner(f, np.abs(f) if s is None else s, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return EPS * mag / np.abs(der)
+
+
+def _same_clusters(f, s, got, want):
+    """got and want list the same clusters: each of got's nearest to one
+    of want's with the same count, the centres within 64 noise radii plus
+    64 ulps (a merged centre, whose radius is infinite, within 1e-12 of
+    its size)."""
+    gc, gk, grow = _cluster_rows(*got)
+    wc, wk, wrow = _cluster_rows(*want)
+    assert grow.tolist() == wrow.tolist()
+    rad = _radius(f[grow], None if s is None else s[grow], gc[:, None])[:, 0]
+    for r in range(f.shape[0]):
+        mine, theirs = np.flatnonzero(grow == r), np.flatnonzero(wrow == r)
+        gap = np.abs(gc[mine, None] - wc[None, theirs])
+        pick = theirs[gap.argmin(axis=1)]
+        assert sorted(pick.tolist()) == theirs.tolist()
+        assert gk[mine].tolist() == wk[pick].tolist()
+        scale = np.maximum(np.abs(gc[mine]), np.abs(wc[pick]))
+        tol = np.where(gk[mine] > 1, 1e-12 * scale,
+                       64.0 * (rad[mine] + EPS * scale))
+        assert np.all(np.abs(gc[mine] - wc[pick]) <= tol), r
+
+
+@pytest.mark.parametrize("f,s", CLOSED_ROWS, ids=CLOSED_IDS)
+def test_closed_forms_match_the_eigenvalues(f, s):
+    # the closed forms and the companion eigenvalues, each followed by the
+    # same Newton step and tie rule, find the same clusters: the tie
+    # labels agree, and the roots agree within their noise
+    got = _row_roots(f, s)
+    want = _ref_row_roots(f, s, eigvals=True)
+    assert (got[1] is None) == (want[1] is None)
+    _same_clusters(f, s, got, want)
+
+
+@pytest.mark.parametrize("f,s", CLOSED_ROWS, ids=CLOSED_IDS)
+def test_closed_forms_match_mpmath(f, s):
+    # every root within 64 noise radii (plus 64 ulps) of the 50-digit
+    # root, and every multiple root within 1e-7 of its size: the centre
+    # of a cluster split by a base 1e-15 off the critical value
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    roots, label = _row_roots(f, s)
+    for r in range(f.shape[0]):
+        exact = mpmath.polyroots([mpmath.mpc(c) for c in f[r, ::-1]],
+                                 maxsteps=400, extraprec=400)
+        exact = np.array([complex(x) for x in exact])
+        rad = _radius(f[r:r + 1], None if s is None else s[r:r + 1],
+                      roots[r:r + 1])[0]
+        tied = (np.zeros(f.shape[1] - 1, dtype=bool) if label is None
+                else np.bincount(label[r], minlength=label.shape[1])[
+                    label[r]] > 1)
+        for x, rr, t in zip(roots[r], rad, tied):
+            gap = np.min(np.abs(exact - x))
+            # 50 digits put a k-fold root at 0 about 1e-50 off
+            assert gap <= (1e-7 * max(abs(x), 1e-30) if t
+                           else 64.0 * (rr + EPS * abs(x))), (r, x, gap)
+
+
+def test_far_roots_are_found_or_refused():
+    # four roots over 80 orders of magnitude: the right roots or a
+    # NonConvergence, never a silent miss; three roots over 60 orders
+    # solve, as they did by the companion eigenvalues
+    for roots in ([1e-40, 1e40, 1.0, 2.0], [1e-30, 1.0, 1e30]):
+        c = np.array([1.0 + 0j])
+        for x in roots:
+            c = np.convolve(c, [-x, 1.0])
+        try:
+            rs = roots_with_multiplicity(c)
+        except NonConvergence:
+            assert len(roots) == 4
+            continue
+        got = sorted(p.z.real for p in rs.points())
+        assert rs.multiplicities() == [1] * len(roots)
+        assert np.allclose(got, sorted(roots), rtol=1e-12, atol=0.0)
+        assert max(abs(p.z.imag) / abs(p.z) for p in rs.points()) < 1e-12
+
+
+def test_values_at_matches_the_complex_loop():
+    # a plain callable's values are complex(f(p)) bit for bit, whatever
+    # scalar type it returns
+    mpmath = pytest.importorskip("mpmath")
+    z = np.array([0.3 - 0.2j, -1.5, 0j, 2.5e100, complex(-0.0, 1e-310),
+                  1e-5j])
+    isinf = np.array([False, False, False, False, False, True])
+    pts = _PointSet(z, isinf)
+    fns = [lambda p: p.z ** 3, lambda p: p.z.real, lambda p: 7,
+           lambda p: p.is_infinity, lambda p: np.float64(p.z.imag),
+           lambda p: np.complex128(p.z) * 1j, lambda p: np.float32(1.1),
+           lambda p: np.int64(-3), lambda p: mpmath.mpf(p.z.real) / 3,
+           lambda p: mpmath.mpc(p.z) ** 2 + mpmath.mpf("1e-20")]
+    for f in fns:
+        want = np.array([complex(f(p)) for p in pts._points], dtype=complex)
+        for got in (_values_at(f, z, isinf), _values_at(f, z, isinf, pts)):
+            assert got.dtype == want.dtype and bits(got) == bits(want)
+
+
+def test_slotted_sphere_points_behave_as_before():
+    # slotted points keep their equality, hash, repr, pickling and
+    # frozenness, and the points a point set fills in equal the checked
+    # constructors' points
+    import copy
+    import dataclasses
+    import pickle
+    z = np.array([0.25 - 1e300j, complex(-0.0, -0.0), 0j, 3.0])
+    isinf = np.array([False, False, True, False])
+    built = _PointSet(z, isinf)._points
+    plain = [SpherePoint.finite(z[0]), SpherePoint.finite(z[1]),
+             SpherePoint.infinity(), SpherePoint(3.0)]
+    for p, q in zip(built, plain):
+        assert type(p) is SpherePoint and p == q and hash(p) == hash(q)
+        assert repr(p) == repr(q)
+        assert bits(np.array([p.z])) == bits(np.array([q.z]))
+        assert p.is_infinity is q.is_infinity
+        for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert back == p and hash(back) == hash(p)
+            assert bits(np.array([back.z])) == bits(np.array([p.z]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.z = 1j
+        assert not hasattr(p, "__dict__")
+    assert SpherePoint(1) != SpherePoint(1, True)
+    assert SpherePoint(2j) == SpherePoint.from_value(2j)
+    assert len({SpherePoint(1), SpherePoint(1.0 + 0j)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +762,6 @@ def test_kms_lyubich_tree_keeps_its_node_budget(monkeypatch):
 
 Z2 = RationalMap([0, 0, 1])
 POLE3 = RationalMap([1, 1], [0, 0, 0, 1])   # (z + 1)/z^3, R(oo) = 0
-T3 = get("tchebychev_n").map
 
 
 def _sphere_fn(seed):
@@ -638,7 +858,9 @@ def test_depth_sums_match_the_grouped_sums(R, bases, n):
         y = SpherePoint.infinity() if isinf[j] else SpherePoint(z[j])
         _assert_row_sums(inner_product(R, n, f, g, y),
                          *(x[j] for x in want))
-    ff = _grouped(R, z, isinf, n, lambda p, q: np.abs(f.at(p, q)) ** 2)
+    # conj(f) f, as norm_two adds it: |f|^2 through np.abs rounds apart
+    ff = _grouped(R, z, isinf, n,
+                  lambda p, q: np.conj(f.at(p, q)) * f.at(p, q))
 
     def norm(v):
         return float(np.max(np.sqrt(np.maximum(v.real, 0))))

@@ -240,12 +240,11 @@ def test_local_multiplicity():
 def test_root_budget_raises():
     # fibers beyond the floating-point range fail cleanly on every route:
     # over 1e-320 the preimage of 1/z is 1e320, 1/z^3 overflows its monic
-    # polynomial (its preimages, 4.6e106, are finite); and over tiny y the
-    # preimages of (1 + z^2) / z^3, near +-i and at 1/y, spread over more
-    # scales than one companion matrix resolves
+    # polynomial (its preimages, 4.6e106, are finite); and over 2.6e-275
+    # the preimages of (1 + z^2) / z^3, near +-i and at 1/y, spread over
+    # more scales than floating point holds
     cases = [(RationalMap([1], [0, 1]), 1e-320),
              (RationalMap([1], [0, 0, 0, 1]), 1e-320),
-             (RationalMap([1, 0, 1], [0, 0, 0, 1]), 1e-40),
              (RationalMap([1, 0, 1], [0, 0, 0, 1]), 2.6e-275)]
     for R, y in cases:
         with pytest.raises(NonConvergence):
@@ -254,6 +253,28 @@ def test_root_budget_raises():
             list(tree_levels(R, y, 1))
         with pytest.raises(NonConvergence):
             backward_walk(R, y, 1, 4, np.random.default_rng(0))
+
+
+def test_spread_fiber_solves_on_every_route():
+    # over 1e-40 the preimages of (1 + z^2) / z^3 lie near +-i and at
+    # 1e40; the closed-form cubic, deflated by its largest root, keeps all
+    # three to working precision on every route (the companion eigenvalues
+    # lost the two near +-i, and the solve raised NonConvergence)
+    R = RationalMap([1, 0, 1], [0, 0, 0, 1])
+    want = np.array([-1j, 1j, 1e40])
+
+    def close(z):
+        gap = np.abs(np.asarray(z)[:, None] - want[None, :])
+        assert np.all(gap.min(axis=1) <= 1e-15 * np.abs(want[gap.argmin(
+            axis=1)]))
+    fib = preimages(R, 1e-40)
+    assert fib.indices() == [1, 1, 1] and not fib.isinf.any()
+    close(fib.z)
+    (pts, isinf, idx), = tree_levels(R, 1e-40, 1)
+    assert idx.tolist() == [1, 1, 1] and not isinf.any()
+    close(pts)
+    walk = backward_walk(R, 1e-40, 1, 4, np.random.default_rng(0))
+    close(walk[0].ravel())
 
 
 def _pairwise(a, b):
@@ -348,7 +369,8 @@ def _old_points(z, isinf):
 
 def _old_root_set(c):
     """`roots_with_multiplicity` as it built its RootSet point by point."""
-    from ratdyn.numkernel import RootSet, _cluster_rows, _row_roots
+    from ratdyn.numkernel import RootSet, _row_roots
+    from test_kernel_oracles import _cluster_rows
     c = poly_trim(np.asarray(c, dtype=complex))
     centers, counts, _ = _cluster_rows(*_row_roots(c[None, :]))
     centers = centers + 0.0
@@ -445,7 +467,7 @@ def _lexsort_cluster_rows(roots, label):
 def test_cluster_rows_order_as_the_lexsort(data):
     # parts from a small pool give exact ties in re, in im and in both,
     # and +-0.0; tied clusters leave inf in their other slots
-    from ratdyn.numkernel import _cluster_rows
+    from test_kernel_oracles import _cluster_rows
     d = data.draw(st.integers(2, 5))
     m = data.draw(st.integers(1, 6))
     part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
