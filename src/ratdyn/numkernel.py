@@ -34,9 +34,9 @@ EPS = float(np.finfo(float).eps)
 GUARD = 10.0
 
 # Roots closer than LINK times their rounding-noise radius are candidates
-# for one multiple root. Eigenvalues scatter by the solver's backward
-# error, which can far exceed the Horner noise at the root; a wide radius
-# only costs acceptance tests.
+# for one multiple root. Closed-form roots and eigenvalues scatter by the
+# solve's backward error, which can far exceed the Horner noise at the
+# root; a wide radius only costs acceptance tests.
 LINK = 1e5
 
 
