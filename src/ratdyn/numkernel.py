@@ -146,9 +146,8 @@ class _PointSet:
 
     def __init__(self, z, isinf):
         isinf = np.array(isinf, dtype=bool)
-        z = np.array(z, dtype=complex)
-        np.copyto(z, 0j, where=isinf)
-        if np.count_nonzero(np.isfinite(z)) < z.size:
+        z = np.where(isinf, 0j, np.asarray(z, dtype=complex))
+        if not np.isfinite(z).all():
             raise ValueError("finite point with non-finite components")
         z.flags.writeable = isinf.flags.writeable = False
         self.__dict__.update(z=z, isinf=isinf)
@@ -164,7 +163,7 @@ class _PointSet:
         pts = list(map(object.__new__, repeat(SpherePoint, n)))
         deque(map(_SET_Z, pts, self.z.tolist()), 0)
         deque(map(_SET_INF, pts, repeat(False, n)), 0)
-        if np.count_nonzero(self.isinf):
+        if self.isinf.any():
             inf = SpherePoint.infinity()
             for k in np.flatnonzero(self.isinf).tolist():
                 pts[k] = inf
@@ -593,10 +592,8 @@ def local_multiplicity(coeffs, x):
 
 @functools.lru_cache(maxsize=None)
 def _pairs(d):
-    """Index pairs i < j of d roots, and i and j end to end, cached per
-    degree."""
-    i, j = np.triu_indices(d, 1)
-    return i, j, np.concatenate((i, j))
+    """Index pairs i < j of d roots, cached per degree."""
+    return np.triu_indices(d, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -614,36 +611,20 @@ _CUBE = np.array([1.0, complex(-0.5, 0.8660254037844386),
 _CUBE_BAR = _CUBE.conj()
 
 
-def _quadratic(c0, c1, c2=None):
-    """The roots (q / c2, c0 / q) of c2 u^2 + c1 u + c0 (c2 None: 1),
-    stacked on a last axis: q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the
-    sign that avoids cancellation; q = 0 is a double root at the origin,
-    0 twice."""
-    sq = np.sqrt(c1 * c1 - (4.0 * c0 if c2 is None else 4.0 * c2 * c0))
+def _quadratic(c0, c1, c2):
+    """The roots (q / c2, c0 / q) of c2 u^2 + c1 u + c0, stacked on a last
+    axis: q = -(c1 + sqrt(c1^2 - 4 c2 c0)) / 2 with the sign that avoids
+    cancellation; q = 0 is a double root at the origin, 0 twice."""
+    sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
     sq = np.where(c1.real * sq.real + c1.imag * sq.imag < 0.0, -sq, sq)
     q = -0.5 * (c1 + sq)
     u = np.empty(c0.shape + (2,), dtype=complex)
-    if c2 is None:
-        u[..., 0] = q
-    else:
-        np.divide(q, c2, out=u[..., 0])
+    np.divide(q, c2, out=u[..., 0])
     np.divide(c0, q, out=u[..., 1])
-    if np.count_nonzero(np.isfinite(u[..., 1])) < q.size:   # c0 / q = 0 / 0
+    if not np.isfinite(u[..., 1]).all():   # c0 / q = 0 / 0
         np.copyto(u[..., 1], 0j, where=q == 0)
     return u
 
-
-# the maximum along an axis, without the ndarray.max wrapper's cost on
-# small arrays
-_MAX = np.maximum.reduce
-
-
-# complex constants for the closed forms: numpy takes a complex array
-# times a complex 0-d array at half the cost of a complex array times a
-# Python float
-_PLUS_MINUS = np.array([1.0 + 0j, -1.0])
-_C = {x: np.array(complex(x)) for x in (0.125, 0.25, 0.5, 1 / 3, 2, 3, 4,
-                                         6, 8)}
 
 # a closed-form row whose smallest root is below this times its largest is
 # deflated by its largest root (`_closed_roots`); against 40-digit roots,
@@ -657,13 +638,13 @@ def _cardano(c0, c1, c2):
     t = u + c2 / 3, with the sign of the square root that avoids
     cancellation in the cube w^3 and the other term v = -p / (3 w) set to
     0 at w = 0."""
-    a = c2 / _C[3]
+    a = c2 / 3
     sq = a * a
-    k = c1 / _C[3] - sq                            # p / 3
-    h = _C[0.5] * (c0 - a * (c1 - _C[2] * sq))     # q / 2
+    k = c1 / 3 - sq                        # p / 3
+    h = 0.5 * (c0 - a * (c1 - 2 * sq))     # q / 2
     s = np.sqrt(h * h + k * k * k)
     s = s * np.copysign(1.0, h.real * s.real + h.imag * s.imag)
-    w = (h + s) ** _C[1 / 3]   # -w is a cube root of -q/2 - s
+    w = (h + s) ** (1 / 3)   # -w is a cube root of -q/2 - s
     v = k / (w + (w == 0))
     return v[:, None] * _CUBE_BAR - (w[:, None] * _CUBE + a[:, None])
 
@@ -673,17 +654,18 @@ def _ferrari(c0, c1, c2, c3):
     formula in t = u + c3 / 4, through the largest root z of the resolvent
     cubic and the two stable quadratics t^2 -+ s t + p / 2 + z +- q / (2 s),
     s = sqrt(2 z)."""
-    a = c3 / _C[4]
+    a = c3 / 4
     sq = a * a
-    p = c2 - _C[6] * sq
-    q = c1 - a * (_C[2] * c2 - _C[8] * sq)
-    r = c0 - a * (c1 - a * (c2 - _C[3] * sq))
-    z = _cardano(-(_C[0.125] * (q * q)), _C[0.25] * (p * p) - r, p)
+    p = c2 - 6 * sq
+    q = c1 - a * (2 * c2 - 8 * sq)
+    r = c0 - a * (c1 - a * (c2 - 3 * sq))
+    z = _cardano(-(0.125 * (q * q)), 0.25 * (p * p) - r, p)
     z = z[np.arange(z.shape[0]), np.abs(z).argmax(axis=1)]   # the largest
-    s = np.sqrt(_C[2] * z)
-    h = q / (_C[2] * s + (s == 0))
-    t = _quadratic((_C[0.5] * p + z)[:, None] + h[:, None] * _PLUS_MINUS,
-                   s[:, None] * -_PLUS_MINUS)
+    s = np.sqrt(2 * z)
+    h = q / (2 * s + (s == 0))
+    pm = np.array([1.0, -1.0])
+    t = _quadratic((0.5 * p + z)[:, None] + h[:, None] * pm,
+                   s[:, None] * -pm, 1.0)
     return t.reshape(-1, 4) - a[:, None]
 
 
@@ -698,23 +680,31 @@ def _closed_roots(c):
     or `_ferrari` is kept; the rest come from the row deflated by it
     backward, from the constant term, as W. Kahan does ("To solve a real
     cubic equation", 1986): the quotient keeps the small roots' products.
+    Its roots may be any amount smaller, so it is solved at the scale
+    `_balance` gives it.
     """
     d = len(c)
     if d == 2:
-        return _quadratic(c[0], c[1])
+        return _quadratic(c[0], c[1], 1.0)
     u = _cardano(*c) if d == 3 else _ferrari(*c)
-    # the moduli root by root, each a contiguous run over the rows: numpy
-    # reduces along such runs many times faster than along short rows
-    au = np.abs(u.T, order="C")
-    far = np.minimum.reduce(au) < _SPREAD * _MAX(au)
-    if np.count_nonzero(far):
+    au = np.abs(u)
+    far = au.min(axis=1) < _SPREAD * au.max(axis=1)
+    if far.any():
         rows = np.flatnonzero(far)
-        top = u[rows, au[:, rows].argmax(axis=0)]
-        low = [-c[0][rows] / top]
+        top = u[rows, au[rows].argmax(axis=1)]
+        low = np.empty((rows.size, d - 1), dtype=complex)
+        low[:, 0] = -c[0][rows] / top
         for n in range(1, d - 1):
-            low.append((low[-1] - c[n][rows]) / top)
+            low[:, n] = (low[:, n - 1] - c[n][rows]) / top
+        wide, e = _balance(np.abs(low))
+        if e is not None:
+            power = e[:, None] * (np.arange(1, d) - d)
+            low[wide] = _ldexp(low[wide], power)
+        v = _closed_roots(list(low.T))
+        if e is not None:
+            v[wide] = _ldexp(v[wide], e[:, None])
         u[rows, 0] = top
-        u[rows, 1:] = _closed_roots(low)
+        u[rows, 1:] = v
     return u
 
 
@@ -783,8 +773,9 @@ def _tie(roots, g, size, near, i, j):
     return label, out[np.arange(t)[:, None], label]
 
 
-# a monic row of degree 3 or more with a coefficient above this is scaled
-# to its root bound before the solve
+# a monic row of degree 3 or more with a coefficient above this, or whose
+# coefficients are all below its inverse and not all 0, is scaled to its
+# root bound before the solve
 _UNBALANCED = 2.0 ** 32
 
 
@@ -795,7 +786,31 @@ def _ldexp(z, n):
     return np.ldexp(z, n)
 
 
-@np.errstate(all="ignore")   # non-finite results raise NonConvergence
+def _balance(ag):
+    """(rows, e): the monic rows, given by the moduli ag (m, d) of their
+    other coefficients (constant term first), that are to be solved in
+    u = z / 2^e, and for each the integer e nearest to log2 of its root
+    bound max_k ag_k^(1/(d-k)); (None, None) when there are none. A row
+    is scaled when its largest coefficient is above _UNBALANCED or below
+    1 / _UNBALANCED but not 0: the closed forms square and cube terms of
+    the size of its roots' powers, which leave the floating-point range
+    first."""
+    top = ag.max(axis=1)
+    rows = (top > _UNBALANCED) | ((top < 1.0 / _UNBALANCED) & (top > 0.0))
+    if not rows.any():
+        return None, None
+    with np.errstate(divide="ignore"):
+        bound = np.max(np.log2(ag[rows]) / np.arange(ag.shape[1], 0, -1),
+                       axis=1)
+    return rows, np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
+
+
+def _missed(val, mag):
+    """The roots whose residual val is above 1e-3 of its Horner magnitude
+    mag, or not finite, or whose Horner sum overflowed."""
+    return ~(np.abs(val) <= 1e-3 * mag) | np.isinf(mag)
+
+
 def _row_roots(f, s=None):
     """The roots of every row of f, multiplicities decided by one tie rule.
 
@@ -810,8 +825,9 @@ def _row_roots(f, s=None):
     d <= 4 uses closed forms (`_quadratic`, `_closed_roots`), d >= 5 the
     eigenvalues of the companion matrices; for d >= 3 one Newton step on
     each simple root follows. A d >= 3 row with a monic coefficient above
-    _UNBALANCED is solved in u = z / 2^e, with e the integer nearest to
-    log2 of the root bound max_k |f_k / f_d|^(1/(d-k)), so that the solve
+    _UNBALANCED, or with all of them below 1 / _UNBALANCED and not all 0,
+    is solved in u = z / 2^e, with e the integer nearest to log2 of the
+    root bound max_k |f_k / f_d|^(1/(d-k)) (`_balance`), so that the solve
     sees roots of size about 1 and its Horner sums stay in range. The
     decision is made row by row, so a row's roots never depend on the
     other rows of its batch. The tie rule follows Z. Zeng, "Computing
@@ -829,25 +845,21 @@ def _row_roots(f, s=None):
     """
     m, d = f.shape[0], f.shape[1] - 1
     g, size, e = f, (np.abs(f) if s is None else s), None
-    if d == 1:
-        u = -f[:, :1] / f[:, 1:]
-    elif d == 2:
-        u = _quadratic(f[:, 0], f[:, 1], f[:, 2])
+    if d <= 2:
+        with np.errstate(all="ignore"):   # non-finite roots raise below
+            u = (-f[:, :1] / f[:, 1:] if d == 1
+                 else _quadratic(f[:, 0], f[:, 1], f[:, 2]))
     else:
         lead = f[:, -1:]
-        g, size = f / lead, size / np.abs(lead)
-        ag = np.abs(g)
-        top = _MAX(ag, axis=None)
-        if not (math.isfinite(top) and math.isfinite(_MAX(size, axis=None))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, size = f / lead, size / np.abs(lead)
+        if not (np.isfinite(g).all() and np.isfinite(size).all()):
             raise NonConvergence(
                 "a fiber polynomial leaves the floating-point range once "
                 "normalized")
-        if top > _UNBALANCED:
-            wide = _MAX(ag, axis=1) > _UNBALANCED
+        wide, e = _balance(np.abs(g[:, :-1]))
+        if e is not None:
             gw = g[wide]
-            bound = np.max(np.log2(ag[wide, :-1]) / np.arange(d, 0, -1),
-                           axis=1)
-            e = np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
             power = e[:, None] * (np.arange(d + 1) - d)
             scaled = _ldexp(gw, power)
             big = np.abs(gw) > EPS * np.max(np.abs(gw), axis=1, keepdims=True)
@@ -856,20 +868,21 @@ def _row_roots(f, s=None):
                     "fiber roots spread over more scales than floating "
                     "point holds")
             g[wide], size[wide] = scaled, _ldexp(size[wide], power)
-        if d <= 4:
-            u = _closed_roots([g[:, k] for k in range(d)])
-        else:
-            comp = np.empty((m, d, d), dtype=complex)
-            comp[:] = _companion(d)
-            np.negative(g[:, :-1], out=comp[:, :, -1])
-            u = np.linalg.eigvals(comp)
+        with np.errstate(all="ignore"):   # non-finite roots raise below
+            if d <= 4:
+                u = _closed_roots([g[:, k] for k in range(d)])
+            else:
+                comp = np.empty((m, d, d), dtype=complex)
+                comp[:] = _companion(d)
+                np.negative(g[:, :-1], out=comp[:, :, -1])
+                u = np.linalg.eigvals(comp)
     if np.count_nonzero(np.isfinite(u)) < u.size:
         raise NonConvergence("fiber roots beyond the floating-point range")
     if d == 1:
         return u, None
     # candidates: |x - y| <= r_x + r_y, multiplied out so that a root with
     # a vanishing derivative (an infinite radius) links to everything
-    i, j, ij = _pairs(d)
+    i, j = _pairs(d)
     if d == 2:
         # |f'| at either root of a quadratic is |c2| times their distance
         au = np.abs(u)
@@ -880,12 +893,10 @@ def _row_roots(f, s=None):
         near = (np.abs(f[:, 2]) * gap * gap <= LINK * EPS * mag)[:, None]
     else:
         val, der, mag = _horner(g, size, u)
-        # one gather per array: columns ij hold every pair's x, then its y
-        n = i.size
-        x, slope, xm = u[:, ij], np.abs(der)[:, ij], mag[:, ij]
-        near = (np.abs(x[:, :n] - x[:, n:]) * slope[:, :n] * slope[:, n:]
-                <= LINK * EPS * (xm[:, :n] * slope[:, n:]
-                                 + xm[:, n:] * slope[:, :n]))
+        slope = np.abs(der)
+        near = (np.abs(u[:, i] - u[:, j]) * slope[:, i] * slope[:, j]
+                <= LINK * EPS * (mag[:, i] * slope[:, j]
+                                 + mag[:, j] * slope[:, i]))
     label = None
     if np.count_nonzero(near):
         tied = np.flatnonzero(near.any(axis=1))
@@ -896,16 +907,17 @@ def _row_roots(f, s=None):
         u = u.copy()
         u[tied] = np.where(merged, centre, u[tied])
     if d >= 3:
-        step = val / der
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = val / der   # a non-finite step is not taken
         if label is not None:
             step[tied] = np.where(merged, np.nan, step[tied])
         np.subtract(u, step, out=u, where=np.isfinite(step))
         # a root far from any root that Newton did not bring in means the
         # row's roots spread over more scales than the solve resolves
-        if np.count_nonzero(np.abs(val) > 1e-3 * mag):
-            far = (np.abs(val) > 1e-3 * mag).any(axis=1)
+        far = _missed(val, mag).any(axis=1)
+        if far.any():
             val, _, mag = _horner(g[far], size[far], u[far])
-            if np.any(np.abs(val) > 1e-3 * mag):
+            if np.any(_missed(val, mag)):
                 raise NonConvergence("the root solve missed roots")
     if e is not None:
         u[wide] = _ldexp(u[wide], e[:, None])
@@ -932,7 +944,8 @@ def _sort_rows(roots, label):
     if m > 1:
         order += d * np.arange(m)[:, None]
     order = order.ravel()
-    return roots.ravel()[order], None if label is None else label.ravel()[order]
+    return (roots.ravel()[order],
+            None if label is None else label.ravel()[order])
 
 
 def _merge_runs(label, d, *columns):

@@ -29,6 +29,7 @@ from ratdyn.numkernel import (
     _closed_roots,
     _horner,
     _merge_runs,
+    _missed,
     _ldexp,
     _pairs,
     _row_roots,
@@ -85,7 +86,8 @@ def _ref_row_roots(f, s=None, eigvals=False):
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             g, size = f / f[:, -1:], size / np.abs(f[:, -1:])
-        if np.abs(g).max(initial=0.0) > _UNBALANCED:
+        top = np.abs(g[:, :-1]).max(axis=1)
+        if np.any((top > _UNBALANCED) | ((top < 1 / _UNBALANCED) & (top > 0))):
             with np.errstate(divide="ignore"):
                 bound = np.max(np.log2(np.abs(g[:, :-1]))
                                / np.arange(d, 0, -1), axis=1)
@@ -102,7 +104,7 @@ def _ref_row_roots(f, s=None, eigvals=False):
             u = np.linalg.eigvals(comp)
     if d == 1:
         return u, None
-    i, j, _ = _pairs(d)
+    i, j = _pairs(d)
     if d == 2:
         a1, a2 = np.abs(u[:, 0]), np.abs(u[:, 1])
         mag = (2.0 * size[:, 0] + size[:, 1] * (a1 + a2)
@@ -497,6 +499,34 @@ def test_far_roots_are_found_or_refused():
         assert rs.multiplicities() == [1] * len(roots)
         assert np.allclose(got, sorted(roots), rtol=1e-12, atol=0.0)
         assert max(abs(p.z.imag) / abs(p.z) for p in rs.points()) < 1e-12
+
+
+@pytest.mark.parametrize("big,small", [
+    ([-1.0], [1e-85, -1e-85]),
+    ([-1.0], 1e-100 * np.exp(2j * np.pi * np.arange(3) / 3)),
+    ([-1e-20], 1e-77 * np.exp(2j * np.pi * np.arange(3) / 3)),
+    ([-1.0, 2.0], [1e-120, -3e-121j])])
+def test_spread_rows_with_tiny_roots_solve(big, small):
+    # a row deflated by its largest root leaves a quotient whose roots may
+    # be any amount smaller: it is solved at its own scale, so its roots
+    # come out to full relative accuracy, far below where squaring them
+    # underflows
+    c = np.array([1.0 + 0j])
+    for x in [*big, *small]:
+        c = np.convolve(c, [-x, 1.0])
+    rs = roots_with_multiplicity(c)
+    assert rs.multiplicities() == [1] * (c.size - 1)
+    got = np.array([p.z for p in rs.points()])
+    for x in [*big, *small]:
+        assert np.min(np.abs(got - x)) <= 1e-12 * abs(x)
+
+
+def test_missed_roots_include_non_finite_residuals():
+    # the far-root gate: a residual above 1e-3 of its Horner magnitude, a
+    # NaN residual and an overflowed Horner sum all count as missed roots
+    val = np.array([1e-4, 2e-3, np.nan, np.inf, 1.0])
+    mag = np.array([1.0, 1.0, 1.0, np.inf, np.inf])
+    assert _missed(val, mag).tolist() == [False, True, True, True, True]
 
 
 def test_values_at_matches_the_complex_loop():

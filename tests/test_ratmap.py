@@ -279,10 +279,12 @@ def test_multiple_roots_on_every_route():
 
 def test_tiny_fibers_of_powers():
     # z^m over tiny w: m simple preimages w^(1/m) e^(2 pi i k / m) at
-    # relative error 1e-12, on every route
+    # relative error 1e-12, on every route; below 1e-100 the closed forms'
+    # squares and cubes of w would underflow unless the row is scaled
     for m in range(3, 7):
         R = RationalMap([0] * m + [1])
-        for w in (1e-12, 1e-18, 1e-24, 1e-30):
+        for w in (1e-12, 1e-18, 1e-24, 1e-30, 1e-106, 1e-110, 1e-161,
+                  1e-170, 1e-300):
             pts, idx = _fiber_on_every_route(R, w)
             exact = w ** (1 / m) * np.exp(2j * np.pi * np.arange(m) / m)
             gap = np.abs(pts[:, None] - exact[None, :]).min(axis=0)
