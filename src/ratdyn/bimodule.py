@@ -17,7 +17,6 @@ Gram matrices are over distinct fiber points, one `_expand_level` call.
 """
 
 import math
-import json
 
 import numpy as np
 from dataclasses import dataclass
@@ -26,8 +25,8 @@ from .errors import (BudgetExceeded, CoverTooCoarse, FrameUnavailable,
                      WitnessFailed)
 from .julia import _sample_arrays, critical_points_in_julia
 from .numkernel import (SpherePoint, _Evaluator, _PointSet, _as_arrays,
-                        _values_at, chordal_distances, embed_points,
-                        sphere_embed)
+                        _values_at, _write_json, chordal_distances,
+                        embed_points, sphere_embed)
 from .ratmap import (NODE_BUDGET, _evaluate_arrays, _expand_level, _leaves,
                      _row_sums, _sorted_table)
 
@@ -511,6 +510,4 @@ class ProductOnGraph(_Evaluator):
 
 
 def write_witness_json(path, report):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, report)

@@ -13,7 +13,6 @@ runs are byte-identical.
 """
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RatdynError, UnknownExample, WitnessFailed
-from .numkernel import SpherePoint, poly_add, poly_mul
+from .numkernel import SpherePoint, _write_json, poly_add, poly_mul
 from .ratmap import RationalMap, critical_points, preimages, preimage_tree
 from .julia import (_STAT_WALKERS, _check_window, _render_start,
                     critical_points_in_julia, render,
@@ -321,13 +320,15 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+def _fmt_complex(z):
+    if z.imag == 0.0:
+        return _fmt(z.real)
+    sign = "" if z.imag < 0.0 else "+"   # a negative part brings its "-"
+    return f"{_fmt(z.real)}{sign}{_fmt(z.imag)}i"
+
+
 def _fmt_point(p):
-    if p.is_infinity:
-        return "inf"
-    if p.z.imag == 0.0:
-        return _fmt(p.z.real)
-    sign = "" if p.z.imag < 0.0 else "+"   # a negative part brings its "-"
-    return f"{_fmt(p.z.real)}{sign}{_fmt(p.z.imag)}i"
+    return "inf" if p.is_infinity else _fmt_complex(p.z)
 
 
 def _parse_point(text):
@@ -496,12 +497,9 @@ def _cmd_kms(args, cfg):
     run = kms_iterate(R, a, levels, cloud[::step][:nprobe], julia_sample=cloud)
     if args.out:
         write_trace_csv(args.out, run.traces)
-    fc = run.final_constant
-    imag = "" if fc.imag == 0.0 else \
-        ("+" if fc.imag > 0 else "") + _fmt(fc.imag) + "i"
     print(f"beta: {_fmt(run.beta)}")
     print(f"final_sup_variation: {_fmt(run.traces[-1].sup_variation)}")
-    print(f"final_constant: {_fmt(fc.real)}{imag}")
+    print(f"final_constant: {_fmt_complex(run.final_constant)}")
     print(f"lyubich_value: {_fmt(run.lyubich_value.real)}")
     print(f"lyubich_gap: {_fmt(run.lyubich_gap)}")
     print(f"hypothesis: {run.hypothesis}")
@@ -558,9 +556,7 @@ def _cmd_verify(args, cfg):
                   + (f" ({keys})" if keys else ""))
         print(f"{r['name']}: {'passed' if r['passed'] else 'FAILED'}")
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(rep, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.out, rep)
         print(f"wrote report to {args.out}")
     return 0 if rep["passed"] else 1
 

@@ -5,12 +5,13 @@ in J, and choosing each preimage x with probability e(x)/d makes the visit
 law consistent with the balanced measure the rest of the package integrates
 against. Each step draws a uniform column of ratmap's fiber table, whose
 rows list x e(x) times. Escape-time classification covers the polynomial
-case.
+case, through one orbit loop (`_escape_counts`).
 
 A sample is a `JuliaCloud`, an array-backed point set; `read_cloud_csv`
 reads the point CSV format back to a point tuple that keeps its arrays.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import BudgetExceeded
 from .numkernel import (SpherePoint, _PointSet, _as_arrays, _as_pair,
                         _read_points_csv, _write_points_csv, chordal_distance,
-                        embed_points, sphere_embed, sphere_nearest)
+                        embed_points, poly_eval, sphere_embed,
+                        sphere_nearest)
 from .ratmap import _fiber_table, critical_points, evaluate
 
 BURN_IN = 20
@@ -42,8 +44,7 @@ class JuliaCloud(_PointSet):
     `points`, and iteration, give them as SpherePoints, built on first
     access; `mesh` is measured on first access. A slice is the sub-cloud
     of those samples. generator names the numeric criterion the points
-    satisfy: "inverse_iteration" (backward-walk samples) or
-    "escape_boundary".
+    satisfy: "inverse_iteration" (backward-walk samples).
     """
     z: np.ndarray
     isinf: np.ndarray
@@ -136,8 +137,38 @@ def sample_inverse_iteration(R, start, depth=60, count=2000, seed=0,
 # ---------------------------------------------------------------------------
 
 def default_escape_radius(R):
-    """max(2, largest numerator coefficient magnitude + 1)."""
-    return max(2.0, float(np.max(np.abs(R._p))) + 1.0)
+    """max(2, max_k |P_k| + 1, rho), rho the one positive root of |a_d| r^d
+    - sum_{k<d} |a_k| r^k - r with a = P / Q0: beyond rho, |p(z)| > |z| and
+    orbits escape (Milnor, Dynamics in One Complex Variable, 3rd ed., 2006)."""
+    f = -np.abs(R._p / R._q[0])
+    f[-1] *= -1.0
+    f[1:2] -= 1.0   # the -r term; a constant map has none
+    rho = np.roots(f[::-1]).real.max(initial=0.0)
+    return max(2.0, float(np.max(np.abs(R._p))) + 1.0, float(rho))
+
+
+def _escape_counts(c, z, radius, max_iter):
+    """For each start z_0 = z, the first k < max_iter with |z_k| > radius,
+    where z_{k+1} = poly(c)(z_k), or -1 when there is none. c is a (d + 1,)
+    coefficient table, constant term first, or (d + 1, n) for one map per
+    start. `poly_eval`, whose bits do not depend on numpy's SIMD dispatch,
+    steps the live orbits only. max_iter below 1 and a non-finite
+    coefficient raise ValueError."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not np.isfinite(c).all():
+        raise ValueError("an escape-time map needs finite coefficients")
+    z = np.asarray(z, dtype=complex).ravel()
+    count, live = np.full(z.size, -1), np.arange(z.size)
+    for k in range(max_iter):
+        out = np.hypot(z.real, z.imag) > radius
+        if out.any():   # escaped orbits leave the live arrays
+            count[live[out]] = k
+            live, z, c = live[~out], z[~out], c[:, ~out] if c.ndim > 1 else c
+            if not live.size:
+                break
+        z = poly_eval(c, z)
+    return count
 
 
 def escape_membership(R, z, max_iter=256, escape_radius=None):
@@ -147,26 +178,22 @@ def escape_membership(R, z, max_iter=256, escape_radius=None):
     if escape_radius is None:
         escape_radius = default_escape_radius(R)
     zv, zinf = _as_pair(z)
-    if zinf:
-        return "escapes"
-    c = R._p / R._q[0]
-    w = complex(zv)
-    for _ in range(max_iter):
-        if abs(w) > escape_radius:
-            return "escapes"
-        w = complex(np.polynomial.polynomial.polyval(w, c))
-    return "bounded"
+    count = _escape_counts(R._p / R._q[0], np.inf if zinf else zv,
+                           escape_radius, max_iter)
+    return "bounded" if count[0] < 0 else "escapes"
 
 
 def mandelbrot_member(c, max_iter=256):
     """True iff the orbit of 0 under z^2 + c stays within radius 2."""
-    c = complex(c)
-    z = 0j
-    for _ in range(max_iter):
-        z = z * z + c
-        if abs(z) > 2.0:
-            return False
-    return True
+    return bool(_mandelbrot_counts(c, max_iter)[0] < 0)
+
+
+def _mandelbrot_counts(c, max_iter=256):
+    """`_escape_counts` of 0 under z^2 + c for each parameter c: the table
+    [c, 0, 1], started at z_1 = c, with radius 2."""
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    table = np.stack([c, np.zeros_like(c), np.ones_like(c)])
+    return _escape_counts(table, c, 2.0, max_iter)
 
 
 def critical_points_in_julia(R, points, tol=1e-3):
@@ -205,7 +232,7 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
            depth=60, seed=0):
     """Grayscale image of the dynamics over a rectangular window.
 
-    window = (re_min, re_max, im_min, im_max); resolution int or (w, h).
+    window = (re_min, re_max, im_min, im_max); resolution integer or (w, h).
     Escape-time shading for polynomial maps (interior white, exterior shaded
     by escape speed); inverse-iteration density histogram otherwise. Row 0
     is the top of the window. Deterministic for a fixed seed. A window
@@ -218,10 +245,7 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
     x0, x1, y0, y1 = _check_window(window)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if isinstance(resolution, int):
-        w = h = resolution
-    else:
-        w, h = resolution
+    w, h = map(operator.index, np.broadcast_to(resolution, 2))
     if w * h > MAX_PIXELS:
         raise BudgetExceeded(f"{w}x{h} exceeds the pixel budget")
     if w <= 0 or h <= 0:
@@ -234,20 +258,10 @@ def render(R, window, resolution, mode="auto", max_iter=96, samples=40000,
         xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
         ys = y1 - (np.arange(h) + 0.5) * (y1 - y0) / h
         z = xs[None, :] + 1j * ys[:, None]
-        c = R._p / R._q[0]
-        radius = default_escape_radius(R)
-        count = np.zeros(z.shape, dtype=np.int32)
-        alive = np.ones(z.shape, dtype=bool)
-        for k in range(max_iter):
-            out = alive & (np.abs(z) > radius)
-            count[out] = k
-            alive &= ~out
-            if not alive.any():
-                break
-            z[alive] = np.polynomial.polynomial.polyval(z[alive], c)
-        img = np.where(alive, 255,
-                       (254.0 * count / max_iter)).astype(np.uint8)
-        return img
+        count = _escape_counts(R._p / R._q[0], z, default_escape_radius(R),
+                               max_iter).reshape(h, w)
+        return np.where(count < 0, 255,
+                        254.0 * count / max_iter).astype(np.uint8)
     if mode != "density":
         raise ValueError(f"unknown render mode: {mode!r}")
     cloud = sample_inverse_iteration(
@@ -332,21 +346,13 @@ def circle_neighbor_stats(points, anchors=64):
     its two arc neighbors.
     """
     zs = np.asarray(points, dtype=complex)
-    center = np.mean(zs)
-    order = np.argsort(np.angle(zs - center))
-    zs = zs[order]
-    # greedy angular net
-    step = max(1, zs.size // anchors)
-    net = zs[::step]
+    zs = zs[np.argsort(np.angle(zs - np.mean(zs)))]
+    net = zs[::max(1, zs.size // anchors)]   # greedy angular net
     n = net.size
     if n < 4:
         return 0.0
-    good = 0
-    for i in range(n):
-        prev_d = abs(net[i] - net[(i - 1) % n])
-        next_d = abs(net[i] - net[(i + 1) % n])
-        r = 1.05 * max(prev_d, next_d)
-        cnt = int(np.sum(np.abs(net - net[i]) <= r)) - 1
-        if cnt == 2:
-            good += 1
-    return good / n
+    r = 1.05 * np.maximum(np.abs(net - np.roll(net, 1)),
+                          np.abs(net - np.roll(net, -1)))
+    # each anchor's neighbours within r, itself excluded
+    cnt = np.sum(np.abs(net - net[:, None]) <= r[:, None], axis=1) - 1
+    return np.count_nonzero(cnt == 2) / n

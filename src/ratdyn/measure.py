@@ -15,14 +15,13 @@ use the point format with its weight column and read back to arrays.
 """
 
 import functools
-import json
 import math
 
 import numpy as np
 
 from .numkernel import (SpherePoint, _PointSet, _as_arrays, _read_points_csv,
-                        _values_at, _write_points_csv, chordal_distance,
-                        sphere_embed)
+                        _values_at, _write_json, _write_points_csv,
+                        chordal_distance, sphere_embed)
 from .julia import BURN_IN, _walk
 from .ratmap import _evaluate_arrays, _leaves, _row_sums, tree_levels
 
@@ -249,7 +248,4 @@ def read_weighted_csv(path):
 
 
 def write_diagnostics_json(path, records):
-    payload = {"schema": 1, "records": records}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, {"schema": 1, "records": records})

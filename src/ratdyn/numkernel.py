@@ -17,6 +17,7 @@ multiplicities; `roots_with_multiplicity` is the one-row case of both.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -231,6 +232,12 @@ def _write_points_csv(path, z, isinf, w=None):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("re,im,is_infinity" + ("" if w is None else ",weight") + "\n")
         fh.write(text)
+
+
+def _write_json(path, obj):
+    """obj as ASCII JSON, keys sorted, indent 2, with a final newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _read_points_csv(path, weighted=False):
@@ -741,7 +748,8 @@ def _tie(roots, g, size, near, i, j):
     vanish (`_orders`) at its centre: the cluster mean after one Newton
     step on the (k-1)-th derivative (`_polish`). A rejected cluster loses
     every link at least half as long as its longest one, and its parts are
-    tried again. Returns (label, centre): each root's cluster label, and
+    tried again; one of equal roots cannot be split and raises
+    NonConvergence. Returns (label, centre): each root's cluster label, and
     the centre of its cluster (nan for simple roots).
     """
     t, d = roots.shape
@@ -764,6 +772,8 @@ def _tie(roots, g, size, near, i, j):
         bad, inside = rr[~ok], member[rr[~ok], ss[~ok]]
         within = link[bad] & inside[:, :, None] & inside[:, None, :] & off
         span = np.where(within, gap[bad], 0.0)
+        if not span.max(axis=(1, 2)).all():   # equal roots cannot split
+            raise NonConvergence("the root solve missed roots")
         cut = np.zeros_like(link)
         np.logical_or.at(cut, bad, within & (
             span >= 0.5 * span.max(axis=(1, 2))[:, None, None]))

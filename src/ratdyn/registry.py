@@ -18,8 +18,8 @@ from .errors import UnknownExample
 from .numkernel import _quotient, sphere_embed, sphere_nearest
 from .ratmap import (RationalMap, _evaluate_arrays, _expand_level,
                      critical_points)
-from .julia import (_STAT_WALKERS, critical_points_in_julia, render,
-                    sample_inverse_iteration, mandelbrot_member)
+from .julia import (_STAT_WALKERS, _mandelbrot_counts,
+                    critical_points_in_julia, render, sample_inverse_iteration)
 from .measure import lyubich_exact, integrate
 from .transfer import TestFunction, kms_iterate
 from .bimodule import build_frame, frame_delta_defect
@@ -282,21 +282,15 @@ def _check_tent_conjugacy(rec, R, seed, sample):
 def _check_cardioid(rec, R, seed, sample):
     # 50 parameters scaled into the cardioid, 50 far outside every bounded
     # orbit; the closed form and the escape iteration must agree on all
-    mismatches = []
-    for k in range(50):
-        th = 2.0 * np.pi * k / 50.0
-        c = 0.8 * (np.exp(1j * th) / 2.0 - np.exp(2j * th) / 4.0)
-        inside = abs(1.0 - np.sqrt(1.0 - 4.0 * c)) < 1.0
-        if inside != mandelbrot_member(c) or not inside:
-            mismatches.append([c.real, c.imag])
-    for k in range(50):
-        th = 2.0 * np.pi * (k + 0.5) / 50.0
-        c = 2.5 * np.exp(1j * th)
-        inside = abs(1.0 - np.sqrt(1.0 - 4.0 * c)) < 1.0
-        if inside or mandelbrot_member(c):
-            mismatches.append([c.real, c.imag])
-    return {"passed": not mismatches, "sampled": 100,
-            "mismatches": mismatches}
+    k = np.arange(50)
+    th, th_out = 2.0 * np.pi * k / 50.0, 2.0 * np.pi * (k + 0.5) / 50.0
+    c = np.concatenate([0.8 * (np.exp(1j * th) / 2.0 - np.exp(2j * th) / 4.0),
+                        2.5 * np.exp(1j * th_out)])
+    want = np.arange(100) < 50
+    inside = np.abs(1.0 - np.sqrt(1.0 - 4.0 * c)) < 1.0
+    bad = (inside != want) | ((_mandelbrot_counts(c) < 0) != want)
+    return {"passed": not bad.any(), "sampled": 100,
+            "mismatches": [[z.real, z.imag] for z in c[bad].tolist()]}
 
 
 def _check_fiber_sums(rec, R, seed, sample):

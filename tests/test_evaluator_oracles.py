@@ -288,6 +288,12 @@ for R in maps:
             h.update(np.array([p.z]).tobytes() + bytes([p.is_infinity]))
         h.update(poly_eval(R._p_pad, z).tobytes())
         h.update(_quotient(z, z[::-1] + 2.0).tobytes())
+# escape renders: z^2, z^2 - 0.75 and a cubic
+from ratdyn.julia import render
+for p, res in (([0, 0, 1], 128), ([-0.75, 0, 1], 128),
+               ([0.1 + 0.2j, 0.3, 0, 1], 96)):
+    h.update(render(RationalMap(p), (-1.6, 1.6, -1.6, 1.6), res,
+                    mode="escape").tobytes())
 print(h.hexdigest())
 """
 

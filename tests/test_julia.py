@@ -11,6 +11,7 @@ from ratdyn.julia import (
     backward_walk,
     circle_neighbor_stats,
     critical_points_in_julia,
+    default_escape_radius,
     escape_membership,
     mandelbrot_member,
     read_cloud_csv,
@@ -144,6 +145,9 @@ def test_escape_membership(z2):
     assert escape_membership(z2, 3.0) == "escapes"
     assert escape_membership(z2, 0.2) == "bounded"
     assert escape_membership(z2, 1.0) == "bounded"   # on the Julia set
+    # a non-finite point is infinity, which escapes
+    for z in (SpherePoint.infinity(), complex("nan"), float("inf")):
+        assert escape_membership(z2, z) == "escapes"
 
 
 def test_mandelbrot_member():
@@ -151,6 +155,41 @@ def test_mandelbrot_member():
     assert mandelbrot_member(-1.0) is True
     assert mandelbrot_member(0.26 + 0j) is False
     assert mandelbrot_member(1.5 + 1.5j) is False
+    for c in (float("nan"), complex("inf"), complex(0.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            mandelbrot_member(c)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            mandelbrot_member(5, max_iter=max_iter)
+
+
+def test_escape_radius_holds_the_filled_julia_set():
+    # 0.01 z^2 fixes the circle |z| = 100 and keeps the disc inside it
+    small = RationalMap([0, 0, 0.01])
+    assert default_escape_radius(small) == pytest.approx(100.0)
+    for z in (50.0, 99.0, 99j):
+        assert escape_membership(small, z) == "bounded"
+    assert escape_membership(small, 101.0) == "escapes"
+    img = render(small, (-120.0, 120.0, -120.0, 120.0), 24, mode="escape")
+    assert (img == 255).sum() > 0
+    # z^2 - 2z - 2 has the repelling fixed point (3 + sqrt 17) / 2 on J
+    assert default_escape_radius(RationalMap([-2, -2, 1])) >= \
+        (3.0 + np.sqrt(17.0)) / 2.0
+
+
+def test_beyond_the_escape_radius_orbits_grow():
+    # |p(z)| > |z| at random points beyond the radius of random
+    # polynomials, over several coefficient scales
+    from ratdyn.numkernel import poly_eval
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        d = int(rng.integers(2, 6))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, size=d + 1)
+        p = scale * (rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+        R = RationalMap(p)
+        r = default_escape_radius(R) * (1.0 + rng.uniform(1e-6, 2.0, 16))
+        z = r * np.exp(2j * np.pi * rng.random(16))
+        assert np.all(np.abs(poly_eval(R._p, z)) > np.abs(z))
 
 
 def test_critical_points_in_julia_counts(z2, zm2, t3, cloud_z2, cloud_zm2):
@@ -190,6 +229,16 @@ def test_render_refuses_max_iter_below_1(z2, mode):
         with pytest.raises(ValueError, match="max_iter"):
             render(z2, (-1.0, 1.0, -1.0, 1.0), 8, mode=mode,
                    max_iter=max_iter)
+        # every escape-time entry point shares the check
+        for z in (0.5, SpherePoint.infinity()):
+            with pytest.raises(ValueError, match="max_iter"):
+                escape_membership(z2, z, max_iter=max_iter)
+    # a resolution of any integer type
+    img = render(z2, (-1.0, 1.0, -1.0, 1.0), np.int64(24), mode=mode,
+                 samples=400)
+    assert img.shape == (24, 24)
+    assert render(z2, (-1.0, 1.0, -1.0, 1.0), (np.int32(6), np.uint8(4)),
+                  mode=mode, samples=400).shape == (4, 6)
 
 
 @pytest.mark.parametrize("window", [
@@ -303,3 +352,97 @@ def test_cloud_mesh_is_the_nearest_point_sweep(lattes, cloud_z2):
         assert cloud.mesh.hex() == float(want).hex()
     # a slice measures its own, wider mesh
     assert cloud_z2[::5].mesh > cloud_z2.mesh
+
+
+# references: the three escape-time loops that `_escape_counts` replaced,
+# kept as they were (numpy's polyval, complex abs, a per-point loop each)
+
+def _ref_radius(R):
+    return max(2.0, float(np.max(np.abs(R._p))) + 1.0)
+
+
+def _ref_render(R, window, res, max_iter):
+    x0, x1, y0, y1 = window
+    xs = x0 + (np.arange(res) + 0.5) * (x1 - x0) / res
+    ys = y1 - (np.arange(res) + 0.5) * (y1 - y0) / res
+    z = xs[None, :] + 1j * ys[:, None]
+    c = R._p / R._q[0]
+    count = np.zeros(z.shape, dtype=np.int32)
+    alive = np.ones(z.shape, dtype=bool)
+    for k in range(max_iter):
+        out = alive & (np.abs(z) > _ref_radius(R))
+        count[out] = k
+        alive &= ~out
+        if not alive.any():
+            break
+        z[alive] = np.polynomial.polynomial.polyval(z[alive], c)
+    return np.where(alive, 255, (254.0 * count / max_iter)).astype(np.uint8)
+
+
+def _ref_membership(R, z, max_iter=256):
+    c = R._p / R._q[0]
+    w = complex(z)
+    for _ in range(max_iter):
+        if abs(w) > _ref_radius(R):
+            return "escapes"
+        w = complex(np.polynomial.polynomial.polyval(w, c))
+    return "bounded"
+
+
+def _ref_mandelbrot(c, max_iter=256):
+    c = complex(c)
+    z = 0j
+    for _ in range(max_iter):
+        z = z * z + c
+        if abs(z) > 2.0:
+            return False
+    return True
+
+
+def _ref_circle_stats(points, anchors=64):
+    zs = np.asarray(points, dtype=complex)
+    zs = zs[np.argsort(np.angle(zs - np.mean(zs)))]
+    net = zs[::max(1, zs.size // anchors)]
+    n = net.size
+    if n < 4:
+        return 0.0
+    good = 0
+    for i in range(n):
+        r = 1.05 * max(abs(net[i] - net[(i - 1) % n]),
+                       abs(net[i] - net[(i + 1) % n]))
+        good += int(np.sum(np.abs(net - net[i]) <= r)) - 1 == 2
+    return good / n
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0, 0, 1], [-0.75, 0, 1], [0.2, 0, 1], [-2, 0, 1],
+    [0.1 + 0.2j, 0.3, 0, 1], [0, -3, 0, 4]],
+    ids=["z2", "z2-0.75", "z2+0.2", "z2-2", "cubic", "T3"])
+def test_escape_loop_matches_the_old_loops(coeffs):
+    # maps whose escape radius the root bound leaves as it was: the one
+    # orbit loop gives the old loops' images and answers bit for bit
+    R = RationalMap(coeffs)
+    assert default_escape_radius(R) == _ref_radius(R)
+    for window in ((-2.0, 2.0, -2.0, 2.0), (-0.5, 0.3, 0.1, 0.9)):
+        for res, max_iter in ((24, 96), (64, 40)):
+            assert np.array_equal(
+                render(R, window, res, mode="escape", max_iter=max_iter),
+                _ref_render(R, window, res, max_iter))
+    rng = np.random.default_rng(len(coeffs))
+    z = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
+    assert [escape_membership(R, w) for w in z] == \
+        [_ref_membership(R, w) for w in z]
+
+
+def test_mandelbrot_and_circle_stats_match_the_old_loops(cloud_z2,
+                                                         cloud_zm2):
+    rng = np.random.default_rng(5)
+    cs = rng.uniform(-2.2, 0.8, 1000) + 1j * rng.uniform(-1.3, 1.3, 1000)
+    got = [mandelbrot_member(c) for c in cs]
+    assert got == [_ref_mandelbrot(c) for c in cs]
+    assert 100 < sum(got) < 900
+    for cloud in (cloud_z2, cloud_zm2, cloud_z2[::7], cloud_zm2[:300]):
+        for anchors in (16, 64, 100):
+            z = cloud.finite_values()
+            assert circle_neighbor_stats(z, anchors) == \
+                _ref_circle_stats(z, anchors)

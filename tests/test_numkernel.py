@@ -255,6 +255,21 @@ def test_root_budget_raises():
             backward_walk(R, y, 1, 4, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("roots", [[1e-40, 1e40, 1, 2, 3],
+                                   [1e-50, 1e50, 1, 2, 3, 4]],
+                         ids=["degree5", "degree6"])
+def test_collapsed_roots_fail_cleanly(roots):
+    # the companion eigenvalues of these products collapse the small roots
+    # onto the tiny one; a cluster of equal roots that fails the tie rule
+    # cannot be split, so the solve raises rather than list one point as
+    # several simple roots (a Fiber's points are pairwise distinct)
+    p = np.poly(roots)[::-1]
+    with pytest.raises(NonConvergence, match="missed roots"):
+        roots_with_multiplicity(p)
+    with pytest.raises(NonConvergence, match="missed roots"):
+        preimages(RationalMap(p), 0.0)
+
+
 def test_spread_fiber_solves_on_every_route():
     # over 1e-40 the preimages of (1 + z^2) / z^3 lie near +-i and at
     # 1e40; the closed-form cubic, deflated by its largest root, keeps all
