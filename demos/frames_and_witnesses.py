@@ -1,7 +1,9 @@
 """Module frames and positivity witnesses.
 
 build_frame needs the critical points to stay away from the sampled Julia
-set; z^2 and z^2 + 0.2 qualify, z^2 - 2 does not (the frame call refuses).
+set; z^2 and z^6 qualify, z^2 - 2 does not (the frame call refuses). The
+number of arcs comes from the closest sampled fiber mates: 8 on z^2, more
+on z^6, whose mates sit about 2 pi / 6 apart.
 The witness construction works either way since it only needs backward
 expansion.
 """
@@ -29,6 +31,13 @@ print(f"frame on z^2: {len(frame.members)} members")
 print(f"  delta defect          {frame_delta_defect(z2, frame, probes):.2e}")
 print(f"  reconstruction defect "
       f"{frame_reconstruction_defect(z2, frame, f, cloud.points[::200]):.2e}")
+
+z6 = RationalMap([0] * 6 + [1], [1])
+cloud6 = sample_inverse_iteration(z6, 0.9 + 0.3j, count=2000, seed=0)
+frame6 = build_frame(z6, cloud6)
+print(f"frame on z^6: {len(frame6.members)} members")
+print(f"  delta defect          "
+      f"{frame_delta_defect(z6, frame6, cloud6.points[::100]):.2e}")
 
 cloud2 = sample_inverse_iteration(zm2, 1.3, count=4000, seed=0)
 try:

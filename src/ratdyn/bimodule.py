@@ -29,8 +29,11 @@ from .numkernel import (SpherePoint, _Evaluator, _PointSet, _as_arrays,
                         embed_points, sphere_embed)
 from .ratmap import (NODE_BUDGET, _evaluate_arrays, _expand_level, _leaves,
                      _row_sums, _sorted_table)
+from .transfer import ProductFunction
 
 EXPANSION_BUDGET = 24
+# a frame arc's support spans 2 (1 + ARC_OVERLAP) pi / arcs of angle
+ARC_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -155,21 +158,16 @@ def _arc_members(z, isinf, center, thetas, w):
     return np.sqrt(np.maximum(chi, 0.0))
 
 
-def build_frame(R, julia_sample, cover_spec=None):
+def build_frame(R, julia_sample):
     """Finite frame from raised-cosine arc bumps around the sample centroid.
 
     chi_l are normalized analytically (chi_l = chi_hat_l / sum_m chi_hat_m),
     so the partition of unity is exact everywhere, and u_l = sqrt(chi_l).
-    Requires a Julia set free of critical points; refuses with
-    CoverTooCoarse when one arc support holds two points of a fiber.
+    Requires a Julia set free of critical points. The closest angular gap
+    g of sampled fiber mates sizes the cover: 8 arcs, or the fewest whose
+    supports, 2 (1 + ARC_OVERLAP) pi / arcs wide, fit in g. Refuses with
+    CoverTooCoarse when g < pi / d; a mate at infinity makes g = 0.
     """
-    spec = {"arcs": 8, "overlap": 0.5}
-    if cover_spec:
-        spec.update(cover_spec)
-    arcs = int(spec["arcs"])
-    overlap = float(spec["overlap"])
-    if arcs < 2 or not (0.0 < overlap):
-        raise ValueError("cover needs >= 2 arcs and positive overlap")
     z, isinf = _as_arrays(julia_sample)
     if isinf.any():
         raise FrameUnavailable("arc frames need a bounded Julia sample")
@@ -180,13 +178,9 @@ def build_frame(R, julia_sample, cover_spec=None):
         raise FrameUnavailable(
             f"critical points on the Julia set ({where}): no finite frame")
 
+    # injectivity of R on each support: the closest fiber mates of sampled
+    # points, in wrapped angle about the centroid, bound the support width
     center = complex(np.mean(z))
-    w = (1.0 + overlap) * math.pi / arcs
-    thetas = tuple(2.0 * math.pi * l / arcs - math.pi for l in range(arcs))
-
-    # injectivity of R on each support: fiber mates of sampled points must
-    # never share an arc; supports span 2w of angle, so mates closer than
-    # that (in wrapped angle about the centroid) defeat the cover
     ps = z[::max(1, z.size // 160)]
     flat = np.zeros(ps.size, dtype=bool)
     qs, qinf, _, par = _expand_level(R, *_evaluate_arrays(R, ps, flat))
@@ -194,13 +188,14 @@ def build_frame(R, julia_sample, cover_spec=None):
                           axis=1) <= 1e-9
     gap = np.abs(_wrap_angle(np.angle(ps[par] - center)
                              - np.angle(qs - center)))
-    bad = np.flatnonzero(qinf | (~same & (gap < 2.0 * w)))
-    if bad.size:
-        if qinf[bad[0]]:
-            raise CoverTooCoarse("a sampled fiber reaches infinity")
+    gap = float(np.min(np.where(qinf, 0.0, gap)[~same], initial=math.pi))
+    if gap < math.pi / R.degree:
         raise CoverTooCoarse(
-            f"fiber mates {gap[bad[0]]:.3f} rad apart share an arc of "
-            f"support width {2 * w:.3f}")
+            f"sampled fiber mates {gap:.3f} rad apart (0 for a mate at "
+            f"infinity), below pi/d = {math.pi / R.degree:.3f}")
+    arcs = max(8, math.ceil(2.0 * (1.0 + ARC_OVERLAP) * math.pi / gap))
+    w = (1.0 + ARC_OVERLAP) * math.pi / arcs
+    thetas = tuple(2.0 * math.pi * l / arcs - math.pi for l in range(arcs))
 
     members = tuple(
         GraphFunction(1, _OnArrays(
@@ -494,19 +489,14 @@ def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
     return _normalized(R, n, g, a, "witness u"), report
 
 
-@dataclass(frozen=True)
-class ProductOnGraph(_Evaluator):
+class ProductOnGraph(ProductFunction):
     """Pointwise product a(x) f(x) as a graph function of f's arity."""
-    left: object
-    right: object
+
+    __slots__ = ()
 
     @property
     def arity(self):
-        return self.right.arity
-
-    def at(self, z, isinf):
-        return _values_at(self.left, z, isinf) * _values_at(self.right, z,
-                                                             isinf)
+        return self.factors[-1].arity
 
 
 def write_witness_json(path, report):

@@ -351,7 +351,12 @@ def _parse_window(text):
         raise MapParseError(f"bad window {text!r}") from None
 
 
-def _load_config(path, keys):
+# the settings `_setting` resolves: the only keys a config file may set
+_CONFIG_KEYS = frozenset({"seed", "count", "depth", "window", "res", "samples",
+                          "max_iter", "levels", "probes"})
+
+
+def _load_config(path):
     cfg = {}
     with open(path, "r", encoding="ascii") as fh:
         for raw in fh:
@@ -362,16 +367,10 @@ def _load_config(path, keys):
                 raise MapParseError(f"config line without '=': {raw.strip()!r}")
             key, val = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in keys:
+            if key not in _CONFIG_KEYS:
                 raise MapParseError(f"unknown config key: {key!r}")
             cfg[key] = val.strip()
     return cfg
-
-
-def _flag_keys(parser):
-    """Destinations of every subcommand's flags: the valid config keys."""
-    subs = parser._subparsers._group_actions[0].choices.values()
-    return {a.dest for p in subs for a in p._actions if a.option_strings}
 
 
 def _setting(args, cfg, dest, cast, default, minimum=None):
@@ -649,10 +648,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, _flag_keys(parser)) if args.config else {}
+        cfg = _load_config(args.config) if args.config else {}
     except (OSError, MapParseError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

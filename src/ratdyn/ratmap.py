@@ -403,6 +403,15 @@ def _within(size, node_budget):
         raise BudgetExceeded(f"preimage tree would exceed {node_budget} nodes")
 
 
+def _depth_within(d, budget=NODE_BUDGET):
+    """The largest k >= 1 with d^k <= budget (1 for d < 2): the deepest
+    tree whose leaves for one base fit `_leaves`' budget."""
+    k = 1
+    while d > 1 and d ** (k + 1) <= budget:
+        k += 1
+    return k
+
+
 def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET):
     """Yield (k, lo, points, isinf): the depth-k leaves of bases lo, ...
 

@@ -25,8 +25,8 @@ from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
 from .numkernel import (_Evaluator, _as_arrays, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
-from .ratmap import (NODE_BUDGET, _evaluate_arrays, _leaves, _row_sums,
-                     _sorted_table, _within)
+from .ratmap import (NODE_BUDGET, _depth_within, _evaluate_arrays, _leaves,
+                     _row_sums, _sorted_table, _within)
 
 
 def _powers(z, j):
@@ -253,7 +253,7 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     sz, sinf = (z, isinf) if julia_sample is None else _as_arrays(julia_sample)
     d = R.degree
     beta = math.log(d)
-    depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
+    depth = _depth_within(d, lyubich_budget)
     vals = np.zeros((n + 1, z.size), dtype=complex)
     vals[0] = _values_at(a, z, isinf)
     # the leaves of probes[0] at depth min(n, depth), which lead their level

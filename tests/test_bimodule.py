@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ratdyn.errors import BudgetExceeded, FrameUnavailable
+from ratdyn.errors import BudgetExceeded, CoverTooCoarse, FrameUnavailable
 from ratdyn.julia import sample_inverse_iteration
 from ratdyn.numkernel import SpherePoint
 from ratdyn.ratmap import preimage_tree, preimages
@@ -104,6 +104,44 @@ def test_frame_refuses_interval(zm2, cloud_zm2):
     # the critical point 0 lies on J(z^2-2): no continuous arc frame
     with pytest.raises(FrameUnavailable):
         build_frame(zm2, cloud_zm2)
+
+
+def _registry_frame(R):
+    # the frame check's own cloud: 2000 points of 64 walks from 1.3
+    from ratdyn.julia import _STAT_WALKERS
+    cloud = sample_inverse_iteration(R, 1.3, count=2000, seed=0,
+                                     walkers=_STAT_WALKERS)
+    return build_frame(R, cloud), cloud
+
+
+@pytest.mark.parametrize("n,members", [(6, 10), (16, 25)])
+def test_frame_arcs_follow_the_fiber_gap(n, members):
+    # z^n's mates sit about 2 pi / n apart, too close for 8 arcs of support
+    # 3 pi / 8: the cover takes the fewest arcs whose supports fit the gap
+    from ratdyn.registry import get
+    R = get("power_map_n").build(n)
+    frame, cloud = _registry_frame(R)
+    assert len(frame.members) == members
+    assert frame_delta_defect(R, frame, cloud[::100]) <= 1e-9
+
+
+@pytest.mark.parametrize("name,param,outcome", [
+    ("power_map_n", None, 8), ("power_map_n", 3, 8),
+    ("quadratic_family", None, 8), ("full_shift_example", None, 8),
+    ("z2_minus_2", None, FrameUnavailable),
+    ("tchebychev_n", None, FrameUnavailable),
+    ("lattes", None, CoverTooCoarse), ("ushiki_gasket", None, CoverTooCoarse)])
+def test_frame_outcome_of_every_registry_default(name, param, outcome):
+    # 8 arcs where 8 fit; Lattes' and Ushiki's closest mates lie below
+    # pi / d, and a critical point on J allows no frame at all
+    from ratdyn.registry import get
+    rec = get(name)
+    R = rec.build(rec.default_param if param is None else param)
+    if isinstance(outcome, int):
+        assert len(_registry_frame(R)[0].members) == outcome
+    else:
+        with pytest.raises(outcome):
+            _registry_frame(R)
 
 
 # --- expansion time -------------------------------------------------------

@@ -304,6 +304,7 @@ _RENDER = ("julia", "z^2", "--res", "8", "--render", "{tmp}")
     ("info", "power_map_n:n=2.5"),
     ("info", "tchebychev_n:n=1e3"),
     ("info", "power_map_n:n=65"),
+    ("info", "tchebychev_n:n=29"),
     ("info", "tchebychev_n:n=37"),
     ("info", "tchebychev_n:n=64"),
     ("verify", "tchebychev_n", "--param", "37"),
@@ -319,7 +320,8 @@ _RENDER = ("julia", "z^2", "--res", "8", "--render", "{tmp}")
     ("julia", "z^2", "--out", "{tmp}", "--render", "{tmp}.pgm",
      "--window=0,0,0,1"),
 ], ids=["kms-probes", "witness-probes", "kms-levels", "julia-count",
-        "power-fraction", "chebyshev-1e3", "power-65", "chebyshev-37",
+        "power-fraction", "chebyshev-1e3", "power-65", "chebyshev-29",
+        "chebyshev-37",
         "chebyshev-64", "verify-chebyshev-37", "verify-fraction",
         "verify-no-family", "window-nan", "window-empty", "window-inf",
         "window-inf-re",
@@ -451,11 +453,13 @@ def test_config_file_supplies_defaults(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    # a misspelt key, the retired thread count, or a line without '=' is a
-    # usage error
+    # a misspelt key, the retired thread count, a flag that no setting
+    # reads from a config, or a line without '=' is a usage error
     out = tmp_path / "a.csv"
     for line, msg in (("cuont = 5", "unknown config key"),
                       ("threads = 2", "unknown config key"),
+                      ("mode = density", "unknown config key"),
+                      ("out = x.csv", "unknown config key"),
                       ("count 5", "config line without '='")):
         cfg = tmp_path / "ratdyn.cfg"
         cfg.write_text(f"count = 400\n{line}\n")
@@ -463,3 +467,13 @@ def test_config_rejects_unknown_keys(tmp_path):
         assert r.returncode == 2
         assert msg in r.stderr and "Traceback" not in r.stderr
         assert not out.exists()
+
+
+def test_config_keys_are_the_resolved_settings():
+    # a config may set exactly what some command reads through _setting
+    import inspect
+    import re
+    from ratdyn import cli
+    read = set(re.findall(r'_setting\(args, cfg, "(\w+)"',
+                          inspect.getsource(cli)))
+    assert read == cli._CONFIG_KEYS

@@ -11,6 +11,7 @@ from ratdyn.julia import backward_walk
 from ratdyn.numkernel import SpherePoint, chordal_distance
 from ratdyn.ratmap import (
     RationalMap,
+    _depth_within,
     _expand_level,
     _fiber_rows,
     _leaves,
@@ -484,6 +485,20 @@ def test_forest_groups_within_the_budget(z2):
         for _ in _leaves(z2, np.array([0.73, 0.1]), np.zeros(2, bool), 4,
                          node_budget=10):
             pass
+
+
+def test_depth_rule_is_the_float_formula_at_the_usual_budgets():
+    # the largest k with d^k within the budget agrees with
+    # floor(log budget / log d) at the budgets tests and the CLI use, so no
+    # KMS output moves; the float formula rounds 10^6 at d = 10 down to 5
+    for budget in (1024, 4096, 16384):
+        for d in range(2, 65):
+            want = max(1, int(math.floor(math.log(budget) / math.log(d))))
+            assert _depth_within(d, budget) == want, (d, budget)
+    assert _depth_within(10, 10 ** 6) == 6
+    assert _depth_within(10) == 6   # NODE_BUDGET
+    assert _depth_within(5) == 8 and _depth_within(6) == 7
+    assert _depth_within(10 ** 7) == 1 and _depth_within(1, 4) == 1
 
 
 def test_compose_and_iterate(z2, t2):

@@ -103,6 +103,15 @@ def test_verify_with_param():
     assert rep["passed"] is True
 
 
+@pytest.mark.parametrize("name,n", [
+    ("power_map_n", 6), ("power_map_n", 16), ("tchebychev_n", 8)])
+def test_verify_passes_where_fixed_sizes_overran(name, n):
+    # z^6 and z^16 need more than 8 frame arcs and fewer than 8 KMS levels,
+    # T8 a Lyubich tree shallower than 7; each size comes from the map
+    rep = verify(name, param=n)
+    assert rep["passed"] is True, rep
+
+
 def test_verify_unknown_raises():
     with pytest.raises(UnknownExample):
         verify("nope")
