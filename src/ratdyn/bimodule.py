@@ -28,7 +28,7 @@ from .numkernel import (SpherePoint, _Evaluator, _PointSet, _as_arrays,
                         _values_at, _write_json, chordal_distances,
                         embed_points, sphere_embed)
 from .ratmap import (NODE_BUDGET, _evaluate_arrays, _expand_level, _leaves,
-                     _row_sums, _sorted_table)
+                     _row_sums, _sorted_table, _within)
 from .transfer import ProductFunction
 
 EXPANSION_BUDGET = 24
@@ -205,6 +205,16 @@ def build_frame(R, julia_sample):
     return Frame(members, tuple((t, w) for t in thetas), center, z.size)
 
 
+def _members_at(frame, z, isinf):
+    """Every member of the frame at the points, as (members, N). A frame
+    with arcs is their arc-bump frame (`build_frame`), evaluated in one
+    `_arc_members` call; any other goes member by member."""
+    if frame.arcs:
+        thetas, w = zip(*frame.arcs)
+        return _arc_members(z, isinf, frame.center, thetas, w[0])
+    return np.array([_values_at(u, z, isinf) for u in frame.members])
+
+
 def frame_delta_defect(R, frame, probe_ys):
     """max |sum_l u_l(x) conj(u_l(x')) - delta_{x,x'}| over fibers of probes.
 
@@ -217,8 +227,7 @@ def frame_delta_defect(R, frame, probe_ys):
         return 0.0
     pts, inf, label = _sorted_table(R, z, isinf)
     d = R.degree
-    vals = np.array([_values_at(u, pts, inf) for u in frame.members])
-    vals = vals.T.reshape(z.size, d, -1)
+    vals = _members_at(frame, pts, inf).T.reshape(z.size, d, -1)
     gram = np.einsum("mil,mjl->mij", vals, np.conj(vals))
     if label is not None:
         label = label.reshape(z.size, d)
@@ -235,9 +244,9 @@ def frame_reconstruction_defect(R, frame, f, probe_xs):
     pts, inf, _ = _sorted_table(R, *_evaluate_arrays(R, z, isinf))
     fq = _values_at(f, pts, inf)
     total = np.zeros(z.size, dtype=complex)
-    for u in frame.members:
-        ip = _row_sums(np.conj(_values_at(u, pts, inf)) * fq, R.degree)
-        total = total + _values_at(u, z, isinf) * ip
+    for uq, ux in zip(_members_at(frame, pts, inf),
+                      _members_at(frame, z, isinf)):
+        total = total + ux * _row_sums(np.conj(uq) * fq, R.degree)
     return float(np.max(np.abs(total - _values_at(f, z, isinf))))
 
 
@@ -279,18 +288,20 @@ def expansion_time(R, V, julia_sample, net_tol, budget=EXPANSION_BUDGET,
     return _expansion(R, V, z, isinf, probes, net_tol, budget)
 
 
-def _expansion(R, V, z, isinf, probes, net_tol, budget):
-    """`expansion_time` of the sample (z, isinf) from probes = (z, isinf)."""
-    center, radius = V
+def _near(center, reach):
+    """The test 'within chordal distance reach of center' on (z, isinf)."""
     cemb = embed_points([center])[0]
-    gap = np.linalg.norm(sphere_embed(z, isinf) - cemb[None, :], axis=1)
-    if not np.any(gap <= radius):
-        raise ValueError("V does not intersect the Julia sample")
-    reach = radius + net_tol
+    return lambda zs, isinf: np.linalg.norm(
+        sphere_embed(zs, isinf) - cemb[None, :], axis=1) <= reach
 
-    def hits(zs, isinf):
-        e = sphere_embed(zs, isinf)
-        return np.linalg.norm(e - cemb[None, :], axis=1) <= reach
+
+def _expansion(R, V, z, isinf, probes, net_tol, budget):
+    """`expansion_time` of the sample (z, isinf) from probes = (z, isinf);
+    each probe's subtree retires at its first hit."""
+    center, radius = V
+    if not np.any(_near(center, radius)(z, isinf)):
+        raise ValueError("V does not intersect the Julia sample")
+    hits = _near(center, radius + net_tol)
 
     zs, isinf = probes
     alive = ~hits(zs, isinf)
@@ -356,13 +367,12 @@ def _normalized(R, n, g, weight, label):
     return GraphFunction(n, _OnArrays(at), label=label)
 
 
-def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
+def _witness(R, a, eps, julia_sample, probe_ys, budget):
     """The bump construction both witnesses share.
 
     Returns (n, g, report, table). The table holds g and a on the
-    depth-n leaves of all probes, one row of d^n per probe
-    (`ratmap._leaves`): each fiber is walked once, and g and a are
-    evaluated once per leaf.
+    depth-n leaves of all probes, one row of d^n per probe: one tree for
+    all probes, one `_sorted_table` per level; a retry adds one level.
     """
     z, isinf = _sample_arrays(julia_sample)
     avals = _values_at(a, z, isinf).real
@@ -376,42 +386,50 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
 
     # U: the disc about x0 up to the nearest sample point where a drops
     # below the threshold
-    dists = chordal_distances(x0, z, isinf)
-    order = np.argsort(dists)
-    below = np.flatnonzero(avals[order] < norm_a - 0.9 * eps)
-    if below.size:
-        delta_u = max(dists[order[below[0]]] * 0.999, 1e-6)
+    low = avals < norm_a - 0.9 * eps
+    if low.any():
+        near = np.min(chordal_distances(x0, z[low], isinf[low]))
+        delta_u = max(float(near) * 0.999, 1e-6)
     else:
         delta_u = 2.0  # a clears the threshold everywhere on the sphere
-    delta_k = delta_u / 3.0
-    delta_v = delta_u / 9.0
+    delta_k, delta_v = delta_u / 3.0, delta_u / 9.0
 
-    if net_tol is None:
-        # a point set measures its mesh once, for every witness on it
-        if not isinstance(julia_sample, _PointSet):
-            julia_sample = _PointSet(z, isinf)
-        net_tol = max(2.0 * julia_sample.mesh, 1e-2)
-    if probe_ys is None:
-        step = max(1, z.size // 64)
-        pz, pinf = z[::step], isinf[::step]
+    # a point set measures its mesh once, for every witness on it
+    if not isinstance(julia_sample, _PointSet):
+        julia_sample = _PointSet(z, isinf)
+    net_tol = max(2.0 * julia_sample.mesh, 1e-2)
+    step = max(1, z.size // 64)
+    pz, pinf = ((z[::step], isinf[::step]) if probe_ys is None
+                else _as_arrays(probe_ys))
+
+    def deeper(pts, inf):
+        _within(pts.size * R.degree, NODE_BUDGET)
+        return _sorted_table(R, pts, inf)[:2]
+
+    # n: the first level by which every probe's tree has met V, the disc
+    # of radius delta_v, widened by a slack capped at delta_v: a hit there
+    # stays inside K, where g = 1, so (g|g) >= 1 holds at every probe
+    hits = _near(x0, delta_v + min(net_tol, delta_v))
+    done, pts, inf = hits(pz, pinf), pz, pinf
+    for n in range(1, budget + 1):
+        pts, inf = deeper(pts, inf)
+        done |= hits(pts, inf).reshape(pz.size, -1).any(axis=1)
+        if done.all():
+            break
     else:
-        pz, pinf = _as_arrays(probe_ys)
-
-    # slack capped at delta_v: a hit in the widened disc stays inside K,
-    # where g = 1, so (g|g) >= 1 holds at every checked probe
-    n = max(1, _expansion(R, (x0, delta_v), z, isinf, (pz, pinf),
-                          min(net_tol, delta_v), budget))
+        raise BudgetExceeded(
+            f"no depth within {budget} reaches V from every probe")
 
     bump = _bump(x0, delta_k, delta_u)
     for attempt in range(4):
-        parts = [level for k, _, *level in _leaves(R, pz, pinf, n) if k == n]
-        pts, inf = (np.concatenate(a) for a in zip(*parts))
+        if attempt:  # net was marginal: one more level fills the gaps
+            pts, inf = deeper(pts, inf)
+            n += 1
         gv = bump.at(pts, inf).reshape(pz.size, -1)
         w = gv * gv
         b = _row_sums(w, w.shape[1])  # b(y) = (g|g)(y)
         if b.min() >= 1.0 - 1e-9:
             break
-        n += 1  # net was marginal: one more expansion level fills the gaps
     else:
         raise WitnessFailed(
             f"(g|g) dropped to {b.min():.6f} < 1 despite deeper expansion")
@@ -442,7 +460,7 @@ def _witness(R, a, eps, julia_sample, probe_ys, net_tol, budget):
     return n, GraphFunction(n, bump, label="bump"), report, (gv, av)
 
 
-def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
+def simplicity_witness(R, a, eps, julia_sample, probe_ys=None,
                        budget=EXPANSION_BUDGET):
     """Witness pair (n, f) with (f|f) = 1 and |a|-eps <= (f|af) <= |a|.
 
@@ -456,12 +474,11 @@ def simplicity_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
     f is exact on the whole sphere and caches nothing: each call f(x) sums
     e g^2 over the depth-n fiber R^{-n}(R^n x).
     """
-    n, g, report, _ = _witness(R, a, eps, julia_sample, probe_ys, net_tol,
-                               budget)
+    n, g, report, _ = _witness(R, a, eps, julia_sample, probe_ys, budget)
     return n, _normalized(R, n, g, None, "witness f"), report
 
 
-def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
+def normalized_witness(R, a, eps, julia_sample, probe_ys=None,
                        budget=EXPANSION_BUDGET):
     """Witness u with (u|au) = 1 and |u|_2 <= (|a| - eps)^{-1/2}.
 
@@ -471,7 +488,7 @@ def normalized_witness(R, a, eps, julia_sample, probe_ys=None, net_tol=None,
     e g^2 a over the depth-n fiber R^{-n}(R^n x).
     """
     n, g, rep, (gv, av) = _witness(R, a, eps, julia_sample, probe_ys,
-                                   net_tol, budget)
+                                   budget)
     width = gv.shape[1]
     uv = gv / np.sqrt(_row_sums(gv * gv * av, width))[:, None]  # u
     uu = uv * uv

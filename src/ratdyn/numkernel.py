@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import EvaluationAtInfinity, NonConvergence
 
@@ -148,7 +147,7 @@ class _PointSet:
     def __init__(self, z, isinf):
         isinf = np.array(isinf, dtype=bool)
         z = np.where(isinf, 0j, np.asarray(z, dtype=complex))
-        if not np.isfinite(z).all():
+        if np.count_nonzero(np.isfinite(z)) < z.size:
             raise ValueError("finite point with non-finite components")
         z.flags.writeable = isinf.flags.writeable = False
         self.__dict__.update(z=z, isinf=isinf)
@@ -164,7 +163,7 @@ class _PointSet:
         pts = list(map(object.__new__, repeat(SpherePoint, n)))
         deque(map(_SET_Z, pts, self.z.tolist()), 0)
         deque(map(_SET_INF, pts, repeat(False, n)), 0)
-        if self.isinf.any():
+        if np.count_nonzero(self.isinf):
             inf = SpherePoint.infinity()
             for k in np.flatnonzero(self.isinf).tolist():
                 pts[k] = inf
@@ -440,8 +439,10 @@ def sphere_nearest(cloud, queries=None):
     dist, idx = np.full(m, np.inf), np.full(m, -1)
     if queries is not None:
         step = max(1, _NEAREST_BLOCK // max(n, 1))
+        x, y, w = np.array(cloud.T)   # contiguous; `_sq_dist`'s association
         for lo in range(0, len(queries) if n else 0, step):
-            d2 = _sq_dist(queries[lo:lo + step, None], cloud[None])
+            q = queries[lo:lo + step, :, None]
+            d2 = ((q[:, 0] - x) ** 2 + (q[:, 1] - y) ** 2) + (q[:, 2] - w) ** 2
             idx[lo:lo + step] = k = np.argmin(d2, axis=1)
             dist[lo:lo + step] = np.sqrt(d2[np.arange(k.size), k])
         return dist, idx
@@ -508,12 +509,24 @@ def poly_derivative(coeffs):
     return c[1:] * k
 
 
+def _series(c):
+    """c as complex coefficients without trailing zeros, but at least one,
+    as numpy.polynomial trims its inputs and results."""
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    nz = np.flatnonzero(c)
+    return c[:nz[-1] + 1 if nz.size else 1]
+
+
 def poly_mul(a, b):
-    return npoly.polymul(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return _series(np.convolve(_series(a), _series(b)))
 
 
 def poly_add(a, b):
-    return npoly.polyadd(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """numpy.polynomial's sum: the shorter added into the longer's copy."""
+    a, b = sorted((_series(a), _series(b)), key=len)
+    out = b.copy()
+    out[:a.size] += a
+    return _series(out)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +629,7 @@ def _companion(d):
 _CUBE = np.array([1.0, complex(-0.5, 0.8660254037844386),
                   complex(-0.5, -0.8660254037844386)])
 _CUBE_BAR = _CUBE.conj()
+_PM = np.array([1.0, -1.0])   # the signs of Ferrari's two quadratics
 
 
 def _quadratic(c0, c1, c2):
@@ -628,7 +642,7 @@ def _quadratic(c0, c1, c2):
     u = np.empty(c0.shape + (2,), dtype=complex)
     np.divide(q, c2, out=u[..., 0])
     np.divide(c0, q, out=u[..., 1])
-    if not np.isfinite(u[..., 1]).all():   # c0 / q = 0 / 0
+    if np.count_nonzero(np.isfinite(u[..., 1])) < q.size:   # c0 / q = 0 / 0
         np.copyto(u[..., 1], 0j, where=q == 0)
     return u
 
@@ -670,9 +684,8 @@ def _ferrari(c0, c1, c2, c3):
     z = z[np.arange(z.shape[0]), np.abs(z).argmax(axis=1)]   # the largest
     s = np.sqrt(2 * z)
     h = q / (2 * s + (s == 0))
-    pm = np.array([1.0, -1.0])
-    t = _quadratic((0.5 * p + z)[:, None] + h[:, None] * pm,
-                   s[:, None] * -pm, 1.0)
+    t = _quadratic((0.5 * p + z)[:, None] + h[:, None] * _PM,
+                   s[:, None] * -_PM, 1.0)
     return t.reshape(-1, 4) - a[:, None]
 
 
@@ -696,7 +709,7 @@ def _closed_roots(c):
     u = _cardano(*c) if d == 3 else _ferrari(*c)
     au = np.abs(u)
     far = au.min(axis=1) < _SPREAD * au.max(axis=1)
-    if far.any():
+    if np.count_nonzero(far):
         rows = np.flatnonzero(far)
         top = u[rows, au[rows].argmax(axis=1)]
         low = np.empty((rows.size, d - 1), dtype=complex)
@@ -807,11 +820,10 @@ def _balance(ag):
     first."""
     top = ag.max(axis=1)
     rows = (top > _UNBALANCED) | ((top < 1.0 / _UNBALANCED) & (top > 0.0))
-    if not rows.any():
+    if not np.count_nonzero(rows):
         return None, None
-    with np.errstate(divide="ignore"):
-        bound = np.max(np.log2(ag[rows]) / np.arange(ag.shape[1], 0, -1),
-                       axis=1)
+    # log2 of a zero coefficient is -inf: callers ignore divide warnings
+    bound = np.max(np.log2(ag[rows]) / np.arange(ag.shape[1], 0, -1), axis=1)
     return rows, np.where(np.isfinite(bound), np.round(bound), 0).astype(int)
 
 
@@ -855,30 +867,28 @@ def _row_roots(f, s=None):
     """
     m, d = f.shape[0], f.shape[1] - 1
     g, size, e = f, (np.abs(f) if s is None else s), None
-    if d <= 2:
-        with np.errstate(all="ignore"):   # non-finite roots raise below
+    # one errstate for the solve: non-finite coefficients and roots raise
+    with np.errstate(all="ignore"):
+        if d <= 2:
             u = (-f[:, :1] / f[:, 1:] if d == 1
                  else _quadratic(f[:, 0], f[:, 1], f[:, 2]))
-    else:
-        lead = f[:, -1:]
-        with np.errstate(over="ignore", invalid="ignore"):
+        else:
+            lead = f[:, -1:]
             g, size = f / lead, size / np.abs(lead)
-        if not (np.isfinite(g).all() and np.isfinite(size).all()):
-            raise NonConvergence(
-                "a fiber polynomial leaves the floating-point range once "
-                "normalized")
-        wide, e = _balance(np.abs(g[:, :-1]))
-        if e is not None:
-            gw = g[wide]
-            power = e[:, None] * (np.arange(d + 1) - d)
-            scaled = _ldexp(gw, power)
-            big = np.abs(gw) > EPS * np.max(np.abs(gw), axis=1, keepdims=True)
-            if np.any(big & (np.abs(scaled) < np.finfo(float).tiny)):
-                raise NonConvergence(
-                    "fiber roots spread over more scales than floating "
-                    "point holds")
-            g[wide], size[wide] = scaled, _ldexp(size[wide], power)
-        with np.errstate(all="ignore"):   # non-finite roots raise below
+            if np.count_nonzero(np.isfinite(g) & np.isfinite(size)) < g.size:
+                raise NonConvergence("a fiber polynomial leaves the "
+                                     "floating-point range once normalized")
+            wide, e = _balance(np.abs(g[:, :-1]))
+            if e is not None:
+                gw = g[wide]
+                power = e[:, None] * (np.arange(d + 1) - d)
+                scaled = _ldexp(gw, power)
+                big = np.abs(gw) > EPS * np.abs(gw).max(axis=1, keepdims=True)
+                if np.any(big & (np.abs(scaled) < np.finfo(float).tiny)):
+                    raise NonConvergence(
+                        "fiber roots spread over more scales than floating "
+                        "point holds")
+                g[wide], size[wide] = scaled, _ldexp(size[wide], power)
             if d <= 4:
                 u = _closed_roots([g[:, k] for k in range(d)])
             else:
@@ -904,9 +914,10 @@ def _row_roots(f, s=None):
     else:
         val, der, mag = _horner(g, size, u)
         slope = np.abs(der)
-        near = (np.abs(u[:, i] - u[:, j]) * slope[:, i] * slope[:, j]
-                <= LINK * EPS * (mag[:, i] * slope[:, j]
-                                 + mag[:, j] * slope[:, i]))
+        si, sj = slope.take(i, axis=1), slope.take(j, axis=1)
+        near = (np.abs(u.take(i, axis=1) - u.take(j, axis=1)) * si * sj
+                <= LINK * EPS * (mag.take(i, axis=1) * sj
+                                 + mag.take(j, axis=1) * si))
     label = None
     if np.count_nonzero(near):
         tied = np.flatnonzero(near.any(axis=1))
@@ -925,13 +936,13 @@ def _row_roots(f, s=None):
         # a root far from any root that Newton did not bring in means the
         # row's roots spread over more scales than the solve resolves
         far = _missed(val, mag).any(axis=1)
-        if far.any():
+        if np.count_nonzero(far):
             val, _, mag = _horner(g[far], size[far], u[far])
-            if np.any(_missed(val, mag)):
+            if np.count_nonzero(_missed(val, mag)):
                 raise NonConvergence("the root solve missed roots")
     if e is not None:
         u[wide] = _ldexp(u[wide], e[:, None])
-        if not np.isfinite(u[wide]).all():
+        if np.count_nonzero(np.isfinite(u[wide])) < u[wide].size:
             raise NonConvergence("fiber roots beyond the floating-point range")
     return u, label
 

@@ -29,18 +29,18 @@ from .ratmap import (NODE_BUDGET, _depth_within, _evaluate_arrays, _leaves,
                      _row_sums, _sorted_table, _within)
 
 
-def _powers(z, j):
-    """The columns z^0 .. z^(j-1), bit for bit as z[:, None] ** arange(j).
+def _powers(z, ps):
+    """The columns z^p for the exponents ps, bit for bit as z[:, None] ** ps.
 
     z^0 is 1, and z^1 is z except that numpy's power returns +0 for a zero
     of any sign, so only the exponents from 2 on go through the power.
     """
-    out = np.empty((z.size, j), dtype=complex)
-    out[:, 0] = 1.0
-    if j > 1:
-        out[:, 1] = np.where(z == 0, 0j, z)
-    if j > 2:
-        out[:, 2:] = z[:, None] ** np.arange(2, j)
+    out = np.empty((z.size, ps.size), dtype=complex)
+    for c, p in enumerate(ps.tolist()):
+        if p < 2:
+            out[:, c] = np.where(z == 0, 0j, z) if p else 1.0
+        else:
+            np.power(z, ps[c:c + 1], out=out[:, c])
     return out
 
 
@@ -124,10 +124,10 @@ class TestFunction(_Evaluator):
                     raise EvaluationAtInfinity(
                         f"{self.label or 'monomial'} is unbounded at infinity")
                 z = np.where(isinf, 0j, z)
-            j, k = self.coeffs.shape
-            # einsum, not matmul: BLAS sums a point's terms in an order
-            # that depends on the other rows of the batch
-            return np.einsum("nj,jk,nk->n", _powers(z, j), self.coeffs,
+            # the nonzero terms in C order, as einsum sums the whole table;
+            # not matmul: BLAS orders a point's terms by the other rows
+            j, k = np.nonzero(self.coeffs)
+            return np.einsum("nt,t,nt->n", _powers(z, j), self.coeffs[j, k],
                              _powers(np.conj(z), k))
         dist, idx = sphere_nearest(self._atoms, sphere_embed(z, isinf))
         if np.any(dist > self.radius):
@@ -197,13 +197,15 @@ def lemma31_defect(R, a, b, probe_ys):
     pts, inf, _ = _sorted_table(R, z, isinf)
     d = R.degree
 
-    def expect(f):
-        return _row_sums(_values_at(f, pts, inf), d) * (1.0 / d)
+    def expect(values):
+        return _row_sums(values, d) * (1.0 / d)
 
-    aR = alpha(R, a)
+    # alpha(a) on the fibers once; the product in ProductFunction's order
+    aR = _values_at(alpha(R, a), pts, inf)
+    bq = _values_at(b, pts, inf)
     ay = _values_at(a, z, isinf)
-    lhs, rhs = expect(ProductFunction(aR, b)), ay * expect(b)
-    return float(max(np.max(np.abs(lhs - rhs)),
+    lhs = expect(np.ones(aR.shape, dtype=complex) * aR * bq)
+    return float(max(np.max(np.abs(lhs - ay * expect(bq))),
                      np.max(np.abs(expect(aR) - ay))))
 
 

@@ -294,6 +294,16 @@ for p, res in (([0, 0, 1], 128), ([-0.75, 0, 1], 128),
                ([0.1 + 0.2j, 0.3, 0, 1], 96)):
     h.update(render(RationalMap(p), (-1.6, 1.6, -1.6, 1.6), res,
                     mode="escape").tobytes())
+# monomial tables, each through its nonzero terms
+from ratdyn.transfer import TestFunction
+z = (rng.normal(size=20000) + 1j * rng.normal(size=20000)) * 1.5
+for tf in (TestFunction.monomial(3), TestFunction.monomial(2, 1, 0.5j),
+           TestFunction.from_table({(0, 0): 2.9, (1, 0): 0.2 - 0.1j,
+                                    (0, 1): 0.2 + 0.1j, (2, 0): 0.05j,
+                                    (0, 2): -0.05j}),
+           TestFunction.from_table({(0, 0): 1.0, (3, 2): -0.5,
+                                    (1, 4): 0.25 + 1j})):
+    h.update(tf.at(z, np.zeros(z.size, dtype=bool)).tobytes())
 print(h.hexdigest())
 """
 

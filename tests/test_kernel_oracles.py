@@ -694,7 +694,8 @@ def test_power_table_matches_power():
         for x in (z, np.conj(z)):
             with np.errstate(over="ignore", invalid="ignore",
                              under="ignore"):
-                got, want = transfer._powers(x, j), x[:, None] ** np.arange(j)
+                got = transfer._powers(x, np.arange(j))
+                want = x[:, None] ** np.arange(j)
             assert bits(got) == bits(want)
     a = TestFunction.from_table({(0, 0): 0.5, (1, 0): 2.0, (2, 1): 0.25j,
                                  (0, 3): -1.5, (4, 2): 0.125})
@@ -981,7 +982,7 @@ def test_witness_tables_match_the_grouped_sums(R):
     a = TestFunction.from_table({(0, 0): 2.0, (1, 0): 0.25, (0, 1): 0.25})
     eps = 0.2
     probes = cloud.points[::50]
-    n, g, rep, _ = bimodule._witness(R, a, eps, cloud, probes, None,
+    n, g, rep, _ = bimodule._witness(R, a, eps, cloud, probes,
                                      bimodule.EXPANSION_BUDGET)
     _, urep = bimodule.normalized_witness(R, a, eps, cloud, probe_ys=probes)
     pz, pinf = _as_arrays(probes)
