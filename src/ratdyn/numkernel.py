@@ -345,6 +345,20 @@ def _quotient(a, b):
     return out
 
 
+def _cmul(a, b):
+    """a * b for complex arrays or numbers, rounded as Python's complex
+    product: formed in real arithmetic, so its bits do not depend on
+    numpy's SIMD dispatch. Two numbers give a Python complex."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return complex(a) * complex(b)
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                   dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
 def chordal_distances(a, zs, isinf):
     """`chordal_distance` from a to each point of (zs, isinf), bit for bit.
 

@@ -17,7 +17,9 @@ d preimages of base j, x as often as its index e(x). How a batch is solved
 is decided here alone. Backward walks draw from the rows. `_sorted_table`
 sorts each row by (re, im), infinity last. Callers that only sum read
 `_leaves`: each base's depth-k leaves as d^k table entries, so a sum
-with branch-index weights is a plain row sum (`_row_sums`). Callers
+with branch-index weights is a plain row sum (`_row_sums`); a
+holomorphic polynomial is summed over a fiber from the fiber
+polynomial's coefficients, unsolved (`_fiber_power_sums`). Callers
 that list distinct points read `_expand_level`, which merges each sorted
 row's runs; `preimages` is its one-row case, and `tree_levels` expands
 one base's tree, one call per level. A `Fiber` is an array-backed point
@@ -36,6 +38,7 @@ from .numkernel import (
     _Entries,
     _as_arrays,
     _as_pair,
+    _cmul,
     local_multiplicity,
     poly_add,
     poly_derivative,
@@ -311,6 +314,65 @@ def _fiber_rows(R, pts, inf):
     return f, s, n
 
 
+def _nil(x):
+    """Whether x is the number 0 (an array never is)."""
+    return np.ndim(x) == 0 and x == 0
+
+
+def _fiber_power_sums(R, pts, inf, c, at):
+    """h(a)(w), the sum of e(x) a(x) over the fiber of each base w, for a
+    holomorphic a = sum c[j] z^j, from the fiber polynomial unsolved.
+
+    The fiber of a finite w lists the roots of P - w Q, x as often as
+    e(x), so sum e(x) x^j is their power sum p_j. With the monic
+    coefficients g_k = (P_k - w Q_k) / (P_d - w Q_d), each product w Q_k
+    formed only where Q_k != 0, Newton's identities give p_0 = d and
+    p_k = -(k g_(d-k) + sum over i = 1..min(k - 1, d) of g_(d-i) p_(k-i)),
+    the first term for k <= d only (Macdonald, "Symmetric Functions and
+    Hall Polynomials", I.2). Products round as Python's (`_cmul`), and a
+    factor that is the number 0 skips its product. Returns
+    sum c_j p_j + 0.0, so no -0 reaches a report.
+
+    Bases at infinity, and rows whose leading coefficient `_fiber_rows`
+    would drop (the same test, unscaled by its chart), have preimages at
+    infinity: their sorted table rows are summed (`_row_sums`) with the
+    values `at(z, isinf)` of a, so a non-constant a raises there and a
+    constant gives d c_0.
+    """
+    d = R.degree
+    if d < 1:
+        raise ValueError("fibers need a nonconstant map")
+    p, q = R._p_pad, R._q_pad
+    js = np.flatnonzero(c).tolist()
+    top = js[-1] if js else 0
+
+    def coeff(k):   # P_k - w Q_k
+        return complex(p[k]) - _cmul(pts, q[k]) if q[k] else complex(p[k])
+    lead, fall = coeff(d), inf
+    if q[d]:   # the leading coefficient moves with w, and may drop
+        size = abs(p[d]) + np.hypot(pts.real, pts.imag) * abs(q[d])
+        fall = inf | (np.hypot(lead.real, lead.imag) <= _DROP_TOL * size)
+        lead = np.where(fall, 1.0, lead)
+    g = {k: coeff(k) / lead for k in range(max(0, d - top), d)}
+    ps = [float(d)]
+    for k in range(1, top + 1):
+        acc = k * g[d - k] if k <= d else 0.0
+        for i in range(1, min(k - 1, d) + 1):
+            if not (_nil(g[d - i]) or _nil(ps[k - i])):
+                acc = acc + _cmul(g[d - i], ps[k - i])
+        ps.append(-acc)
+    total = 0.0
+    for j in js:
+        if not _nil(ps[j]):
+            total = total + _cmul(c[j], ps[j])
+    out = np.full(pts.size, total, dtype=complex)
+    rows = np.flatnonzero(fall)
+    if rows.size:
+        z, f, _ = _sorted_table(R, pts[rows], inf[rows])
+        out[rows] = _row_sums(at(z, f), d)
+    return out
+
+
 # cap on the entries of one chunk's (rows, d, d) work arrays
 _WORK_ENTRIES = 1 << 18
 
@@ -412,16 +474,21 @@ def _depth_within(d, budget=NODE_BUDGET):
     return k
 
 
-def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET):
-    """Yield (k, lo, points, isinf): the depth-k leaves of bases lo, ...
+def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET, shift=0):
+    """Yield (k, lo, points, isinf): the depth-(k - shift) leaves of bases
+    lo, ..., for levels k = 1..n.
 
     Base lo + j owns the d^k leaves from j d^k on, its depth-(k - 1)
     leaves' sorted table rows (`_sorted_table`) in turn, so a preimage x
     of R^k appears as often as its chain-rule index and a sum over them
-    is a plain row sum (`_row_sums`). Bases go in groups of as many as
-    fit in node_budget at d^n leaves each, and each group yields its
-    levels k = 1..n before the next group starts, so a group exceeds the
-    budget exactly when one of its bases would alone.
+    is a plain row sum (`_row_sums`). With shift 1, level k yields the
+    nodes one level up, d^(k - 1) per base (the bases themselves at
+    k = 1), for a caller that sums over their fibers unsolved
+    (`_fiber_power_sums`). Bases go in groups of as many as fit in
+    node_budget at d^n leaves each, and each group yields its levels
+    before the next group starts; level k counts its d^k leaves per base
+    against the budget whether or not it is grown, so a group exceeds
+    the budget exactly when one of its bases would alone.
     """
     d = R.degree
     if d < 1:
@@ -429,9 +496,11 @@ def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET):
     group = max(1, node_budget // d ** n)
     for lo in range(0, pts.size, group):
         z, f = pts[lo:lo + group], inf[lo:lo + group]
+        size = z.size
         for k in range(1, n + 1):
-            _within(z.size * d, node_budget)
-            z, f, _ = _sorted_table(R, z, f)
+            _within(size * d ** k, node_budget)
+            if k > shift:
+                z, f, _ = _sorted_table(R, z, f)
             yield k, lo, z, f
 
 

@@ -10,9 +10,13 @@ through their method `at`, and a scalar call is its one-point case. Every
 operator is a row sum: a fiber-table row lists x as often as e(x), so
 sum e(x) a(x) over a fiber adds a over the row's d entries, left to right
 (`ratmap._row_sums`). The fibers of all bases of one operator call come
-from one sorted table (`ratmap._sorted_table`). A KMS trace reads all
-its probes' depth-k leaves (`ratmap._leaves`), d^k per probe; its
-Lyubich value continues the first probe's leaves.
+from one sorted table (`ratmap._sorted_table`). A holomorphic table
+a = sum c_j z^j is summed over a fiber from the fiber polynomial's
+coefficients instead (`ratmap._fiber_power_sums`, through `_h`), by
+`transfer_E`, `h_op`, `kms_defect` and `kms_iterate`. A KMS trace reads
+all its probes' depth-k leaves (`ratmap._leaves`), d^k per probe, or for
+a holomorphic table their depth-(k - 1) nodes; its Lyubich value
+continues the first probe's tree.
 """
 
 import math
@@ -25,8 +29,9 @@ from .errors import EvaluationAtInfinity, TabulationMiss
 from .julia import _critical_near
 from .numkernel import (_Evaluator, _as_arrays, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
-from .ratmap import (NODE_BUDGET, _depth_within, _evaluate_arrays, _leaves,
-                     _row_sums, _sorted_table, _within)
+from .ratmap import (NODE_BUDGET, _depth_within, _evaluate_arrays,
+                     _fiber_power_sums, _leaves, _row_sums, _sorted_table,
+                     _within)
 
 
 def _powers(z, ps):
@@ -174,10 +179,30 @@ def alpha(R, a):
     return ComposedFunction(R, a)
 
 
+def _holomorphic(a):
+    """The coefficients c of a = sum c[j] z^j when a is a monomial table
+    with no nonzero conj(z) term, else None."""
+    if (isinstance(a, TestFunction) and a.kind == "monomial"
+            and not a.coeffs[:, 1:].any()):
+        return a.coeffs[:, 0]
+    return None
+
+
+def _h(R, a, z, isinf, table=None):
+    """h(a) at the bases (z, isinf): sum e(x) a(x) over each fiber. A
+    holomorphic table sums from the fiber polynomial
+    (`ratmap._fiber_power_sums`), any other function over the bases'
+    sorted table (`_row_sums`), which a caller that holds it passes."""
+    c = _holomorphic(a)
+    if c is not None:
+        return _fiber_power_sums(R, z, isinf, c, a.at)
+    pts, inf, _ = table or _sorted_table(R, z, isinf)
+    return _row_sums(_values_at(a, pts, inf), R.degree)
+
+
 def transfer_E(R, a, y):
     """Branch-index-weighted fiber average: d^{-1} sum e(x) a(x)."""
-    pts, inf, _ = _sorted_table(R, *_as_arrays([y]))
-    return complex(_row_sums(_values_at(a, pts, inf), R.degree)[0]) / R.degree
+    return complex(_h(R, a, *_as_arrays([y]))[0]) / R.degree
 
 
 def h_op(R, a, y):
@@ -231,23 +256,21 @@ class KmsRun:
     lyubich_gap: float
 
 
-def _variation(vals):
-    return float(max(np.ptp(vals.real), np.ptp(vals.imag)))
-
-
 def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     """Traces of (e^{-beta} h)^k (a) on the probes, beta = log(deg R).
 
-    All probes' depth-k leaves are expanded together (`ratmap._leaves`):
-    level k sums a over each probe's d^k leaves, left to right, scaled
-    d^{-k}. The final level's mean is compared against the
-    balanced-measure integral of a, the same sum over the deepest leaves
-    of probes[0] within lyubich_budget points: its leaves at that depth,
-    or at depth n expanded further, so that no level is expanded twice.
-    An empty probe set raises ValueError. The hypothesis tag looks for
-    critical points near julia_sample (the probes when None), which may
-    be any sequence of points, as for `critical_points_in_julia`, and is
-    read once.
+    All probes' trees are expanded together (`ratmap._leaves`): level k
+    sums a over each probe's d^k leaves, left to right, scaled d^{-k}. A
+    holomorphic table (`_h`) sums h(a) over each probe's d^(k - 1) nodes
+    at depth k - 1 instead, so the trees stop one level short; every
+    level still counts its d^k leaves against the node budget. The final
+    level's mean is compared against the balanced-measure integral of a,
+    the same sum over the deepest level of probes[0] within
+    lyubich_budget points: its tree at that depth, or at depth n grown
+    further, so that no level is expanded twice. An empty probe set
+    raises ValueError. The hypothesis tag looks for critical points near
+    julia_sample (the probes when None), which may be any sequence of
+    points, as for `critical_points_in_julia`, and is read once.
     """
     z, isinf = _as_arrays(probe_set)
     if not z.size:
@@ -256,26 +279,35 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     d = R.degree
     beta = math.log(d)
     depth = _depth_within(d, lyubich_budget)
+    c = _holomorphic(a)
+    shift = 0 if c is None else 1
+
+    def terms(pts, inf):   # what a level sums, left to right, per probe
+        if c is None:
+            return _values_at(a, pts, inf)
+        return _fiber_power_sums(R, pts, inf, c, a.at)
     vals = np.zeros((n + 1, z.size), dtype=complex)
     vals[0] = _values_at(a, z, isinf)
-    # the leaves of probes[0] at depth min(n, depth), which lead their level
+    # the nodes of probes[0] at level min(n, depth), which lead their level
     lz, lf = z[:1], isinf[:1]
-    for k, lo, pts, inf in _leaves(R, z, isinf, n):
-        sums = _row_sums(_values_at(a, pts, inf), d ** k) * (1.0 / d ** k)
+    for k, lo, pts, inf in _leaves(R, z, isinf, n, shift=shift):
+        w = d ** (k - shift)
+        sums = _row_sums(terms(pts, inf), w) * (1.0 / d ** k)
         vals[k, lo:lo + sums.size] = sums
         if k == min(n, depth) and lo == 0:
-            lz, lf = pts[:d ** k], inf[:d ** k]
-    traces = tuple(
-        IterationTrace(k, tuple(complex(v) for v in row), _variation(row))
-        for k, row in enumerate(vals))
+            lz, lf = pts[:w], inf[:w]
+    re, im = (np.ptp(part, axis=1) for part in (vals.real, vals.imag))
+    var = np.where(im > re, im, re)   # as Python's max(re, im)
+    traces = tuple(IterationTrace(k, tuple(row), v) for k, (row, v)
+                   in enumerate(zip(vals.tolist(), var.tolist())))
     final_constant = complex(np.mean(vals[n]))
     # continued to the Lyubich depth as one tree within the node budget,
     # as the tree of probes[0] alone would be
-    for _ in range(n, depth):
-        _within(lz.size * d, NODE_BUDGET)
-        lz, lf, _ = _sorted_table(R, lz, lf)
-    lyu = complex(_row_sums(_values_at(a, lz, lf), lz.size)[0]
-                  * (1.0 / lz.size))
+    for k in range(n + 1, depth + 1):
+        _within(d ** k, NODE_BUDGET)
+        if k > shift:
+            lz, lf, _ = _sorted_table(R, lz, lf)
+    lyu = complex(_row_sums(terms(lz, lf), lz.size)[0] * (1.0 / d ** depth))
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     tag = ("outside theorem hypothesis"
@@ -296,10 +328,11 @@ def kms_defect(R, mu_cloud, test_functions, beta=None):
     scale = math.exp(-beta)
     z, isinf = _as_arrays(mu_cloud)
     w = mu_cloud.weights()
-    pts, inf, _ = _sorted_table(R, z, isinf)
-    worst = 0.0
+    worst, table = 0.0, None
     for a in test_functions:
-        ha = _row_sums(_values_at(a, pts, inf), R.degree) * scale
+        if table is None and _holomorphic(a) is None:   # solved once
+            table = _sorted_table(R, z, isinf)
+        ha = _h(R, a, z, isinf, table) * scale
         worst = max(worst, abs(complex(np.sum(w * ha))
                                - complex(np.sum(w * _values_at(a, z, isinf)))))
     return worst

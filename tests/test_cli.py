@@ -160,8 +160,10 @@ PINNED = {
                "ab12632b802f5c65f7042319ad2294e8",
                ["measure", "z^2 - 2", "--method", "mc", "--samples", "400",
                 "--out"]),
-    "trace.csv": ("402efd3da3fbeaa5d82ce85dd7b7c1ad"
-                  "f28926d1bac61250001cfb0fa377b62d",
+    # moved with the power-sum route for holomorphic tables: levels 1-5
+    # of z on z^2 read exactly 0 (were about +-1e-17)
+    "trace.csv": ("32c325730aa396f015c696b04093558d"
+                  "bd8a63b154ac34f7ad48e006ef9472bb",
                   ["kms", "z^2", "--test", "z", "--levels", "5", "--out"]),
     "wit.json": ("fd79e4455476e39af5cf7494b7c06dbf"
                  "f430a4a945a382679babc8f382d38fd0",
@@ -169,9 +171,11 @@ PINNED = {
                   "--eps", "0.2", "--out"]),
     # moved with the closed-form cubic: tchebychev_n's band reads
     # max_imag=8.57e-26 (was 0.0), ushiki_gasket's render 1763 pixels
-    # (was 1772)
-    "verify --all": ("4e1e080c56e41b2b84631f84c127615d"
-                     "7a5985a329b0c9b5e03661ef27c58731", ["verify", "--all"]),
+    # (was 1772); then with the power-sum route for holomorphic tables:
+    # power_map_n's kms_convergence reads final_sup_variation=0.0 and
+    # lyubich_gap=0.0 (were 4.337e-18 and 5.118e-18)
+    "verify --all": ("ea8dea34d5958012ed4e266259e4388f"
+                     "8ee715c7a9ced974ff1cfd657d6e41eb", ["verify", "--all"]),
     "info lattes": ("0290829671b7d9536b60c326867102b6"
                     "41c0d9ab4287251ae0cc46611cacab1d", ["info", "lattes"]),
 }
@@ -395,13 +399,16 @@ def test_test_function_text_parses_to_its_table(table, data):
 
 
 def test_test_function_leading_minus_on_the_command_line():
-    # the equals form keeps the sign out of flag parsing
+    # the equals form keeps the sign out of flag parsing; z^2 integrates
+    # to 2 against the balanced measure of z^2 - 2
     def lyubich(test):
-        r = run("kms", "z^2", test, "--levels", "1")
+        r = run("kms", "z^2 - 2", test, "--levels", "1")
         assert r.returncode == 0, r.stderr
         line = [t for t in r.stdout.splitlines() if t.startswith("lyubich_v")]
         return float(line[0].split()[-1])
-    assert lyubich("--test=-z") == -lyubich("--test=z") != 0.0
+    value = lyubich("--test=z^2")
+    assert lyubich("--test=-z^2") == -value != 0.0
+    assert value == pytest.approx(2.0, abs=1e-3)
 
 
 def test_verify_single():

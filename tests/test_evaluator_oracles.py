@@ -304,6 +304,16 @@ for tf in (TestFunction.monomial(3), TestFunction.monomial(2, 1, 0.5j),
            TestFunction.from_table({(0, 0): 1.0, (3, 2): -0.5,
                                     (1, 4): 0.25 + 1j})):
     h.update(tf.at(z, np.zeros(z.size, dtype=bool)).tobytes())
+# a KMS run of a holomorphic table on z^2: the power sums of its fibers
+from ratdyn.transfer import kms_iterate
+run = kms_iterate(RationalMap([0, 0, 1]),
+                  TestFunction.from_table({(0, 0): 0.5, (1, 0): 1.0,
+                                           (2, 0): 0.25 - 0.5j, (5, 0): 0.1,
+                                           (8, 0): -0.05j}),
+                  6, list(z[:8] * 0.7), lyubich_budget=4096)
+for t in run.traces:
+    h.update(np.array(t.values).tobytes())
+h.update(np.array([run.lyubich_value]).tobytes())
 print(h.hexdigest())
 """
 

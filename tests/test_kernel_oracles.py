@@ -713,21 +713,39 @@ def test_power_table_matches_power():
 def _two_forest_kms(R, a, n, probes, lyubich_budget, node_budget):
     """The trace levels and the Lyubich value, each forest built apart
     and summed both ways (`_level`): `_Sums` with a row per level, and
-    the Lyubich value's `_Sums`."""
+    the Lyubich value's `_Sums`. A holomorphic table takes the node
+    rule: level k sums h(a) (`ratmap._fiber_power_sums`) over the
+    depth-(k - 1) nodes, the forest's level above."""
     z = np.array([complex(p) for p in probes])
     isinf = np.zeros(z.size, dtype=bool)
     d = R.degree
+    terms, node_rule = a.at, not a.coeffs[:, 1:].any()
+    if node_rule:
+        def terms(p, q):
+            return ratmap._fiber_power_sums(R, p, q, a.coeffs[:, 0], a.at)
+
+    def levels(bases, depth, budget=ratmap.NODE_BUDGET):
+        """(k, level summed for k) for k = 1..depth, groups in turn."""
+        above = None
+        for k, *level in _forest(R, z[bases], isinf[bases], depth, budget):
+            if k == 1:   # a group's bases, as a depth-0 level
+                root = np.unique(level[3])
+                above = [z[root], isinf[root], np.ones(root.size, np.int64),
+                         root, np.arange(root.size)]
+            yield k, (above if node_rule else level)
+            above = level
+
     vals = np.zeros((4, n + 1, z.size), dtype=complex)
     vals[0, 0] = vals[1, 0] = a.at(z, isinf)
     vals[3, 0] = np.abs(vals[0, 0])
-    for k, *level in _forest(R, z, isinf, n, node_budget):
+    for k, level in levels(slice(None), n, node_budget):
         first = level[3][0]
-        for row, got in zip(vals, _level(a.at, *level, d ** k)):
+        for row, got in zip(vals, _level(terms, *level, d ** k)):
             row[k, first:first + got.size] = got
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
-    for _, *level in _forest(R, z[:1], isinf[:1], depth):
+    for _, level in levels(slice(0, 1), depth):
         pass
-    lyu = _level(a.at, *level, d ** depth)
+    lyu = _level(terms, *level, d ** depth)
     return (_Sums(vals[0], vals[1], vals[2].real > 0, vals[3].real),
             _Sums(*(x[0] for x in lyu)))
 
@@ -754,8 +772,8 @@ def test_kms_one_forest_matches_two(monkeypatch, R, probes, budget, n,
     if split:
         node_budget = 40
 
-        def leaves(*args):
-            return ratmap._leaves(*args, node_budget=40)
+        def leaves(*args, **kw):
+            return ratmap._leaves(*args, node_budget=40, **kw)
         monkeypatch.setattr(transfer, "_leaves", leaves)
     a = TestFunction.from_table({(0, 0): 0.5, (1, 0): 1.0, (1, 1): 0.25,
                                  (0, 2): 0.125j})
