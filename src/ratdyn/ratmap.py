@@ -19,7 +19,8 @@ sorts each row by (re, im), infinity last. Callers that only sum read
 `_leaves`: each base's depth-k leaves as d^k table entries, so a sum
 with branch-index weights is a plain row sum (`_row_sums`); a
 holomorphic polynomial is summed over a fiber from the fiber
-polynomial's coefficients, unsolved (`_fiber_power_sums`). Callers
+polynomial's coefficients, unsolved (`_fiber_power_sums`), of R or of
+R o R (`_twice`, composed once per map). Callers
 that list distinct points read `_expand_level`, which merges each sorted
 row's runs; `preimages` is its one-row case, and `tree_levels` expands
 one base's tree, one call per level. A `Fiber` is an array-backed point
@@ -128,6 +129,7 @@ class RationalMap:
         self._w = None
         self._wt = None
         self._crit = None
+        self._twice = None
         if check:
             self._check_coprime()
 
@@ -475,20 +477,21 @@ def _depth_within(d, budget=NODE_BUDGET):
 
 
 def _leaves(R, pts, inf, n, node_budget=NODE_BUDGET, shift=0):
-    """Yield (k, lo, points, isinf): the depth-(k - shift) leaves of bases
-    lo, ..., for levels k = 1..n.
+    """Yield (k, lo, points, isinf): the depth-max(0, k - shift) nodes of
+    bases lo, ..., for levels k = 1..n.
 
     Base lo + j owns the d^k leaves from j d^k on, its depth-(k - 1)
     leaves' sorted table rows (`_sorted_table`) in turn, so a preimage x
     of R^k appears as often as its chain-rule index and a sum over them
-    is a plain row sum (`_row_sums`). With shift 1, level k yields the
-    nodes one level up, d^(k - 1) per base (the bases themselves at
-    k = 1), for a caller that sums over their fibers unsolved
-    (`_fiber_power_sums`). Bases go in groups of as many as fit in
-    node_budget at d^n leaves each, and each group yields its levels
-    before the next group starts; level k counts its d^k leaves per base
-    against the budget whether or not it is grown, so a group exceeds
-    the budget exactly when one of its bases would alone.
+    is a plain row sum (`_row_sums`). With shift s > 0, level k yields
+    the nodes min(k, s) levels up, d^max(0, k - s) per base (the bases
+    themselves for k <= s), for a caller that sums over their fibers
+    under R^min(k, s) unsolved (`_fiber_power_sums`). Bases go in groups
+    of as many as fit in node_budget at d^n leaves each, and each group
+    yields its levels before the next group starts; level k counts the
+    group's d^k leaves per base against the budget whether or not they
+    are grown, so a group exceeds the budget exactly when one of its
+    bases would alone.
     """
     d = R.degree
     if d < 1:
@@ -545,10 +548,26 @@ def preimage_tree(R, y, n, node_budget=NODE_BUDGET):
 # composition
 # ---------------------------------------------------------------------------
 
+def _convolve(a, b):
+    """The product of the polynomials a and b: each term a_i b_(k - i)
+    rounded as Python's product (`_cmul`), and the terms of a coefficient
+    added in increasing i, from 0, as a scalar loop adds. np.convolve's
+    bits depend on the BLAS kernel its complex dot product reaches."""
+    m, n = a.size, b.size
+    terms = np.zeros((m, m + n - 1), dtype=complex)
+    i = np.arange(m)[:, None]
+    terms[i, i + np.arange(n)] = _cmul(a[:, None], b)
+    return 0.0 + np.cumsum(terms, axis=0)[-1]
+
+
 def compose(R, S, degree_budget=DEGREE_BUDGET):
     """The composite map z -> R(S(z)).
 
     Degrees multiply; a result above degree_budget raises BudgetExceeded.
+    With S = U/V, the coefficients are sum over k of R_k U^k V^(dr - k),
+    every product rounded as Python's (`_convolve`, `_cmul`) and the
+    terms added in increasing k, so they have the same bits at every SIMD
+    dispatch level and BLAS core type.
     """
     d = R.degree * S.degree
     if d > degree_budget:
@@ -563,17 +582,24 @@ def compose(R, S, degree_budget=DEGREE_BUDGET):
     upow = [np.array([1.0 + 0j])]
     vpow = [np.array([1.0 + 0j])]
     for _ in range(dr):
-        upow.append(poly_mul(upow[-1], u))
-        vpow.append(poly_mul(vpow[-1], v))
-    pc = np.zeros(1, dtype=complex)
-    qc = np.zeros(1, dtype=complex)
+        upow.append(_convolve(upow[-1], u))
+        vpow.append(_convolve(vpow[-1], v))
+    pc = np.zeros(d + 1, dtype=complex)
+    qc = np.zeros(d + 1, dtype=complex)
     for k in range(dr + 1):
-        lift = poly_mul(upow[k], vpow[dr - k])
+        lift = _convolve(upow[k], vpow[dr - k])
         if R._p_pad[k] != 0:
-            pc = poly_add(pc, R._p_pad[k] * lift)
+            pc = pc + _cmul(R._p_pad[k], lift)
         if R._q_pad[k] != 0:
-            qc = poly_add(qc, R._q_pad[k] * lift)
+            qc = qc + _cmul(R._q_pad[k], lift)
     return RationalMap._raw(pc, qc)
+
+
+def _twice(R):
+    """R o R, composed once per map and kept on it."""
+    if R._twice is None:
+        R._twice = compose(R, R)
+    return R._twice
 
 
 def iterate_map(R, n, degree_budget=DEGREE_BUDGET):

@@ -15,8 +15,9 @@ a = sum c_j z^j is summed over a fiber from the fiber polynomial's
 coefficients instead (`ratmap._fiber_power_sums`, through `_h`), by
 `transfer_E`, `h_op`, `kms_defect` and `kms_iterate`. A KMS trace reads
 all its probes' depth-k leaves (`ratmap._leaves`), d^k per probe, or for
-a holomorphic table their depth-(k - 1) nodes; its Lyubich value
-continues the first probe's tree.
+a holomorphic table their depth-(k - 1) nodes, depth-(k - 2) on a
+quadratic map from k = 2 on (R o R's fiber polynomial); its Lyubich
+value continues the first probe's tree.
 """
 
 import math
@@ -31,7 +32,7 @@ from .numkernel import (_Evaluator, _as_arrays, _values_at, embed_points,
                         sphere_embed, sphere_nearest)
 from .ratmap import (NODE_BUDGET, _depth_within, _evaluate_arrays,
                      _fiber_power_sums, _leaves, _row_sums, _sorted_table,
-                     _within)
+                     _twice, _within)
 
 
 def _powers(z, ps):
@@ -261,8 +262,10 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
 
     All probes' trees are expanded together (`ratmap._leaves`): level k
     sums a over each probe's d^k leaves, left to right, scaled d^{-k}. A
-    holomorphic table (`_h`) sums h(a) over each probe's d^(k - 1) nodes
-    at depth k - 1 instead, so the trees stop one level short; every
+    holomorphic table (`_h`) sums h^s(a) over each probe's d^(k - s)
+    nodes at depth k - s instead, from the fiber polynomial of R^s with
+    s = min(k, 2) for a quadratic R (R o R, `ratmap._twice`) and s = 1
+    for every other degree, so the trees stop s levels short; every
     level still counts its d^k leaves against the node budget. The final
     level's mean is compared against the balanced-measure integral of a,
     the same sum over the deepest level of probes[0] within
@@ -280,19 +283,23 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
     beta = math.log(d)
     depth = _depth_within(d, lyubich_budget)
     c = _holomorphic(a)
-    shift = 0 if c is None else 1
+    # R^s for s = 1..shift: R o R's power sums keep their accuracy on
+    # quadratics only (README)
+    powers = [] if c is None else [R] if d != 2 else [R, _twice(R)]
+    shift = len(powers)
 
-    def terms(pts, inf):   # what a level sums, left to right, per probe
+    def terms(pts, inf, k):   # what level k sums, left to right, per probe
         if c is None:
             return _values_at(a, pts, inf)
-        return _fiber_power_sums(R, pts, inf, c, a.at)
+        return _fiber_power_sums(powers[min(k, shift) - 1], pts, inf, c,
+                                 a.at)
     vals = np.zeros((n + 1, z.size), dtype=complex)
     vals[0] = _values_at(a, z, isinf)
     # the nodes of probes[0] at level min(n, depth), which lead their level
     lz, lf = z[:1], isinf[:1]
     for k, lo, pts, inf in _leaves(R, z, isinf, n, shift=shift):
-        w = d ** (k - shift)
-        sums = _row_sums(terms(pts, inf), w) * (1.0 / d ** k)
+        w = d ** max(0, k - shift)
+        sums = _row_sums(terms(pts, inf, k), w) * (1.0 / d ** k)
         vals[k, lo:lo + sums.size] = sums
         if k == min(n, depth) and lo == 0:
             lz, lf = pts[:w], inf[:w]
@@ -307,7 +314,8 @@ def kms_iterate(R, a, n, probe_set, julia_sample=None, lyubich_budget=16384):
         _within(d ** k, NODE_BUDGET)
         if k > shift:
             lz, lf, _ = _sorted_table(R, lz, lf)
-    lyu = complex(_row_sums(terms(lz, lf), lz.size)[0] * (1.0 / d ** depth))
+    lyu = complex(_row_sums(terms(lz, lf, depth), lz.size)[0]
+                  * (1.0 / d ** depth))
     # the fixed-point theorem assumes no critical points on the Julia set;
     # flag runs where a critical point sits near the sample
     tag = ("outside theorem hypothesis"

@@ -314,6 +314,24 @@ run = kms_iterate(RationalMap([0, 0, 1]),
 for t in run.traces:
     h.update(np.array(t.values).tobytes())
 h.update(np.array([run.lyubich_value]).tobytes())
+# R o R of random complex quadratics, whose products np.convolve and
+# numpy's complex * would round by the BLAS core and the dispatch level,
+# and KMS runs on two quadratics that sum over its fibers; two levels
+# grow no tree, whose fiber solves on these maps still round their
+# products by the dispatch level
+from ratdyn.ratmap import compose
+for c in rng.normal(size=(50, 3, 2)) @ np.array([1.0, 1j]):
+    R2 = compose(RationalMap(c), RationalMap(c))
+    h.update(R2._p.tobytes() + R2._q.tobytes())
+for R in (RationalMap([0.3 + 0.5j, 0, 1]), RationalMap([-1, 0, 2], [0, 1])):
+    run = kms_iterate(R, TestFunction.from_table({(0, 0): 0.5, (1, 0): 1.0,
+                                                  (3, 0): 0.25 - 0.5j,
+                                                  (8, 0): -0.05j,
+                                                  (64, 0): 1e-3}),
+                      2, list(z[8:72] * 0.7), lyubich_budget=4)
+    for t in run.traces:
+        h.update(np.array(t.values).tobytes())
+    h.update(np.array([run.lyubich_value]).tobytes())
 print(h.hexdigest())
 """
 
@@ -321,14 +339,17 @@ print(h.hexdigest())
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="numpy's dispatch levels are those of x86-64")
 def test_same_bits_at_every_dispatch_level():
-    # the baseline level X86_V2 has no FMA and no AVX2 or AVX-512 loops
+    # the baseline level X86_V2 has no FMA and no AVX2 or AVX-512 loops,
+    # and OpenBLAS's Prescott kernels (which np.convolve's complex dot
+    # products reach) none either
     env = {k: v for k, v in os.environ.items()
-           if k != "NPY_ENABLE_CPU_FEATURES"}
+           if k not in ("NPY_ENABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
     digests = []
-    for extra in ({}, {"NPY_ENABLE_CPU_FEATURES": "X86_V2"}):
+    for extra in ({}, {"NPY_ENABLE_CPU_FEATURES": "X86_V2"},
+                  {"OPENBLAS_CORETYPE": "Prescott"}):
         out = subprocess.run([sys.executable, "-c", _DIGESTS],
                              capture_output=True, text=True, timeout=300,
                              env=dict(env, **extra))
         assert out.returncode == 0, out.stderr
         digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]

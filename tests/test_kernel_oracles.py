@@ -56,6 +56,8 @@ from ratdyn.transfer import (ProductFunction, TestFunction, alpha, h_op,
 DROP = RationalMap([1, 0, 0, 1], [0, -1, 0, 2])   # R(infinity) = 1/2
 LATTES = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4])
 T3 = get("tchebychev_n").map
+RATQ = RationalMap([-1, 0, 2], [0, 1])           # (2z^2 - 1)/z
+FINQ = RationalMap([0.5, 0, 1], [-2, 0.3, 1])    # R(infinity) = 1
 MAPS = [get(name).map for name in list_examples()] + [DROP]
 
 
@@ -714,38 +716,45 @@ def _two_forest_kms(R, a, n, probes, lyubich_budget, node_budget):
     """The trace levels and the Lyubich value, each forest built apart
     and summed both ways (`_level`): `_Sums` with a row per level, and
     the Lyubich value's `_Sums`. A holomorphic table takes the node
-    rule: level k sums h(a) (`ratmap._fiber_power_sums`) over the
-    depth-(k - 1) nodes, the forest's level above."""
+    rule: level k sums h^s(a) (`ratmap._fiber_power_sums` on R^s) over
+    the depth-(k - s) nodes, s = min(k, 2) on a quadratic map (R^2 from
+    `ratmap.compose`) and s = 1 otherwise, depth 0 being the bases."""
     z = np.array([complex(p) for p in probes])
     isinf = np.zeros(z.size, dtype=bool)
     d = R.degree
-    terms, node_rule = a.at, not a.coeffs[:, 1:].any()
-    if node_rule:
-        def terms(p, q):
-            return ratmap._fiber_power_sums(R, p, q, a.coeffs[:, 0], a.at)
+    top = 0
+    if not a.coeffs[:, 1:].any():   # the node rule
+        top = 2 if d == 2 else 1
+    powers = [R, ratmap.compose(R, R)][:top]
+
+    def terms(k):
+        if not top:
+            return a.at
+        S = powers[min(k, top) - 1]
+        return lambda p, q: ratmap._fiber_power_sums(S, p, q, a.coeffs[:, 0],
+                                                     a.at)
 
     def levels(bases, depth, budget=ratmap.NODE_BUDGET):
         """(k, level summed for k) for k = 1..depth, groups in turn."""
-        above = None
         for k, *level in _forest(R, z[bases], isinf[bases], depth, budget):
             if k == 1:   # a group's bases, as a depth-0 level
                 root = np.unique(level[3])
-                above = [z[root], isinf[root], np.ones(root.size, np.int64),
-                         root, np.arange(root.size)]
-            yield k, (above if node_rule else level)
-            above = level
+                seen = [[z[root], isinf[root], np.ones(root.size, np.int64),
+                         root, np.arange(root.size)]]
+            seen.append(level)
+            yield k, seen[max(0, k - top)]
 
     vals = np.zeros((4, n + 1, z.size), dtype=complex)
     vals[0, 0] = vals[1, 0] = a.at(z, isinf)
     vals[3, 0] = np.abs(vals[0, 0])
     for k, level in levels(slice(None), n, node_budget):
         first = level[3][0]
-        for row, got in zip(vals, _level(terms, *level, d ** k)):
+        for row, got in zip(vals, _level(terms(k), *level, d ** k)):
             row[k, first:first + got.size] = got
     depth = max(1, int(math.floor(math.log(lyubich_budget) / math.log(d))))
     for _, level in levels(slice(0, 1), depth):
         pass
-    lyu = _level(terms, *level, d ** depth)
+    lyu = _level(terms(depth), *level, d ** depth)
     return (_Sums(vals[0], vals[1], vals[2].real > 0, vals[3].real),
             _Sums(*(x[0] for x in lyu)))
 
@@ -757,14 +766,18 @@ def _two_forest_kms(R, a, n, probes, lyubich_budget, node_budget):
     (get("tchebychev_n").map, [1.0, -0.8 + 0.1j, 0.55j], 100),
     (LATTES, [0.3 + 0.1j, 1e11 + 0j, -0.7 + 0.4j], 300),
     (DROP, [0.3 + 0.1j, 0.5 + 1e-10, -0.7 + 0.4j], 100),
+    # quadratics summed from R o R: the first probe a critical value of
+    # RATQ, and a probe 1e-10 from FINQ(oo) = 1, a node near infinity
+    (RATQ, [2j * math.sqrt(2), 0.9 - 0.2j, -0.3 + 1.1j], 256),
+    (FINQ, [0.4 - 0.6j, 1.0 + 1e-10, -1.2 + 0.1j], 32),
 ])
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 8])
 @pytest.mark.parametrize("split", [False, True])
 def test_kms_one_forest_matches_two(monkeypatch, R, probes, budget, n,
                                     split):
-    # levels below, at and beyond the Lyubich depth (8 for z^2, 6 for
-    # z^2 + 0.2, 4 for the rest); with split, a node budget of 40 splits
-    # the trace forest into several groups
+    # levels below, at and beyond the Lyubich depth (8 for z^2 and RATQ,
+    # 6 for z^2 + 0.2, 5 for FINQ, 4 for the rest); with split, a node
+    # budget of 40 splits the trace forest into several groups
     rng = np.random.default_rng(4)
     probes = probes + list(0.8 * rng.standard_normal(5)
                            + 0.8j * rng.standard_normal(5))
@@ -779,6 +792,9 @@ def test_kms_one_forest_matches_two(monkeypatch, R, probes, budget, n,
                                  (0, 2): 0.125j})
     if R is LATTES or R is DROP:
         a = TestFunction.monomial(1)
+    if R is RATQ or R is FINQ:
+        a = TestFunction.from_table({(0, 0): 0.5, (1, 0): 1.0, (3, 0): -0.25j,
+                                     (5, 0): 0.125})
     try:
         levels, lyu = _two_forest_kms(R, a, n, probes, budget, node_budget)
     except BudgetExceeded:   # a trace tree alone exceeds the budget

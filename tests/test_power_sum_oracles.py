@@ -17,8 +17,8 @@ import pytest
 from ratdyn.errors import EvaluationAtInfinity
 from ratdyn.numkernel import SpherePoint, _as_arrays
 from ratdyn.ratmap import (RationalMap, _fiber_power_sums, _leaves,
-                           _row_sums, _sorted_table, critical_points,
-                           value_at_infinity)
+                           _row_sums, _sorted_table, _twice,
+                           critical_points, evaluate, value_at_infinity)
 from ratdyn.measure import WeightedCloud
 from ratdyn.registry import get
 from ratdyn.transfer import (TestFunction, h_op, kms_defect, kms_iterate,
@@ -76,17 +76,26 @@ def _tied(R, z, isinf):
     return (label[:, 1:] == label[:, :-1]).any(axis=1)
 
 
-def _mp_fiber(R, w):
-    """The fiber of the finite base w at 60 digits: the roots of P - w Q,
-    from the float coefficients taken as exact, or None when its
-    polynomial drops a degree (a preimage at infinity)."""
+def _mp_fiber(R, w, depth=1):
+    """The fiber of the finite base w under R^depth at 60 digits: the
+    roots of P - w Q, from the float coefficients taken as exact, then
+    the fibers of those in turn, or None when a level's polynomial drops
+    a degree (a preimage at infinity)."""
     with mpmath.workdps(60):
-        f = [mpmath.mpc(p) - mpmath.mpc(w) * mpmath.mpc(q)
-             for p, q in zip(R._p_pad, R._q_pad)]
-        if abs(f[-1]) <= 1e-12 * (abs(mpmath.mpc(R._p_pad[-1]))
-                                  + abs(w) * abs(mpmath.mpc(R._q_pad[-1]))):
-            return None
-        return mpmath.polyroots(f[::-1], maxsteps=400, extraprec=400)
+        ws = [mpmath.mpc(w)]
+        for _ in range(depth):
+            level = []
+            for y in ws:
+                f = [mpmath.mpc(p) - y * mpmath.mpc(q)
+                     for p, q in zip(R._p_pad, R._q_pad)]
+                if abs(f[-1]) <= 1e-12 * (abs(mpmath.mpc(R._p_pad[-1]))
+                                          + abs(y) * abs(mpmath.mpc(
+                                              R._q_pad[-1]))):
+                    return None
+                level += mpmath.polyroots(f[::-1], maxsteps=400,
+                                          extraprec=400)
+            ws = level
+        return ws
 
 
 def _mp_sums(roots, c):
@@ -168,17 +177,17 @@ def test_no_result_is_minus_zero():
                                        (5, 0): -2.0j}),
               TestFunction.constant(0.0)]
     for R in (MAPS["z2"], RationalMap([0.2, 0, 1]), MAPS["z2-2"]):
-        for a in tables:
-            got = _fiber_power_sums(R, z, isinf, a.coeffs[:, 0], a.at)
+        for a, S in ((a, S) for a in tables for S in (R, _twice(R))):
+            got = _fiber_power_sums(S, z, isinf, a.coeffs[:, 0], a.at)
             assert not np.any(np.signbit(got.real[got.real == 0]))
             assert not np.any(np.signbit(got.imag[got.imag == 0]))
             if a.degree_bound % 2:
                 assert not got.any()
-    R = MAPS["(z+1)/z3"]
     a = TestFunction.constant(0.0)
-    got = _fiber_power_sums(R, np.array([0j, 0j]), np.array([False, True]),
-                            a.coeffs[:, 0], a.at)
-    assert not np.signbit(got.view(float)).any()
+    for R in (MAPS["(z+1)/z3"], _twice(MAPS["(2z2-1)/z"])):
+        got = _fiber_power_sums(R, np.array([0j, 0j]),
+                                np.array([False, True]), a.coeffs[:, 0], a.at)
+        assert not np.signbit(got.view(float)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +241,155 @@ def test_operators_match_the_leaf_route(name):
         assert np.all(np.abs(got - want) <= REL * size)
     want, size = _leaf_level(R, z[:1], isinf[:1], 4, A)
     assert abs(run.lyubich_value - want[0]) <= REL * size[0]
+
+
+# ---------------------------------------------------------------------------
+# R o R: a quadratic's two tree levels summed from one fiber polynomial
+# ---------------------------------------------------------------------------
+
+EXPONENTS2 = [0, 1, 3, 8, 16, 32, 64]
+
+
+def _quadratics():
+    maps = {"z2": MAPS["z2"], "z2-2": MAPS["z2-2"],
+            "z2+0.2": RationalMap([0.2, 0, 1]),
+            "z2+i": RationalMap([1j, 0, 1]),
+            "(2z2-1)/z": MAPS["(2z2-1)/z"]}
+    rng = np.random.default_rng(2)
+    for j in range(4):
+        maps[f"poly{j}"] = RationalMap(rng.standard_normal((3, 2)) @ [1, 1j])
+    for j in range(4):
+        p, q = rng.standard_normal((2, 3, 2)) @ [1, 1j]
+        maps[f"rat{j}"] = RationalMap(p, q)
+    return maps
+
+
+QUADRATICS = _quadratics()
+
+
+def _bases2(R, seed):
+    """Random bases, the critical values of R o R (R(c) and R(R(c)) for
+    the critical points c of R), infinity, and bases within 1e-9 of
+    R(R(oo)) when it is finite; with each base its kind: "plain",
+    "critical" or "near top"."""
+    rng = np.random.default_rng(seed)
+    z = list(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    pts = [SpherePoint.from_value(w) for w in z + [1.0, -1.0, 1e-9]]
+    kinds = ["plain"] * len(pts)
+    for cd in critical_points(R):
+        pts += [cd.value, evaluate(R, cd.value)]
+        kinds += ["critical"] * 2
+    pts.append(SpherePoint.infinity())
+    kinds.append("plain")
+    top = evaluate(R, value_at_infinity(R))
+    if not top.is_infinity:
+        pts += [SpherePoint(top.z + e) for e in (1e-9, -1e-9j, 3e-10 + 4e-10j)]
+        pts.append(top)
+        kinds += ["near top"] * 3 + ["plain"]
+    return (*_as_arrays(pts), kinds)
+
+
+def _bound2(S, w, kind, j):
+    """The error allowed in h^2(z^j) at the base w, relative to its size.
+
+    1e-13 at plain bases. Over a critical value of S = R o R the fiber
+    holds a double root, which rounding S's coefficients by eps splits by
+    about sqrt(eps), so the j-th powers of the pair move by about j^2 eps:
+    4 j^2 eps more. Near R(R(oo)) the leading coefficient l = P_4 - w Q_4
+    cancels, and the root near infinity moves by eps times its condition
+    k = (|P_4| + |w| |Q_4|) / |l| (`_fiber_rows`' drop test), its j-th
+    power by j eps k: 2 j eps k more. Both routes share these terms: the
+    two-level tree misses by up to 8.7 j^2 eps at j = 1 and 3.0 j^2 eps at
+    j = 64 over critical values, and by 1.3 j eps k near R(R(oo)).
+    """
+    eps = 2.0 ** -52
+    if kind == "critical":
+        return REL + 4 * j * j * eps
+    if kind == "near top":
+        p, q = S._p_pad[-1], S._q_pad[-1]
+        return REL + 2 * j * eps * (abs(p) + abs(w) * abs(q)) / abs(p - w * q)
+    return REL
+
+
+def _tree_route(R, a, z, isinf):
+    """h^2(a) as the sum of a over each base's d^2 leaves."""
+    for k, _, pts, inf in _leaves(R, z, isinf, 2):
+        if k == 2:
+            return _row_sums(a.at(pts, inf), R.degree ** 2)
+
+
+@pytest.mark.parametrize("name", list(QUADRATICS))
+def test_twice_power_sums_match_mpmath(name):
+    # R o R's power sums against its fiber, two levels of roots at 60
+    # digits; sums beyond the float range are left out
+    R = QUADRATICS[name]
+    S = _twice(R)
+    z, isinf, kinds = _bases2(R, len(name))
+    fibers = [None if isinf[r] else _mp_fiber(R, z[r], 2)
+              for r in range(z.size)]
+    rows = [r for r, f in enumerate(fibers) if f is not None]
+    checked = 0
+    for j in EXPONENTS2:
+        a = TestFunction.monomial(j)
+        c = a.coeffs[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _fiber_power_sums(S, z[rows], isinf[rows], c, a.at)
+        for g, r in zip(got, rows):
+            want, size = _mp_sums(fibers[r], c)
+            if size > 1e300:
+                continue
+            bound = _bound2(S, z[r], kinds[r], j) * size
+            assert abs(g - want) <= bound, (name, kinds[r], j, g, want)
+            checked += 1
+    assert checked >= 9 * len(EXPONENTS2)
+
+
+@pytest.mark.parametrize("name", list(QUADRATICS))
+def test_twice_fallback_rows_raise_where_the_tree_raises(name):
+    # bases at infinity and at R(R(oo)) raise exactly where the two-level
+    # tree raises, and a constant sums to 4 c_0 on every row
+    R = QUADRATICS[name]
+    z, isinf, _ = _bases2(R, 3)
+    raised = 0
+    for r in range(z.size):
+        zz, ii = z[r:r + 1], isinf[r:r + 1]
+        for j in EXPONENTS2:
+            a = TestFunction.monomial(j)
+            c = a.coeffs[:, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    _tree_route(R, a, zz, ii)
+                except EvaluationAtInfinity:
+                    with pytest.raises(EvaluationAtInfinity):
+                        _fiber_power_sums(_twice(R), zz, ii, c, a.at)
+                    raised += 1
+                    continue
+                _fiber_power_sums(_twice(R), zz, ii, c, a.at)
+        one = TestFunction.constant(2.5 - 1j)
+        got = _fiber_power_sums(_twice(R), zz, ii, one.coeffs[:, 0], one.at)
+        assert got[0] == 4 * (2.5 - 1j)
+    assert raised >= len(EXPONENTS2) - 1   # oo or R(R(oo)), each non-constant
+
+
+@pytest.mark.parametrize("name", ["t3", "lattes", "drop"])
+def test_kms_keeps_one_level_beyond_degree_two(name):
+    # maps of degree 3 and more sum h(a) from R's own fiber polynomial
+    # over each probe's depth-(k - 1) nodes, bit for bit
+    R = MAPS[name]
+    d = R.degree
+    rng = np.random.default_rng(13)
+    probes = list(0.9 * rng.standard_normal(4) + 0.7j * rng.standard_normal(4))
+    z, isinf = _as_arrays(probes)
+    c = A.coeffs[:, 0]
+    run = kms_iterate(R, A, 3, probes, lyubich_budget=d ** 4)
+
+    def sums(pts, inf, k):
+        h = _fiber_power_sums(R, pts, inf, c, A.at)
+        return _row_sums(h, d ** (k - 1)) * (1.0 / d ** k)
+    for k, _, pts, inf in _leaves(R, z, isinf, 3, shift=1):
+        want = sums(pts, inf, k)
+        assert np.array(run.traces[k].values).tobytes() == want.tobytes()
+    for k, _, pts, inf in _leaves(R, z[:1], isinf[:1], 4, shift=1):
+        pass
+    assert np.array([run.lyubich_value]).tobytes() == \
+        sums(pts, inf, 4).tobytes()
